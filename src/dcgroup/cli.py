@@ -33,7 +33,7 @@ from .constructors import (
     central_product,
     direct_product,
 )
-from .core import FiniteGroup, PermGroup, QuotientGroup, TableGroup
+from .core import FiniteGroup, PermGroup, QuotientGroup, TableGroup, prime_power
 from .dc import (
     CLAIMS,
     FAIL,
@@ -45,30 +45,17 @@ from .dc import (
     is_sublattice,
     pair_claims,
 )
-from .errors import (
-    DcgroupError,
-    SchemaViolation,
-    SearchBudgetExceeded,
-    SpecParseError,
-)
-from .lattice import LATTICE_CAP, all_subgroups
+from .errors import DcgroupError, SchemaViolation, SpecParseError
+from .lattice import LATTICE_CAP
 from .pc import PcPresentation, realize_pc_group
-from .structure import (
-    _subgroup_is_abelian,
-    abelian_type,
-    derived_length,
-    derived_subgroup,
-    exponent,
-    is_pgroup,
-    min_generators,
-    nilpotency_class,
-)
+from .structure import abelian_type
 
 __all__ = [
     "parse_group_spec",
     "validate_spec",
     "realize_spec",
     "spec_hash",
+    "analyze_group",
     "run_analyze",
     "run_census",
     "main",
@@ -128,21 +115,6 @@ def _want_keys(obj: dict, where: str, required: set[str], optional: set[str] = f
         _fail(where, f"missing fields: {sorted(missing)}")
     if unknown:
         _fail(where, f"unknown fields: {sorted(unknown)}")
-
-
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _validate_word(v, where: str, ngens: int, what: str) -> list[list[int]]:
@@ -212,7 +184,7 @@ def validate_spec(obj, where: str = "spec") -> dict:
         _want_keys(obj, where, {"orders"}, {"powers", "commutators"})
         orders = _want_int_list(obj["orders"], where, "orders")
         for o in orders:
-            if not _is_prime_power(o):
+            if prime_power(o) is None:
                 _fail(where, f"relative order {o} is not a prime power")
         ngens = len(orders)
         powers = obj.get("powers", {})
@@ -358,30 +330,20 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, default=_json_default) + "\n"
 
 
-def _dprime_fields(G: FiniteGroup) -> tuple[int, str]:
-    dp = derived_subgroup(G)
+def _invariants(ctx: GroupContext) -> dict:
+    dp = ctx.derived
     if dp.order == 1:
-        return 1, "1"
-    if _subgroup_is_abelian(G, dp):
-        return dp.order, "x".join(str(v) for v in abelian_type(G, dp))
-    return dp.order, "nonabelian"
-
-
-def _d_of(G: FiniteGroup) -> int | None:
-    try:
-        return min_generators(G)
-    except SearchBudgetExceeded:
-        return None
-
-
-def _invariant_block(G: FiniteGroup) -> dict:
-    dp_order, dp_type = _dprime_fields(G)
+        dp_type = "1"
+    elif ctx.dprime_abelian:
+        dp_type = "x".join(str(v) for v in abelian_type(ctx.G, dp))
+    else:
+        dp_type = "nonabelian"
     return {
-        "d": _d_of(G),
-        "cl": nilpotency_class(G),
-        "dl": derived_length(G),
-        "exponent": exponent(G),
-        "dprime_order": dp_order,
+        "d": ctx.d,
+        "cl": ctx.cl,
+        "dl": ctx.dl,
+        "exponent": ctx.exponent,
+        "dprime_order": dp.order,
         "dprime_type": dp_type,
     }
 
@@ -392,49 +354,46 @@ def _claims_json(claims: list[ClaimResult]) -> list[dict]:
     ]
 
 
-def _analyze_payload(
-    gid: str,
+def analyze_group(
+    G: FiniteGroup,
     spec: dict,
-    lattice_cap: int,
-    fast_only: bool,
-    seed: int,
-    timings: dict | None,
+    lattice_cap: int = LATTICE_CAP,
+    seed: int = DEFAULT_SEED,
+    timings: dict | None = None,
 ) -> dict:
-    t0 = time.perf_counter()
-    G = realize_spec(spec, name=gid)
-    t_realize = time.perf_counter() - t0
+    """One group's report: invariants, DS(G), the DC verdict and the claims.
 
+    `analyze` and `census` both report this. Beyond the lattice cap the DS
+    fields are null and the verdict is the lattice-free one, or
+    "undecided" when none applies. With a timings dict, the verdict and
+    claim stages record their seconds in it.
+    """
     ctx = GroupContext(G, lattice_cap=lattice_cap, seed=seed)
-    ds_block = {"size": None, "is_chain": None, "is_sublattice": None}
     t0 = time.perf_counter()
-    if fast_only:
-        # No lattice enumeration at all: verdict and claims both run on
-        # lattice-free evidence only.
-        ctx._cache["lattice"] = None
-        verdict = is_dc_fast(G)
-    else:
-        lat = all_subgroups(G, lattice_cap)
-        ctx._cache["lattice"] = lat
-        ds = ctx.ds
+    ds = ctx.ds
+    t1 = time.perf_counter()
+    claims = [fn(ctx) for _, fn in CLAIMS]
+    t2 = time.perf_counter()
+    # The lattice-free verdict runs after the claims: run before them, it
+    # raised the order-7^7 witness's peak RSS by 7 MB.
+    verdict = ctx.oracle or is_dc_fast(G)
+    ds_block = {"size": None, "is_chain": None, "is_sublattice": None}
+    if ds is not None:
         ds_block = {
             "size": len(ds.members),
             "is_chain": ds.chain is not None,
-            "is_sublattice": bool(is_sublattice(ds, lat)),
+            "is_sublattice": bool(is_sublattice(ds, ctx.lattice)),
         }
-        verdict = ctx.oracle
-    t_verdict = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    claims = [fn(ctx) for _, fn in CLAIMS]
-    t_claims = time.perf_counter() - t0
-
-    report = {
-        "tool": {"name": "dcgroup", "version": __version__},
-        "group_id": gid,
+    if timings is not None:
+        timings.update(
+            verdict_s=round(t1 - t0 + time.perf_counter() - t2, 3),
+            claims_s=round(t2 - t1, 3),
+        )
+    return {
         "spec_sha256": spec_hash(spec),
         "order": G.order,
-        "p": None if is_pgroup(G) is None else is_pgroup(G)[0],
-        "invariants": _invariant_block(G),
+        "p": None if ctx.pn is None else ctx.pn[0],
+        "invariants": _invariants(ctx),
         "ds": ds_block,
         "dc": {
             "is_dc": None if verdict is None else verdict.is_dc,
@@ -442,14 +401,6 @@ def _analyze_payload(
         },
         "claims": _claims_json(claims),
     }
-    if timings is not None:
-        timings.update(
-            realize_s=round(t_realize, 3),
-            verdict_s=round(t_verdict, 3),
-            claims_s=round(t_claims, 3),
-        )
-        report["timings"] = timings
-    return report
 
 
 def _csv_row(report: dict) -> list:
@@ -491,43 +442,13 @@ def _emit(text: str, out: str | None):
 
 
 def _census_one(args: tuple) -> tuple[str, dict]:
-    """Worker body: realize one spec and run the claim registry."""
+    """Worker body: realize one spec and analyze it."""
     gid, spec, lattice_cap, seed = args
     try:
         G = realize_spec(spec, name=gid)
     except DcgroupError as e:
         return gid, {"skipped": f"realization failed: {e}"}
-    ctx = GroupContext(G, lattice_cap=lattice_cap, seed=seed)
-    claims = [fn(ctx) for _, fn in CLAIMS]
-    verdict = ctx.oracle
-    if verdict is None:
-        verdict = is_dc_fast(G)
-    ds_block = {"size": None, "is_chain": None, "is_sublattice": None}
-    if ctx.lattice is not None:
-        ds = ctx.ds
-        ds_block = {
-            "size": len(ds.members),
-            "is_chain": ds.chain is not None,
-            "is_sublattice": bool(is_sublattice(ds, ctx.lattice)),
-        }
-    pn = is_pgroup(G)
-    payload = {
-        "spec_sha256": spec_hash(spec),
-        "order": G.order,
-        "p": None if pn is None else pn[0],
-        "invariants": _invariant_block(G),
-        "ds": ds_block,
-        "dc": {
-            "is_dc": None if verdict is None else verdict.is_dc,
-            "method": "undecided" if verdict is None else verdict.method,
-        },
-        "claims": _claims_json(claims),
-        "meta": {
-            "abelian": G.is_abelian,
-            "n": None if pn is None else pn[1],
-        },
-    }
-    return gid, payload
+    return gid, analyze_group(G, spec, lattice_cap, seed)
 
 
 def run_census(
@@ -571,17 +492,16 @@ def run_census(
     note_rows = []
     spec_by_id = {gid: spec for gid, spec, _, _ in work}
     for gid in sorted(results):
-        payload = results[gid]
-        if "skipped" in payload:
-            skipped[gid] = payload["skipped"]
+        row = results[gid]
+        if "skipped" in row:
+            skipped[gid] = row["skipped"]
             continue
-        groups[gid] = {k: payload[k] for k in
-                       ("spec_sha256", "order", "p", "invariants", "ds", "dc",
-                        "claims")}
-        meta_rows.append((gid, payload["order"], payload["meta"]["abelian"],
-                          payload["p"]))
-        note_rows.append((gid, payload["p"], payload["meta"]["n"],
-                          payload["invariants"]["cl"]))
+        groups[gid] = row
+        # G is abelian exactly when G' = 1.
+        abelian = row["invariants"]["dprime_order"] == 1
+        pn = prime_power(row["order"])
+        meta_rows.append((gid, row["order"], abelian, row["p"]))
+        note_rows.append((gid, row["p"], pn and pn[1], row["invariants"]["cl"]))
 
     pairs: dict[str, list] = {}
     for gid, aid in auto_pairs(meta_rows):
@@ -614,36 +534,29 @@ def run_census(
 
 
 def _census_csv(report: dict) -> str:
-    rows = []
-    for gid, g in report["groups"].items():
-        rows.append(
-            _csv_row(
-                {
-                    "group_id": gid,
-                    "order": g["order"],
-                    "p": g["p"],
-                    "invariants": g["invariants"],
-                    "dc": g["dc"],
-                    "claims": g["claims"],
-                }
-            )
-        )
-    return _write_csv(rows)
+    return _write_csv(
+        [_csv_row({"group_id": gid, **g}) for gid, g in report["groups"].items()]
+    )
 
 
 # -- entry points -----------------------------------------------------------------
 
 
 def run_analyze(args) -> int:
-    timings = {} if args.timings else None
-    report = _analyze_payload(
-        Path(args.spec).stem,
-        parse_group_spec(args.spec),
-        args.lattice_cap,
-        args.fast_only,
-        args.seed,
-        timings,
-    )
+    gid = Path(args.spec).stem
+    spec = parse_group_spec(args.spec)
+    t0 = time.perf_counter()
+    G = realize_spec(spec, name=gid)
+    timings = None
+    if args.timings:
+        timings = {"realize_s": round(time.perf_counter() - t0, 3)}
+    report = {
+        "tool": {"name": "dcgroup", "version": __version__},
+        "group_id": gid,
+        **analyze_group(G, spec, args.lattice_cap, args.seed, timings),
+    }
+    if timings is not None:
+        report["timings"] = timings
     if args.format == "json":
         _emit(_dumps(report), args.out)
     else:
@@ -675,7 +588,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--lattice-cap", type=int, default=LATTICE_CAP,
-                        help="largest group order enumerated in full")
+                        help="largest group order enumerated in full; 0 gives "
+                             "the lattice-free verdict")
     common.add_argument("--out", default=None, help="write the report here")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -684,8 +598,6 @@ def _build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", parents=[common],
                        help="analyze one group spec file")
     a.add_argument("--spec", required=True, help="path to a group spec JSON file")
-    a.add_argument("--fast-only", action="store_true",
-                   help="skip lattice enumeration; lattice-free verdict only")
     a.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-identical reruns)")
     a.set_defaults(fn=run_analyze)

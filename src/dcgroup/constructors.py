@@ -23,6 +23,7 @@ from .core import (
     TableGroup,
     closure_ids,
     perm_from_cycles,
+    prime_power,
 )
 from .errors import (
     ActionNotHomomorphic,
@@ -59,25 +60,6 @@ __all__ = [
     "PcBundle",
     "witness_bundle",
 ]
-
-
-def _prime_power(n: int) -> tuple[int, int] | None:
-    """(p, k) with n = p^k, or None."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    k = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        k += 1
-    return (p, k) if m == 1 else None
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -170,7 +152,7 @@ def generalized_quaternion(order: int) -> TableGroup:
 
     Ids: a^i at 0..m-1 and a^i b at m..2m-1, where m = order/2.
     """
-    pk = _prime_power(order)
+    pk = prime_power(order)
     _require(
         pk is not None and pk[0] == 2 and order >= 8,
         f"generalized quaternion order {order} must be a 2-power >= 8",
@@ -193,7 +175,7 @@ def generalized_quaternion(order: int) -> TableGroup:
 
 def semidihedral(order: int) -> TableGroup:
     """SD_{2^k}, k >= 4: maximal cyclic subgroup twisted by t = 2^{k-2} - 1."""
-    pk = _prime_power(order)
+    pk = prime_power(order)
     _require(
         pk is not None and pk[0] == 2 and pk[1] >= 4,
         f"semidihedral order {order} must be a 2-power >= 16",
@@ -204,7 +186,7 @@ def semidihedral(order: int) -> TableGroup:
 
 def modular_max_cyclic(order: int) -> TableGroup:
     """M_{p^k}, k >= 3: maximal cyclic subgroup twisted by t = p^{k-2} + 1."""
-    pk = _prime_power(order)
+    pk = prime_power(order)
     _require(pk is not None and pk[1] >= 3, f"order {order} must be p^k, k >= 3")
     p, k = pk
     _require((p, k) != (2, 3), "order 8 has no modular group distinct from D8")
@@ -219,7 +201,7 @@ def extraspecial_p3(p: int, exponent: str) -> TableGroup:
     with id a*p^2 + b*p + c for the matrix rows (1 a c / 0 1 b / 0 0 1).
     exponent "p2" gives the modular group of order p^3.
     """
-    _require(p >= 3 and _prime_power(p) == (p, 1), f"p = {p} must be an odd prime")
+    _require(p >= 3 and prime_power(p) == (p, 1), f"p = {p} must be an odd prime")
     kind = exponent.replace("^", "")
     if kind == "p2":
         return modular_max_cyclic(p**3)
@@ -609,7 +591,7 @@ def _order_5_7_bundle() -> PcBundle:
 
 
 def _order_p7_bundle(p: int) -> PcBundle:
-    pk = _prime_power(p)
+    pk = prime_power(p)
     _require(pk == (p, 1) and p >= 7, f"parameter p = {p} must be a prime >= 7")
     pres = PcPresentation(
         rel_orders=(p,) * 7,

@@ -37,6 +37,7 @@ __all__ = [
     "make_perm_group",
     "quotient_group",
     "closure_ids",
+    "prime_power",
     "perm_from_cycles",
     "perm_mul",
     "perm_inv",
@@ -53,6 +54,24 @@ PERM_DEGREE_CAP = 16
 
 # Hard cap on the number of elements any closure may enumerate.
 CLOSURE_UNIVERSE_CAP = 10**6
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) with n = p^k and k >= 1, or None."""
+    if n < 2:
+        return None
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            break
+        p += 1
+    else:
+        p = n
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +519,27 @@ def quotient_group(parent: FiniteGroup, normal_ids: Sequence[int], name: str = "
     return QuotientGroup(parent, normal_ids, name=name)
 
 
+def _orbit_closure(table: list[int], n: int, seed: Sequence[int]):
+    """Right-multiplication orbit of the identity under the seed."""
+    member = bytearray(n)
+    member[0] = 1
+    elems = [0]
+    for g in seed:
+        if not member[g]:
+            member[g] = 1
+            elems.append(g)
+    i = 0
+    while i < len(elems):
+        row = elems[i] * n
+        i += 1
+        for g in seed:
+            t = table[row + g]
+            if not member[t]:
+                member[t] = 1
+                elems.append(t)
+    return member, elems
+
+
 def closure_ids(G: FiniteGroup, seed: Iterable[int]) -> list[int]:
     """Subgroup generated by seed ids, as a sorted id list.
 
@@ -507,9 +547,12 @@ def closure_ids(G: FiniteGroup, seed: Iterable[int]) -> list[int]:
     needed because the group is finite.
     """
     gens = sorted({G.check_id(int(s)) for s in seed} - {0})
-    n = G.order
     table = G.flat_table()
-    member = bytearray(n)
+    if table is not None:
+        _, elems = _orbit_closure(table, G.order, gens)
+        elems.sort()
+        return elems
+    member = bytearray(G.order)
     member[0] = 1
     elems = [0]
     for g in gens:
@@ -517,24 +560,14 @@ def closure_ids(G: FiniteGroup, seed: Iterable[int]) -> list[int]:
             member[g] = 1
             elems.append(g)
     i = 0
-    if table is not None:
-        while i < len(elems):
-            row = elems[i] * n
-            i += 1
-            for g in gens:
-                t = table[row + g]
-                if not member[t]:
-                    member[t] = 1
-                    elems.append(t)
-    else:
-        mul = G.mul
-        while i < len(elems):
-            x = elems[i]
-            i += 1
-            for g in gens:
-                t = mul(x, g)
-                if not member[t]:
-                    member[t] = 1
-                    elems.append(t)
+    mul = G.mul
+    while i < len(elems):
+        x = elems[i]
+        i += 1
+        for g in gens:
+            t = mul(x, g)
+            if not member[t]:
+                member[t] = 1
+                elems.append(t)
     elems.sort()
     return elems

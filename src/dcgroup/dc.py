@@ -2,8 +2,9 @@
 
 DS(G) is the set of derived subgroups of all subgroups of G. This module
 computes DS(G), decides whether it forms a chain under inclusion (groups
-where it does are called DC here), and runs a census of structural claims
-about such groups over a corpus. The census treats a failed claim as a
+where it does are called DC here), and holds the registry of structural
+claims about such groups that the census runs over a corpus (see
+`dcgroup.cli.run_census`). The census treats a failed claim as a
 build-breaking event: every claim encodes a fact that must hold for the
 implementation and corpus to be consistent.
 
@@ -22,21 +23,27 @@ Verdict methods, from strongest to weakest evidence:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from functools import wraps
 from math import comb
 
 import numpy as np
 
-from .core import FiniteGroup, QuotientGroup
-from .errors import NotPGroup, NotTwoGroup, OrderCapExceeded, ParentMismatch
+from .core import FiniteGroup, QuotientGroup, prime_power
+from .errors import (
+    NotPGroup,
+    NotTwoGroup,
+    OrderCapExceeded,
+    ParentMismatch,
+    SearchBudgetExceeded,
+)
 from .lattice import (
     LATTICE_CAP,
     Subgroup,
     SubgroupLattice,
     all_subgroups,
     closure,
-    full_subgroup,
     is_normal,
     join,
     maximal_subgroups,
@@ -53,6 +60,7 @@ from .structure import (
     center_of_subgroup,
     derived_length,
     derived_subgroup,
+    exponent,
     fundamental_subgroup,
     is_cyclic,
     is_p_abelian,
@@ -93,10 +101,7 @@ __all__ = [
     "census_claims",
     "pair_claims",
     "auto_pairs",
-    "group_meta",
     "corpus_notes",
-    "CensusReport",
-    "theorem_census",
 ]
 
 # Largest group on which the commutator-image search runs.
@@ -125,31 +130,27 @@ class DerivedSet:
     incomparable_witness: tuple[Subgroup, Subgroup] | None
 
 
-def derived_set(
-    G: FiniteGroup,
-    lattice: SubgroupLattice | None = None,
-    cap: int = LATTICE_CAP,
+def _key(s: Subgroup):
+    """Hashable member set of a subgroup."""
+    return s.bits if s.bits is not None else s.ids().tobytes()
+
+
+def _derived_set(
+    G: FiniteGroup, pairs: Iterable[tuple[Subgroup, Subgroup]]
 ) -> DerivedSet:
-    """Map the derived subgroup over every subgroup and deduplicate.
+    """DS from (H, H') pairs: deduplicate, sort, and test for a chain.
 
     Members come out sorted by (order, membership); the chain arrangement
     or an incomparable pair is computed eagerly. Sorting by order makes the
     chain test local: distinct same-order members are incomparable, and for
     ascending orders comparability is exactly inclusion in the next member.
     """
-    if lattice is None:
-        lattice = all_subgroups(G, cap)
-    if lattice.parent is not G:
-        raise ParentMismatch("lattice belongs to a different group")
     seen: dict = {}
-    for H in lattice.subgroups:
-        d = derived_subgroup(G, H)
-        key = d.bits if d.bits is not None else d.ids().tobytes()
-        if key not in seen:
-            seen[key] = (d, H)
-    pairs = sorted(seen.values(), key=lambda t: t[0].sort_key())
-    members = [d for d, _ in pairs]
-    witnesses = [h for _, h in pairs]
+    for H, d in pairs:
+        seen.setdefault(_key(d), (d, H))
+    ordered = sorted(seen.values(), key=lambda t: t[0].sort_key())
+    members = [d for d, _ in ordered]
+    witnesses = [h for _, h in ordered]
     chain: list[Subgroup] | None = list(members)
     bad: tuple[Subgroup, Subgroup] | None = None
     for a, b in zip(members, members[1:]):
@@ -157,6 +158,19 @@ def derived_set(
             chain, bad = None, (a, b)
             break
     return DerivedSet(G, members, witnesses, chain, bad)
+
+
+def derived_set(
+    G: FiniteGroup,
+    lattice: SubgroupLattice | None = None,
+    cap: int = LATTICE_CAP,
+) -> DerivedSet:
+    """Map the derived subgroup over every subgroup and deduplicate."""
+    if lattice is None:
+        lattice = all_subgroups(G, cap)
+    if lattice.parent is not G:
+        raise ParentMismatch("lattice belongs to a different group")
+    return _derived_set(G, ((H, derived_subgroup(G, H)) for H in lattice.subgroups))
 
 
 def is_chain(ds: DerivedSet) -> bool:
@@ -188,20 +202,16 @@ def is_sublattice(ds: DerivedSet, lattice: SubgroupLattice) -> SublatticeVerdict
         raise ParentMismatch("lattice belongs to a different group")
     if ds.chain is not None:
         return SublatticeVerdict(True)
-    keys = {m.bits if m.bits is not None else m.ids().tobytes() for m in ds.members}
-
-    def known(s: Subgroup) -> bool:
-        return (s.bits if s.bits is not None else s.ids().tobytes()) in keys
-
+    keys = {_key(m) for m in ds.members}
     for i, a in enumerate(ds.members):
         for b in ds.members[i + 1 :]:
             if a.issubset(b) or b.issubset(a):
                 continue
             m = meet(a, b)
-            if not known(m):
+            if _key(m) not in keys:
                 return SublatticeVerdict(False, (a, b), m, "meet")
             j = join(a, b)
-            if not known(j):
+            if _key(j) not in keys:
                 return SublatticeVerdict(False, (a, b), j, "join")
     return SublatticeVerdict(True)
 
@@ -219,6 +229,21 @@ class DcVerdict:
     ds_size: int | None = None
 
 
+def _oracle(G: FiniteGroup, ds: Callable[[], DerivedSet | None]) -> DcVerdict | None:
+    """The oracle verdict from DS(G), or None when ds() has no DS to give."""
+    if G.is_abelian:
+        return DcVerdict(True, "abelian-shortcut", ds_size=1)
+    d = ds()
+    if d is None:
+        return None
+    return DcVerdict(
+        d.chain is not None,
+        "oracle",
+        witness=d.incomparable_witness,
+        ds_size=len(d.members),
+    )
+
+
 def is_dc_oracle(
     G: FiniteGroup,
     lattice: SubgroupLattice | None = None,
@@ -230,15 +255,7 @@ def is_dc_oracle(
     trivial, so DS(G) = {1}. Everything else needs the lattice and raises
     OrderCapExceeded when enumeration would blow the cap.
     """
-    if G.is_abelian:
-        return DcVerdict(True, "abelian-shortcut", ds_size=1)
-    ds = derived_set(G, lattice, cap)
-    return DcVerdict(
-        ds.chain is not None,
-        "oracle",
-        witness=ds.incomparable_witness,
-        ds_size=len(ds.members),
-    )
+    return _oracle(G, lambda: derived_set(G, lattice, cap))
 
 
 def dc_2group_predicate(G: FiniteGroup) -> bool:
@@ -350,7 +367,7 @@ def is_dc_fast(G: FiniteGroup) -> DcVerdict | None:
     those groups.
     """
     if G.is_abelian:
-        return DcVerdict(True, "abelian-shortcut", ds_size=1)
+        return is_dc_oracle(G)
     pn = is_pgroup(G)
     if pn is None:
         return None
@@ -376,12 +393,9 @@ class ClaimResult:
     detail: str = ""
 
 
-def _skip(claim: str, why: str) -> ClaimResult:
-    return ClaimResult(claim, SKIP, why)
-
-
-def _verdict(claim: str, ok: bool, witness: str = "") -> ClaimResult:
-    return ClaimResult(claim, PASS if ok else FAIL, "" if ok else witness)
+def _verdict(ok: bool, witness: str = "") -> tuple[str, str]:
+    """(status, detail) of a checked fact; the witness shows on failure."""
+    return (PASS, "") if ok else (FAIL, witness)
 
 
 class GroupContext:
@@ -437,41 +451,13 @@ class GroupContext:
         def build():
             if self.lattice is None:
                 return None
-            pairs = self.derived_pairs
-            seen: dict = {}
-            for H, d in pairs:
-                key = d.bits if d.bits is not None else d.ids().tobytes()
-                if key not in seen:
-                    seen[key] = (d, H)
-            ordered = sorted(seen.values(), key=lambda t: t[0].sort_key())
-            members = [d for d, _ in ordered]
-            witnesses = [h for _, h in ordered]
-            chain: list[Subgroup] | None = list(members)
-            bad = None
-            for a, b in zip(members, members[1:]):
-                if not a.issubset(b):
-                    chain, bad = None, (a, b)
-                    break
-            return DerivedSet(self.G, members, witnesses, chain, bad)
+            return _derived_set(self.G, self.derived_pairs)
 
         return self._get("ds", build)
 
     @property
     def oracle(self) -> DcVerdict | None:
-        def build():
-            if self.abelian:
-                return DcVerdict(True, "abelian-shortcut", ds_size=1)
-            ds = self.ds
-            if ds is None:
-                return None
-            return DcVerdict(
-                ds.chain is not None,
-                "oracle",
-                witness=ds.incomparable_witness,
-                ds_size=len(ds.members),
-            )
-
-        return self._get("oracle", build)
+        return self._get("oracle", lambda: _oracle(self.G, lambda: self.ds))
 
     @property
     def is_dc(self) -> bool | None:
@@ -518,12 +504,20 @@ class GroupContext:
         return self._get("center", lambda: center(self.G))
 
     @property
-    def d(self) -> int:
-        return self._get("d", lambda: min_generators(self.G))
+    def d(self) -> int | None:
+        """Minimal generator count; None when the search budget runs out."""
+
+        def build():
+            try:
+                return min_generators(self.G)
+            except SearchBudgetExceeded:
+                return None
+
+        return self._get("d", build)
 
     @property
     def exponent(self) -> int:
-        return self._get("exponent", lambda: subgroup_exponent(self.G, full_subgroup(self.G)))
+        return self._get("exponent", lambda: exponent(self.G))
 
     @property
     def maximals(self) -> list[Subgroup] | None:
@@ -579,72 +573,76 @@ def _comm_pairwise(G: FiniteGroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
     return G.mul_pairwise_vec(G.mul_pairwise_vec(a, xs), ys)
 
 
-def commutator_image_lemma(G: FiniteGroup) -> ClaimResult:
-    """Search for one element whose commutator image is exactly G'.
-
-    Skipped unless G is a p-group whose derived subgroup needs at most two
-    generators (the regime where such an element is guaranteed), or until
-    the search space exceeds the cap. Abelian groups pass with the identity.
-    """
-    claim = "single-commutator-image"
-    if is_pgroup(G) is None:
-        raise NotPGroup(f"order {G.order} is not a prime power")
-    if G.order > COMMUTATOR_IMAGE_CAP:
-        return _skip(claim, f"order {G.order} beyond search cap {COMMUTATOR_IMAGE_CAP}")
-    dp = derived_subgroup(G)
-    if dp.order == 1:
-        return ClaimResult(claim, PASS, "abelian; image of the identity")
-    rank = subgroup_min_generators(G, dp)
-    if rank > 2:
-        return _skip(claim, f"derived subgroup needs {rank} generators")
-    want = dp.ids()
-    ids = np.arange(G.order, dtype=np.int64)
-    for x in range(G.order):
-        img = np.unique(_commutator_with_all(G, x, ids))
-        if img.size == want.size and bool((img == want).all()):
-            return ClaimResult(claim, PASS, f"element {x}")
-    return ClaimResult(claim, FAIL, "no single element covers the derived subgroup")
-
-
 # -- individual claims ---------------------------------------------------------
-# Each claim states a fact, checks its hypothesis against the context, and
-# returns pass/fail/skipped. Failure details carry concrete witnesses.
+# Each claim states a fact. `_claim` registers it in CLAIMS under its slug
+# with its hypotheses in the order they are checked; the body runs only
+# where all of them hold and returns (status, detail). Failure details
+# carry concrete witnesses.
+
+CLAIMS: list = []
+
+Hypothesis = tuple[Callable[["GroupContext"], object], str]
 
 
-def _claim_chain_implies_sublattice(ctx: GroupContext) -> ClaimResult:
-    claim = "chain-implies-sublattice"
-    if ctx.lattice is None:
-        return _skip(claim, "lattice beyond cap")
-    ds = ctx.ds
-    if ds.chain is None:
-        return _skip(claim, "DS is not a chain")
-    v = is_sublattice(ds, ctx.lattice)
+def _claim(slug: str, *hypotheses: Hypothesis):
+    """Register a claim: skipped with the reason of the first hypothesis
+    that does not hold, otherwise the body's (status, detail)."""
+
+    def register(body):
+        @wraps(body)
+        def run(ctx: GroupContext) -> ClaimResult:
+            for holds, reason in hypotheses:
+                if not holds(ctx):
+                    return ClaimResult(slug, SKIP, reason)
+            return ClaimResult(slug, *body(ctx))
+
+        CLAIMS.append((slug, run))
+        return run
+
+    return register
+
+
+_HAS_LATTICE: Hypothesis = (lambda c: c.lattice is not None, "lattice beyond cap")
+_HAS_ORACLE: Hypothesis = (lambda c: c.is_dc is not None, "oracle beyond cap")
+_IS_DC: Hypothesis = (lambda c: c.is_dc, "not a DC group")
+_P_GROUP: Hypothesis = (lambda c: c.pn is not None, "not a p-group")
+_THREE_GROUP: Hypothesis = (
+    lambda c: c.pn is not None and c.pn[0] == 3, "not a 3-group"
+)
+_NONABELIAN_P: Hypothesis = (
+    lambda c: c.pn is not None and not c.abelian, "needs a non-abelian p-group"
+)
+_VERIFIED_REGULAR: Hypothesis = (lambda c: c.regular is True, "not verified regular")
+
+
+@_claim(
+    "chain-implies-sublattice",
+    _HAS_LATTICE,
+    (lambda c: c.ds.chain is not None, "DS is not a chain"),
+)
+def _claim_chain_implies_sublattice(ctx: GroupContext):
+    v = is_sublattice(ctx.ds, ctx.lattice)
     if v.ok:
-        return ClaimResult(claim, PASS)
-    return ClaimResult(
-        claim,
-        FAIL,
-        f"missing {v.op} of orders ({v.pair[0].order}, {v.pair[1].order})",
-    )
+        return PASS, ""
+    return FAIL, f"missing {v.op} of orders ({v.pair[0].order}, {v.pair[1].order})"
 
 
-def _claim_dc_solvable(ctx: GroupContext) -> ClaimResult:
-    claim = "dc-implies-solvable"
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
-    if not ctx.is_dc:
-        return _skip(claim, "not a DC group")
-    return _verdict(claim, ctx.dl is not None, "derived series does not reach 1")
+@_claim("dc-implies-solvable", _HAS_ORACLE, _IS_DC)
+def _claim_dc_solvable(ctx: GroupContext):
+    return _verdict(ctx.dl is not None, "derived series does not reach 1")
 
 
-def _claim_dc_sylow_split(ctx: GroupContext) -> ClaimResult:
-    claim = "dc-sylow-split"
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
-    if not ctx.is_dc:
-        return _skip(claim, "not a DC group")
-    if ctx.pn is not None or ctx.G.order == 1:
-        return _skip(claim, "prime-power order is a trivial split")
+@_claim(
+    "dc-sylow-split",
+    _HAS_ORACLE,
+    _IS_DC,
+    (
+        lambda c: c.pn is None and c.G.order != 1,
+        "prime-power order is a trivial split",
+    ),
+    _HAS_LATTICE,
+)
+def _claim_dc_sylow_split(ctx: GroupContext):
     n = ctx.G.order
     primes = []
     m = n
@@ -660,306 +658,244 @@ def _claim_dc_sylow_split(ctx: GroupContext) -> ClaimResult:
     for q in primes:
         split = sylow_decomposition(ctx.G, q, ctx.lattice)
         if split is not None and split.complement is not None and split.complement_abelian:
-            return ClaimResult(claim, PASS, f"normal Sylow {q} with abelian complement")
-    return ClaimResult(claim, FAIL, f"no prime in {primes} yields a split")
+            return PASS, f"normal Sylow {q} with abelian complement"
+    return FAIL, f"no prime in {primes} yields a split"
 
 
-def _claim_dc_hereditary_subgroups(ctx: GroupContext) -> ClaimResult:
-    claim = "dc-hereditary-subgroups"
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
-    if not ctx.is_dc:
-        return _skip(claim, "not a DC group")
+@_claim("dc-hereditary-subgroups", _HAS_ORACLE, _IS_DC, _HAS_LATTICE)
+def _claim_dc_hereditary_subgroups(ctx: GroupContext):
     pairs = ctx.derived_pairs
     for H in ctx.lattice.subgroups:
         # DS(H) = {S' : S <= H}; every S <= H is already in the lattice.
-        seen: dict = {}
-        for S, d in pairs:
-            if S.issubset(H):
-                key = d.bits if d.bits is not None else d.ids().tobytes()
-                seen.setdefault(key, d)
-        mem = sorted(seen.values(), key=lambda s: s.sort_key())
-        for a, b in zip(mem, mem[1:]):
-            if not a.issubset(b):
-                return ClaimResult(
-                    claim,
-                    FAIL,
-                    f"subgroup of order {H.order} has incomparable derived "
-                    f"subgroups of orders {a.order} and {b.order}",
-                )
-    return ClaimResult(claim, PASS)
+        sub = [(S, d) for S, d in pairs if S.issubset(H)]
+        bad = _derived_set(ctx.G, sub).incomparable_witness
+        if bad is not None:
+            return FAIL, (
+                f"subgroup of order {H.order} has incomparable derived "
+                f"subgroups of orders {bad[0].order} and {bad[1].order}"
+            )
+    return PASS, ""
 
 
-def _claim_dc_hereditary_quotients(ctx: GroupContext) -> ClaimResult:
-    claim = "dc-hereditary-quotients"
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
-    if not ctx.is_dc:
-        return _skip(claim, "not a DC group")
+@_claim("dc-hereditary-quotients", _HAS_ORACLE, _IS_DC, _HAS_LATTICE)
+def _claim_dc_hereditary_quotients(ctx: GroupContext):
     for N in ctx.lattice.subgroups:
         if N.order in (1, ctx.G.order) or not is_normal(ctx.G, N):
             continue
         Q = QuotientGroup(ctx.G, [int(v) for v in N.ids()])
-        v = is_dc_oracle(Q, cap=ctx.cap)
-        if not v.is_dc:
-            return ClaimResult(
-                claim, FAIL, f"quotient by normal subgroup of order {N.order}"
-            )
-    return ClaimResult(claim, PASS)
+        if not is_dc_oracle(Q, cap=ctx.cap).is_dc:
+            return FAIL, f"quotient by normal subgroup of order {N.order}"
+    return PASS, ""
 
 
-def _claim_dc_small_p_metabelian(ctx: GroupContext) -> ClaimResult:
-    claim = "dc-small-prime-metabelian"
-    if ctx.pn is None or ctx.pn[0] > 3:
-        return _skip(claim, "not a 2- or 3-group")
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
-    if not ctx.is_dc:
-        return _skip(claim, "not a DC group")
+@_claim(
+    "dc-small-prime-metabelian",
+    (lambda c: c.pn is not None and c.pn[0] <= 3, "not a 2- or 3-group"),
+    _HAS_ORACLE,
+    _IS_DC,
+)
+def _claim_dc_small_p_metabelian(ctx: GroupContext):
     dl = ctx.dl
-    return _verdict(claim, dl is not None and dl <= 2, f"derived length {dl}")
+    return _verdict(dl is not None and dl <= 2, f"derived length {dl}")
 
 
-def _claim_dc_lcs_factors_cyclic(ctx: GroupContext) -> ClaimResult:
-    claim = "dc-lower-central-factors-cyclic"
-    if ctx.pn is None or ctx.abelian:
-        return _skip(claim, "needs a non-abelian p-group")
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
-    if not ctx.is_dc:
-        return _skip(claim, "not a DC group")
+@_claim("dc-lower-central-factors-cyclic", _NONABELIAN_P, _HAS_ORACLE, _IS_DC)
+def _claim_dc_lcs_factors_cyclic(ctx: GroupContext):
     series = ctx.lcs
     for i in range(1, len(series) - 1):
         if not quotient_is_cyclic(ctx.G, series[i], series[i + 1]):
-            return ClaimResult(
-                claim, FAIL, f"factor at depth {i + 1} is not cyclic"
-            )
-    return ClaimResult(claim, PASS)
+            return FAIL, f"factor at depth {i + 1} is not cyclic"
+    return PASS, ""
 
 
-def _claim_dc_lcs_inside_derived(ctx: GroupContext) -> ClaimResult:
-    claim = "dc-central-terms-inside-large-derived"
-    if ctx.pn is None or ctx.abelian:
-        return _skip(claim, "needs a non-abelian p-group")
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
-    if not ctx.is_dc:
-        return _skip(claim, "not a DC group")
+@_claim(
+    "dc-central-terms-inside-large-derived",
+    _NONABELIAN_P,
+    _HAS_ORACLE,
+    _IS_DC,
+    _HAS_LATTICE,
+)
+def _claim_dc_lcs_inside_derived(ctx: GroupContext):
     terms = [K for K in ctx.lcs[1:] if K.order > 1]
     for H, Hp in ctx.derived_pairs:
         for K in terms:
             if K.order <= Hp.order and not K.issubset(Hp):
-                return ClaimResult(
-                    claim,
-                    FAIL,
+                return FAIL, (
                     f"term of order {K.order} not inside derived subgroup of "
-                    f"order {Hp.order} (subgroup order {H.order})",
+                    f"order {Hp.order} (subgroup order {H.order})"
                 )
-    return ClaimResult(claim, PASS)
+    return PASS, ""
 
 
-def _claim_dc_gprime_center_cyclic(ctx: GroupContext) -> ClaimResult:
-    claim = "dc-derived-center-intersection-cyclic"
-    if ctx.pn is None or ctx.abelian:
-        return _skip(claim, "needs a non-abelian p-group")
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
-    if not ctx.is_dc:
-        return _skip(claim, "not a DC group")
+@_claim("dc-derived-center-intersection-cyclic", _NONABELIAN_P, _HAS_ORACLE, _IS_DC)
+def _claim_dc_gprime_center_cyclic(ctx: GroupContext):
     if ctx.dprime_rank != 2:
-        return _skip(claim, f"derived subgroup rank is {ctx.dprime_rank}, not 2")
+        return SKIP, f"derived subgroup rank is {ctx.dprime_rank}, not 2"
     I = meet(ctx.derived, ctx.center)
-    return _verdict(claim, is_cyclic(ctx.G, I), f"intersection of order {I.order}")
+    return _verdict(is_cyclic(ctx.G, I), f"intersection of order {I.order}")
 
 
-def _claim_dc_gprime_center_last_term(ctx: GroupContext) -> ClaimResult:
-    claim = "dc-derived-center-is-last-term"
-    if ctx.pn is None or ctx.abelian:
-        return _skip(claim, "needs a non-abelian p-group")
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
-    if not ctx.is_dc:
-        return _skip(claim, "not a DC group")
+@_claim(
+    "dc-derived-center-is-last-term",
+    _NONABELIAN_P,
+    _HAS_ORACLE,
+    _IS_DC,
+    (
+        lambda c: subgroup_exponent(c.G, c.derived) == c.pn[0],
+        "derived subgroup exponent exceeds p",
+    ),
+)
+def _claim_dc_gprime_center_last_term(ctx: GroupContext):
     p = ctx.pn[0]
-    if subgroup_exponent(ctx.G, ctx.derived) != p:
-        return _skip(claim, "derived subgroup exponent exceeds p")
     I = meet(ctx.derived, ctx.center)
     K_last = ctx.lcs[ctx.cl - 1] if ctx.cl else trivial_subgroup(ctx.G)
     ok = I.order == p and I == K_last
-    return _verdict(
-        claim, ok, f"intersection order {I.order}, last term order {K_last.order}"
-    )
+    return _verdict(ok, f"intersection order {I.order}, last term order {K_last.order}")
 
 
-def _claim_dc_regular_rank_bound(ctx: GroupContext) -> ClaimResult:
-    claim = "dc-regular-derived-rank-bound"
-    if ctx.pn is None or ctx.abelian or ctx.pn[0] == 2:
-        return _skip(claim, "needs a non-abelian odd p-group")
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
-    if not ctx.is_dc:
-        return _skip(claim, "not a DC group")
-    if ctx.regular is not True:
-        return _skip(claim, "not verified regular")
+@_claim(
+    "dc-regular-derived-rank-bound",
+    (
+        lambda c: c.pn is not None and not c.abelian and c.pn[0] != 2,
+        "needs a non-abelian odd p-group",
+    ),
+    _HAS_ORACLE,
+    _IS_DC,
+    _VERIFIED_REGULAR,
+)
+def _claim_dc_regular_rank_bound(ctx: GroupContext):
     p = ctx.pn[0]
-    return _verdict(
-        claim,
-        ctx.dprime_rank <= p - 2,
-        f"rank {ctx.dprime_rank} exceeds {p - 2}",
-    )
+    return _verdict(ctx.dprime_rank <= p - 2, f"rank {ctx.dprime_rank} exceeds {p - 2}")
 
 
-def _claim_dc_abelian_maximal_rank_bound(ctx: GroupContext) -> ClaimResult:
-    claim = "dc-abelian-maximal-derived-rank-bound"
-    if ctx.pn is None or ctx.abelian:
-        return _skip(claim, "needs a non-abelian p-group")
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
-    if not ctx.is_dc:
-        return _skip(claim, "not a DC group")
-    if ctx.has_abelian_maximal is not True:
-        return _skip(claim, "no abelian maximal subgroup")
+@_claim(
+    "dc-abelian-maximal-derived-rank-bound",
+    _NONABELIAN_P,
+    _HAS_ORACLE,
+    _IS_DC,
+    (lambda c: c.has_abelian_maximal is True, "no abelian maximal subgroup"),
+)
+def _claim_dc_abelian_maximal_rank_bound(ctx: GroupContext):
     p = ctx.pn[0]
-    return _verdict(
-        claim,
-        ctx.dprime_rank <= p - 1,
-        f"rank {ctx.dprime_rank} exceeds {p - 1}",
-    )
+    return _verdict(ctx.dprime_rank <= p - 1, f"rank {ctx.dprime_rank} exceeds {p - 1}")
 
 
-def _claim_dc_derived_rank_bound(ctx: GroupContext) -> ClaimResult:
-    claim = "dc-derived-rank-at-most-p"
-    if ctx.pn is None or ctx.abelian:
-        return _skip(claim, "needs a non-abelian p-group")
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
-    if not ctx.is_dc:
-        return _skip(claim, "not a DC group")
+@_claim("dc-derived-rank-at-most-p", _NONABELIAN_P, _HAS_ORACLE, _IS_DC)
+def _claim_dc_derived_rank_bound(ctx: GroupContext):
     p = ctx.pn[0]
-    return _verdict(
-        claim, ctx.dprime_rank <= p, f"rank {ctx.dprime_rank} exceeds {p}"
-    )
+    return _verdict(ctx.dprime_rank <= p, f"rank {ctx.dprime_rank} exceeds {p}")
 
 
-def _claim_dc_derived_rank_p_elementary(ctx: GroupContext) -> ClaimResult:
-    claim = "dc-derived-rank-p-forces-elementary"
-    if ctx.pn is None or ctx.abelian:
-        return _skip(claim, "needs a non-abelian p-group")
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
-    if not ctx.is_dc:
-        return _skip(claim, "not a DC group")
+@_claim("dc-derived-rank-p-forces-elementary", _NONABELIAN_P, _HAS_ORACLE, _IS_DC)
+def _claim_dc_derived_rank_p_elementary(ctx: GroupContext):
     p = ctx.pn[0]
     if ctx.dprime_rank != p:
-        return _skip(claim, f"derived rank {ctx.dprime_rank} != {p}")
+        return SKIP, f"derived rank {ctx.dprime_rank} != {p}"
     if not ctx.dprime_abelian:
-        return ClaimResult(claim, FAIL, "derived subgroup is non-abelian")
+        return FAIL, "derived subgroup is non-abelian"
     at = abelian_type(ctx.G, ctx.derived)
-    return _verdict(claim, at == [p] * p, f"abelian type {at}")
+    return _verdict(at == [p] * p, f"abelian type {at}")
 
 
-def _claim_dc_derived_power_index_bound(ctx: GroupContext) -> ClaimResult:
-    claim = "dc-derived-power-index-bound"
-    if ctx.pn is None or ctx.abelian:
-        return _skip(claim, "needs a non-abelian p-group")
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
-    if not ctx.is_dc:
-        return _skip(claim, "not a DC group")
+@_claim("dc-derived-power-index-bound", _NONABELIAN_P, _HAS_ORACLE, _IS_DC)
+def _claim_dc_derived_power_index_bound(ctx: GroupContext):
     p = ctx.pn[0]
     powered = np.unique(ctx.G.pow_vec(ctx.derived.ids(), p))
     span = closure(ctx.G, [int(v) for v in powered if v != 0])
     index = ctx.derived.order // span.order
-    return _verdict(claim, index <= p**p, f"index {index} exceeds p^p = {p**p}")
+    return _verdict(index <= p**p, f"index {index} exceeds p^p = {p**p}")
 
 
-def _claim_two_group_characterization(ctx: GroupContext) -> ClaimResult:
-    claim = "two-group-criterion-matches-oracle"
-    if ctx.pn is None or ctx.pn[0] != 2:
-        return _skip(claim, "not a 2-group")
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
+@_claim(
+    "two-group-criterion-matches-oracle",
+    (lambda c: c.pn is not None and c.pn[0] == 2, "not a 2-group"),
+    _HAS_ORACLE,
+)
+def _claim_two_group_characterization(ctx: GroupContext):
     pred = dc_2group_predicate(ctx.G)
     return _verdict(
-        claim,
-        pred == ctx.is_dc,
-        f"criterion says {pred}, oracle says {ctx.is_dc}",
+        pred == ctx.is_dc, f"criterion says {pred}, oracle says {ctx.is_dc}"
     )
 
 
-def _claim_sufficiency_sound(ctx: GroupContext) -> ClaimResult:
-    claim = "sufficient-conditions-sound"
-    if ctx.pn is None or ctx.abelian:
-        return _skip(claim, "needs a non-abelian p-group")
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
+@_claim("sufficient-conditions-sound", _NONABELIAN_P, _HAS_ORACLE)
+def _claim_sufficiency_sound(ctx: GroupContext):
     conds = dc_sufficient_conditions(ctx.G)
     if not conds:
-        return _skip(claim, "no sufficient condition fires")
+        return SKIP, "no sufficient condition fires"
     return _verdict(
-        claim,
-        ctx.is_dc,
-        f"conditions {sorted(conds)} fired but the oracle says False",
+        ctx.is_dc, f"conditions {sorted(conds)} fired but the oracle says False"
     )
 
 
-def _claim_maxclass_3group_dc(ctx: GroupContext) -> ClaimResult:
-    claim = "maximal-class-3groups-are-dc"
-    if ctx.pn is None or ctx.pn[0] != 3:
-        return _skip(claim, "not a 3-group")
-    p, n = ctx.pn
-    if n < 5 or ctx.cl != n - 1:
-        return _skip(claim, "not maximal class of order >= 3^5")
-    if ctx.is_dc is None:
-        return _skip(claim, "oracle beyond cap")
-    return _verdict(claim, ctx.is_dc, "oracle says False")
+@_claim(
+    "maximal-class-3groups-are-dc",
+    _THREE_GROUP,
+    (
+        lambda c: c.pn[1] >= 5 and c.cl == c.pn[1] - 1,
+        "not maximal class of order >= 3^5",
+    ),
+    _HAS_ORACLE,
+)
+def _claim_maxclass_3group_dc(ctx: GroupContext):
+    return _verdict(ctx.is_dc, "oracle says False")
 
 
-def _claim_minimal_nonabelian_derived(ctx: GroupContext) -> ClaimResult:
-    claim = "minimal-nonabelian-derived-order"
-    mna = ctx.minimal_nonabelian
-    if mna is None:
-        return _skip(claim, "maximal subgroups unavailable beyond cap")
-    if not mna:
-        return _skip(claim, "not minimal non-abelian")
+@_claim(
+    "minimal-nonabelian-derived-order",
+    (
+        lambda c: c.minimal_nonabelian is not None,
+        "maximal subgroups unavailable beyond cap",
+    ),
+    (lambda c: c.minimal_nonabelian, "not minimal non-abelian"),
+)
+def _claim_minimal_nonabelian_derived(ctx: GroupContext):
     dp = ctx.derived
     if ctx.pn is not None:
-        return _verdict(
-            claim, dp.order == ctx.pn[0], f"derived order {dp.order}"
-        )
-    pk = _prime_power_order(dp.order)
+        return _verdict(dp.order == ctx.pn[0], f"derived order {dp.order}")
     return _verdict(
-        claim, pk is not None, f"derived order {dp.order} is not a prime power"
+        prime_power(dp.order) is not None,
+        f"derived order {dp.order} is not a prime power",
     )
 
 
-def _prime_power_order(n: int) -> tuple[int, int] | None:
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return (p, k) if n == 1 else None
+@_claim("single-commutator-image", _P_GROUP)
+def _claim_commutator_image(ctx: GroupContext):
+    G = ctx.G
+    if G.order > COMMUTATOR_IMAGE_CAP:
+        return SKIP, f"order {G.order} beyond search cap {COMMUTATOR_IMAGE_CAP}"
+    dp = ctx.derived
+    if dp.order == 1:
+        return PASS, "abelian; image of the identity"
+    rank = ctx.dprime_rank
+    if rank > 2:
+        return SKIP, f"derived subgroup needs {rank} generators"
+    want = dp.ids()
+    ids = np.arange(G.order, dtype=np.int64)
+    for x in range(G.order):
+        img = np.unique(_commutator_with_all(G, x, ids))
+        if img.size == want.size and bool((img == want).all()):
+            return PASS, f"element {x}"
+    return FAIL, "no single element covers the derived subgroup"
 
 
-def _claim_commutator_image(ctx: GroupContext) -> ClaimResult:
-    if ctx.pn is None:
-        return _skip("single-commutator-image", "not a p-group")
-    return commutator_image_lemma(ctx.G)
+def commutator_image_lemma(G: FiniteGroup) -> ClaimResult:
+    """Search for one element whose commutator image is exactly G'.
+
+    Skipped unless G is a p-group whose derived subgroup needs at most two
+    generators (the regime where such an element is guaranteed), or until
+    the search space exceeds the cap. Abelian groups pass with the identity.
+    """
+    if is_pgroup(G) is None:
+        raise NotPGroup(f"order {G.order} is not a prime power")
+    return _claim_commutator_image(GroupContext(G))
 
 
-def _claim_metabelian_power_formula(ctx: GroupContext) -> ClaimResult:
-    claim = "metabelian-power-commutator-formula"
-    if ctx.abelian or ctx.dl != 2:
-        return _skip(claim, "needs derived length exactly 2")
+@_claim(
+    "metabelian-power-commutator-formula",
+    (lambda c: not c.abelian and c.dl == 2, "needs derived length exactly 2"),
+)
+def _claim_metabelian_power_formula(ctx: GroupContext):
     G = ctx.G
     xs, ys = ctx.sample_pairs(SAMPLED_PAIRS)
     ns = [2, 3]
@@ -976,43 +912,42 @@ def _claim_metabelian_power_formula(ctx: GroupContext) -> ClaimResult:
         bad = np.nonzero(lhs != acc)[0]
         if bad.size:
             k = int(bad[0])
-            return ClaimResult(
-                claim,
-                FAIL,
+            return FAIL, (
                 f"n={n}, x={int(xs[k])}, y={int(ys[k])}: "
-                f"{int(lhs[k])} != {int(acc[k])}",
+                f"{int(lhs[k])} != {int(acc[k])}"
             )
     mode = "exhaustive" if G.order <= EXHAUSTIVE_PAIR_CAP else f"{len(xs)} sampled"
-    return ClaimResult(claim, PASS, f"{mode} pairs, n in {ns}")
+    return PASS, f"{mode} pairs, n in {ns}"
 
 
-def _claim_twogen_metabelian_p_abelian_iff(ctx: GroupContext) -> ClaimResult:
-    claim = "twogen-metabelian-p-abelian-iff"
-    if ctx.pn is None or ctx.abelian:
-        return _skip(claim, "needs a non-abelian p-group")
-    if ctx.d != 2 or ctx.dl != 2:
-        return _skip(claim, "needs a 2-generated metabelian group")
+@_claim(
+    "twogen-metabelian-p-abelian-iff",
+    _NONABELIAN_P,
+    (lambda c: c.d == 2 and c.dl == 2, "needs a 2-generated metabelian group"),
+)
+def _claim_twogen_metabelian_p_abelian_iff(ctx: GroupContext):
     pa = is_p_abelian(ctx.G)
     if pa is None:
-        return _skip(claim, f"order beyond the {REGULARITY_CAP} definitional cap")
+        return SKIP, f"order beyond the {REGULARITY_CAP} definitional cap"
     p = ctx.pn[0]
     rhs = subgroup_exponent(ctx.G, ctx.derived) <= p and (ctx.cl or 0) < p
-    return _verdict(claim, pa == rhs, f"p-abelian={pa} but exp/class side={rhs}")
+    return _verdict(pa == rhs, f"p-abelian={pa} but exp/class side={rhs}")
 
 
-def _claim_twogen_derived_twogen_abelian(ctx: GroupContext) -> ClaimResult:
-    claim = "twogen-group-twogen-derived-abelian"
-    if ctx.pn is None or ctx.abelian:
-        return _skip(claim, "needs a non-abelian p-group")
-    if ctx.d > 2 or (ctx.dprime_rank or 0) > 2:
-        return _skip(claim, "group or derived subgroup needs >2 generators")
-    return _verdict(claim, ctx.dprime_abelian, "derived subgroup is non-abelian")
+@_claim(
+    "twogen-group-twogen-derived-abelian",
+    _NONABELIAN_P,
+    (
+        lambda c: c.d <= 2 and (c.dprime_rank or 0) <= 2,
+        "group or derived subgroup needs >2 generators",
+    ),
+)
+def _claim_twogen_derived_twogen_abelian(ctx: GroupContext):
+    return _verdict(ctx.dprime_abelian, "derived subgroup is non-abelian")
 
 
-def _claim_lcs_exponent_monotone(ctx: GroupContext) -> ClaimResult:
-    claim = "lower-central-factor-exponents-descend"
-    if ctx.pn is None or ctx.abelian:
-        return _skip(claim, "needs a non-abelian p-group")
+@_claim("lower-central-factor-exponents-descend", _NONABELIAN_P)
+def _claim_lcs_exponent_monotone(ctx: GroupContext):
     series = ctx.lcs
     exps = [
         quotient_exponent(ctx.G, series[i], series[i + 1])
@@ -1020,28 +955,25 @@ def _claim_lcs_exponent_monotone(ctx: GroupContext) -> ClaimResult:
     ]
     for i in range(1, len(exps)):
         if exps[i] > exps[i - 1]:
-            return ClaimResult(claim, FAIL, f"factor exponents {exps}")
-    return ClaimResult(claim, PASS, f"factor exponents {exps}")
+            return FAIL, f"factor exponents {exps}"
+    return PASS, f"factor exponents {exps}"
 
 
-def _claim_class_lt_p_regular(ctx: GroupContext) -> ClaimResult:
-    claim = "class-below-p-forces-regular"
-    if ctx.pn is None:
-        return _skip(claim, "not a p-group")
-    p = ctx.pn[0]
-    if (ctx.cl or 0) >= p:
-        return _skip(claim, "class is at least p")
-    if ctx.G.order > REGULARITY_CAP:
-        return _skip(claim, "order beyond the definitional regularity cap")
-    return _verdict(claim, is_regular(ctx.G) is True, "definitional test failed")
+@_claim(
+    "class-below-p-forces-regular",
+    _P_GROUP,
+    (lambda c: (c.cl or 0) < c.pn[0], "class is at least p"),
+    (
+        lambda c: c.G.order <= REGULARITY_CAP,
+        "order beyond the definitional regularity cap",
+    ),
+)
+def _claim_class_lt_p_regular(ctx: GroupContext):
+    return _verdict(ctx.regular is True, "definitional test failed")
 
 
-def _claim_regular_power_bracket(ctx: GroupContext) -> ClaimResult:
-    claim = "regular-power-commutator-iff"
-    if ctx.pn is None or ctx.abelian:
-        return _skip(claim, "needs a non-abelian p-group")
-    if ctx.regular is not True:
-        return _skip(claim, "not verified regular")
+@_claim("regular-power-commutator-iff", _NONABELIAN_P, _VERIFIED_REGULAR)
+def _claim_regular_power_bracket(ctx: GroupContext):
     G = ctx.G
     p = ctx.pn[0]
     xs, ys = ctx.sample_pairs(2000)
@@ -1052,20 +984,19 @@ def _claim_regular_power_bracket(ctx: GroupContext) -> ClaimResult:
         bad = np.nonzero(lhs != rhs)[0]
         if bad.size:
             i = int(bad[0])
-            return ClaimResult(
-                claim,
-                FAIL,
-                f"k={k}, n={n}, x={int(xs[i])}, y={int(ys[i])}",
-            )
-    return ClaimResult(claim, PASS)
+            return FAIL, f"k={k}, n={n}, x={int(xs[i])}, y={int(ys[i])}"
+    return PASS, ""
 
 
-def _claim_lcs_match_when_derived_factors(ctx: GroupContext) -> ClaimResult:
-    claim = "series-match-when-derived-factors"
-    if ctx.cl is None or ctx.abelian:
-        return _skip(claim, "needs a non-abelian nilpotent group")
-    if ctx.lattice is None:
-        return _skip(claim, "lattice beyond cap")
+@_claim(
+    "series-match-when-derived-factors",
+    (
+        lambda c: c.cl is not None and not c.abelian,
+        "needs a non-abelian nilpotent group",
+    ),
+    _HAS_LATTICE,
+)
+def _claim_lcs_match_when_derived_factors(ctx: GroupContext):
     series = ctx.lcs
     K3 = series[2] if len(series) > 2 else trivial_subgroup(ctx.G)
     target = ctx.derived
@@ -1078,56 +1009,56 @@ def _claim_lcs_match_when_derived_factors(ctx: GroupContext) -> ClaimResult:
             KG = series[i] if i < len(series) else trivial_subgroup(ctx.G)
             KH = sub_series[i] if i < len(sub_series) else trivial_subgroup(ctx.G)
             if KG != KH:
-                return ClaimResult(
-                    claim,
-                    FAIL,
+                return FAIL, (
                     f"subgroup of order {H.order}: term {i + 1} differs "
-                    f"({KG.order} vs {KH.order})",
+                    f"({KG.order} vs {KH.order})"
                 )
-    return ClaimResult(claim, PASS)
+    return PASS, ""
 
 
-def _claim_twogen_abelian_maximal_center(ctx: GroupContext) -> ClaimResult:
-    claim = "twogen-abelian-maximal-center-intersection"
-    if ctx.pn is None or ctx.abelian:
-        return _skip(claim, "needs a non-abelian p-group")
-    if ctx.d != 2 or ctx.has_abelian_maximal is not True:
-        return _skip(claim, "needs d=2 and an abelian maximal subgroup")
+@_claim(
+    "twogen-abelian-maximal-center-intersection",
+    _NONABELIAN_P,
+    (
+        lambda c: c.d == 2 and c.has_abelian_maximal is True,
+        "needs d=2 and an abelian maximal subgroup",
+    ),
+)
+def _claim_twogen_abelian_maximal_center(ctx: GroupContext):
     p = ctx.pn[0]
     I = meet(ctx.derived, ctx.center)
     K_last = ctx.lcs[ctx.cl - 1]
     ok = I == K_last and I.order == p
-    return _verdict(
-        claim, ok, f"intersection order {I.order}, last term order {K_last.order}"
-    )
+    return _verdict(ok, f"intersection order {I.order}, last term order {K_last.order}")
 
 
-def _claim_maxclass_3group_fundamental(ctx: GroupContext) -> ClaimResult:
-    claim = "maximal-class-3group-fundamental-subgroup"
-    if ctx.pn is None or ctx.pn[0] != 3:
-        return _skip(claim, "not a 3-group")
-    p, n = ctx.pn
-    if n < 4 or ctx.cl != n - 1:
-        return _skip(claim, "not maximal class of order >= 3^4")
+@_claim(
+    "maximal-class-3group-fundamental-subgroup",
+    _THREE_GROUP,
+    (
+        lambda c: c.pn[1] >= 4 and c.cl == c.pn[1] - 1,
+        "not maximal class of order >= 3^4",
+    ),
+)
+def _claim_maxclass_3group_fundamental(ctx: GroupContext):
     G1 = fundamental_subgroup(ctx.G)
     if _subgroup_is_abelian(ctx.G, G1):
-        return ClaimResult(claim, PASS, "fundamental subgroup abelian")
+        return PASS, "fundamental subgroup abelian"
     T, _ = subgroup_as_group(G1)
-    prof = p_group_profile(T)
     return _verdict(
-        claim,
-        prof.minimal_nonabelian,
+        p_group_profile(T).minimal_nonabelian,
         "fundamental subgroup neither abelian nor minimal non-abelian",
     )
 
 
-def _claim_maxclass_nonfundamental_maximals(ctx: GroupContext) -> ClaimResult:
-    claim = "maximal-class-other-maximals-maximal-class"
-    if ctx.pn is None or ctx.pn[0] == 2:
-        return _skip(claim, "needs an odd p-group")
+@_claim(
+    "maximal-class-other-maximals-maximal-class",
+    (lambda c: c.pn is not None and c.pn[0] != 2, "needs an odd p-group"),
+)
+def _claim_maxclass_nonfundamental_maximals(ctx: GroupContext):
     p, n = ctx.pn
     if n < p + 2 or ctx.cl != n - 1:
-        return _skip(claim, f"needs maximal class with n >= p+2 = {p + 2}")
+        return SKIP, f"needs maximal class with n >= p+2 = {p + 2}"
     G1 = fundamental_subgroup(ctx.G)
     for M in ctx.maximals:
         if M == G1:
@@ -1135,57 +1066,24 @@ def _claim_maxclass_nonfundamental_maximals(ctx: GroupContext) -> ClaimResult:
         sub_series = lcs_of_subgroup(ctx.G, M)
         cl_m = len(sub_series) - 1 if sub_series[-1].order == 1 else None
         if cl_m != n - 2:
-            return ClaimResult(
-                claim,
-                FAIL,
+            return FAIL, (
                 f"maximal subgroup besides the fundamental one has class {cl_m}, "
-                f"wanted {n - 2}",
+                f"wanted {n - 2}"
             )
-    return ClaimResult(claim, PASS)
+    return PASS, ""
 
 
-def _claim_p7_witness_properties(ctx: GroupContext) -> ClaimResult:
-    claim = "large-witness-property-bundle"
-    if ctx.pn is None or ctx.pn[0] < 5 or ctx.pn[1] != 7:
-        return _skip(claim, "order is not p^7 with p >= 5")
+@_claim(
+    "large-witness-property-bundle",
+    (
+        lambda c: c.pn is not None and c.pn[0] >= 5 and c.pn[1] == 7,
+        "order is not p^7 with p >= 5",
+    ),
+)
+def _claim_p7_witness_properties(ctx: GroupContext):
     props = witness_property_check(ctx.G)
     bad = sorted(k for k, v in props.items() if not v)
-    return _verdict(claim, not bad, f"failed properties: {bad}")
-
-
-CLAIMS: list = [
-    ("chain-implies-sublattice", _claim_chain_implies_sublattice),
-    ("dc-implies-solvable", _claim_dc_solvable),
-    ("dc-sylow-split", _claim_dc_sylow_split),
-    ("dc-hereditary-subgroups", _claim_dc_hereditary_subgroups),
-    ("dc-hereditary-quotients", _claim_dc_hereditary_quotients),
-    ("dc-small-prime-metabelian", _claim_dc_small_p_metabelian),
-    ("dc-lower-central-factors-cyclic", _claim_dc_lcs_factors_cyclic),
-    ("dc-central-terms-inside-large-derived", _claim_dc_lcs_inside_derived),
-    ("dc-derived-center-intersection-cyclic", _claim_dc_gprime_center_cyclic),
-    ("dc-derived-center-is-last-term", _claim_dc_gprime_center_last_term),
-    ("dc-regular-derived-rank-bound", _claim_dc_regular_rank_bound),
-    ("dc-abelian-maximal-derived-rank-bound", _claim_dc_abelian_maximal_rank_bound),
-    ("dc-derived-rank-at-most-p", _claim_dc_derived_rank_bound),
-    ("dc-derived-rank-p-forces-elementary", _claim_dc_derived_rank_p_elementary),
-    ("dc-derived-power-index-bound", _claim_dc_derived_power_index_bound),
-    ("two-group-criterion-matches-oracle", _claim_two_group_characterization),
-    ("sufficient-conditions-sound", _claim_sufficiency_sound),
-    ("maximal-class-3groups-are-dc", _claim_maxclass_3group_dc),
-    ("minimal-nonabelian-derived-order", _claim_minimal_nonabelian_derived),
-    ("single-commutator-image", _claim_commutator_image),
-    ("metabelian-power-commutator-formula", _claim_metabelian_power_formula),
-    ("twogen-metabelian-p-abelian-iff", _claim_twogen_metabelian_p_abelian_iff),
-    ("twogen-group-twogen-derived-abelian", _claim_twogen_derived_twogen_abelian),
-    ("lower-central-factor-exponents-descend", _claim_lcs_exponent_monotone),
-    ("class-below-p-forces-regular", _claim_class_lt_p_regular),
-    ("regular-power-commutator-iff", _claim_regular_power_bracket),
-    ("series-match-when-derived-factors", _claim_lcs_match_when_derived_factors),
-    ("twogen-abelian-maximal-center-intersection", _claim_twogen_abelian_maximal_center),
-    ("maximal-class-3group-fundamental-subgroup", _claim_maxclass_3group_fundamental),
-    ("maximal-class-other-maximals-maximal-class", _claim_maxclass_nonfundamental_maximals),
-    ("large-witness-property-bundle", _claim_p7_witness_properties),
-]
+    return _verdict(not bad, f"failed properties: {bad}")
 
 
 def census_claims(
@@ -1197,12 +1095,6 @@ def census_claims(
 
 
 # -- product-pair claims -------------------------------------------------------
-
-
-def group_meta(gid: str, G: FiniteGroup) -> tuple[str, int, bool, int | None]:
-    """(id, order, abelian, p) row used for pair selection."""
-    pn = is_pgroup(G)
-    return (gid, G.order, G.is_abelian, None if pn is None else pn[0])
 
 
 def auto_pairs(
@@ -1253,40 +1145,32 @@ def pair_claims(
     out: list[ClaimResult] = []
     left = is_dc_oracle(G, cap=lattice_cap)
     want = left.is_dc and A.is_abelian
+    claim = "direct-product-dc-iff"
     try:
         got = is_dc_oracle(direct_product(G, A), cap=lattice_cap)
-        out.append(
-            _verdict(
-                "direct-product-dc-iff",
-                got.is_dc == want,
-                f"product verdict {got.is_dc}, factors say {want}",
-            )
-        )
+        witness = f"product verdict {got.is_dc}, factors say {want}"
+        out.append(ClaimResult(claim, *_verdict(got.is_dc == want, witness)))
     except OrderCapExceeded:
-        out.append(_skip("direct-product-dc-iff", "product lattice beyond cap"))
+        out.append(ClaimResult(claim, SKIP, "product lattice beyond cap"))
 
     claim = "central-product-dc-iff"
     if not A.is_abelian:
-        out.append(_skip(claim, "right factor is not abelian"))
+        out.append(ClaimResult(claim, SKIP, "right factor is not abelian"))
         return out
     p = is_pgroup(G)[0]
     za = _central_element_of_order(G, p)
     zb = _central_element_of_order(A, p)
     if za is None or zb is None:
-        out.append(_skip(claim, f"no central element of order {p} on both sides"))
+        why = f"no central element of order {p} on both sides"
+        out.append(ClaimResult(claim, SKIP, why))
         return out
     try:
         glued = central_product(G, A, [(za, zb)])
         got = is_dc_oracle(glued, cap=lattice_cap)
-        out.append(
-            _verdict(
-                claim,
-                got.is_dc == left.is_dc,
-                f"glued verdict {got.is_dc}, left factor {left.is_dc}",
-            )
-        )
+        witness = f"glued verdict {got.is_dc}, left factor {left.is_dc}"
+        out.append(ClaimResult(claim, *_verdict(got.is_dc == left.is_dc, witness)))
     except OrderCapExceeded:
-        out.append(_skip(claim, "product lattice beyond cap"))
+        out.append(ClaimResult(claim, SKIP, "product lattice beyond cap"))
     return out
 
 
@@ -1298,21 +1182,6 @@ def _central_element_of_order(G: FiniteGroup, p: int) -> int | None:
 
 
 # -- corpus census --------------------------------------------------------------
-
-
-@dataclass
-class CensusReport:
-    """Per-group and per-pair claim outcomes plus corpus-level notes."""
-
-    groups: dict[str, list[ClaimResult]] = field(default_factory=dict)
-    pairs: dict[str, list[ClaimResult]] = field(default_factory=dict)
-    notes: dict[str, str] = field(default_factory=dict)
-
-    def failures(self) -> list[tuple[str, ClaimResult]]:
-        out = []
-        for gid, results in list(self.groups.items()) + list(self.pairs.items()):
-            out.extend((gid, r) for r in results if r.status == FAIL)
-        return out
 
 
 def corpus_notes(
@@ -1335,33 +1204,3 @@ def corpus_notes(
             else "no corpus member"
         )
     }
-
-
-def theorem_census(
-    named: Sequence[tuple[str, FiniteGroup]],
-    lattice_cap: int = LATTICE_CAP,
-    seed: int = 2026,
-    with_pairs: bool = True,
-) -> CensusReport:
-    """Sequential census over realized, named groups.
-
-    The command-line layer parallelizes by running census_claims per group
-    in workers and assembling an identical report; results are keyed and
-    sorted by group id either way.
-    """
-    report = CensusReport()
-    for gid, G in sorted(named, key=lambda t: t[0]):
-        report.groups[gid] = census_claims(G, lattice_cap=lattice_cap, seed=seed)
-    if with_pairs:
-        by_id = dict(named)
-        for gid, aid in auto_pairs([group_meta(g, G) for g, G in named]):
-            report.pairs[f"{gid}|{aid}"] = pair_claims(
-                by_id[gid], by_id[aid], lattice_cap=lattice_cap
-            )
-    note_rows = []
-    for gid, G in named:
-        pn = is_pgroup(G)
-        cl = nilpotency_class(G)
-        note_rows.append((gid, *(pn or (None, None)), cl))
-    report.notes = corpus_notes(note_rows)
-    return report

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FiniteGroup, TableGroup
+from .core import FiniteGroup, TableGroup, _orbit_closure
 from .errors import (
     NotNormal,
     OrderCapExceeded,
@@ -189,27 +189,6 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
 # closure
 
 
-def _orbit_closure(table: list[int], n: int, seed: Sequence[int]):
-    """Right-multiplication orbit of the identity under the seed."""
-    member = bytearray(n)
-    member[0] = 1
-    elems = [0]
-    for g in seed:
-        if not member[g]:
-            member[g] = 1
-            elems.append(g)
-    i = 0
-    while i < len(elems):
-        row = elems[i] * n
-        i += 1
-        for g in seed:
-            t = table[row + g]
-            if not member[t]:
-                member[t] = 1
-                elems.append(t)
-    return member, elems
-
-
 def _closure_vec(G: FiniteGroup, seed: Sequence[int]) -> np.ndarray:
     """Vectorized orbit closure for large parents; returns sorted ids."""
     member = np.zeros(G.order, dtype=bool)
@@ -287,19 +266,7 @@ class SubgroupLattice:
         return [s for s in self.subgroups if s.order == k]
 
 
-def _element_orders(table: list[int], n: int) -> list[int]:
-    orders = [1] * n
-    for x in range(1, n):
-        y = x
-        k = 1
-        while y != 0:
-            y = table[y * n + x]
-            k += 1
-        orders[x] = k
-    return orders
-
-
-def _find_generators(table, n, member, elems, orders) -> tuple[int, ...]:
+def _find_generators(table, n, elems, orders) -> tuple[int, ...]:
     """Greedy small generating set for a known subgroup (deterministic)."""
     target = len(elems)
     if target == 1:
@@ -329,7 +296,7 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
         raise OrderCapExceeded(f"|{G.name}| = {G.order} exceeds lattice cap {cap}")
     n = G.order
     table = G.flat_table()
-    orders = _element_orders(table, n)
+    orders = G.element_orders().tolist()
 
     # cyclic atoms, deduped, canonically ordered
     atom_of: dict[int, list[int]] = {}
@@ -379,7 +346,7 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
                 union_memo[u_key] = j_bits
                 if j_bits not in subs:
                     elems.sort()
-                    gens = _find_generators(table, n, member, elems, orders)
+                    gens = _find_generators(table, n, elems, orders)
                     subs[j_bits] = (gens, elems)
             cand = a_idx + 1
             if cand < best.get(j_bits, A + 1):
@@ -406,11 +373,7 @@ def meet(a: Subgroup, b: Subgroup) -> Subgroup:
         ids = _bits_to_ids(bits)
         table = G.flat_table()
         if table is not None:
-            orders = _element_orders(table, G.order)
-            member = bytearray(G.order)
-            for v in ids:
-                member[v] = 1
-            gens = _find_generators(table, G.order, member, ids, orders)
+            gens = _find_generators(table, G.order, ids, G.element_orders())
         else:
             gens = tuple(v for v in ids if v != 0)
         return Subgroup(G, bits, gens, ids=ids)

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import TABLE_CAP, FiniteGroup
+from .core import TABLE_CAP, FiniteGroup, prime_power
 from .errors import (
     BadPresentation,
     CollectionLimitExceeded,
@@ -45,17 +45,6 @@ PC_GEN_CAP = 12
 COLLECT_LIMIT = 10**7
 
 Word = tuple[tuple[int, int], ...]
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _normalize_word(word: Iterable[Sequence[int]], what: str) -> Word:
@@ -93,7 +82,7 @@ class PcPresentation:
         if not 1 <= n <= PC_GEN_CAP:
             raise BadPresentation(f"need 1..{PC_GEN_CAP} generators, got {n}")
         for o in orders:
-            if not _is_prime(o):
+            if prime_power(o) != (o, 1):
                 raise BadPresentation(f"relative order {o} is not prime")
         if len(set(orders)) > 1:
             raise BadPresentation(f"mixed relative orders {sorted(set(orders))}")

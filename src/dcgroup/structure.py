@@ -13,7 +13,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .core import FiniteGroup, QuotientGroup, closure_ids
+from .core import FiniteGroup, QuotientGroup, closure_ids, prime_power
 from .errors import (
     NotAbelian,
     NotPGroup,
@@ -219,18 +219,10 @@ def subgroup_min_generators(G: FiniteGroup, S: Subgroup) -> int:
     S = _as_subgroup(G, S)
     if S.order == 1:
         return 0
-    m = S.order
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            break
-        p += 1
-    else:
-        p = m
-    while m % p == 0:
-        m //= p
-    if m != 1:
+    pk = prime_power(S.order)
+    if pk is None:
         raise NotPGroup(f"subgroup order {S.order} is not a prime power")
+    p = pk[0]
     phi = subgroup_frattini(G, S)
     quot = S.order // phi.order
     d = 0
@@ -312,21 +304,7 @@ def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
 
 def is_pgroup(G: FiniteGroup) -> tuple[int, int] | None:
     """(p, n) with |G| = p^n, or None if the order is not a prime power."""
-    m = G.order
-    if m == 1:
-        return None
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            break
-        p += 1
-    else:
-        p = m
-    n = 0
-    while m % p == 0:
-        m //= p
-        n += 1
-    return (p, n) if m == 1 else None
+    return prime_power(G.order)
 
 
 def _require_pgroup(G: FiniteGroup) -> tuple[int, int]:

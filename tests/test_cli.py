@@ -25,6 +25,7 @@ from dcgroup.errors import (
     SchemaViolation,
     SpecParseError,
 )
+from dcgroup.lattice import LATTICE_CAP
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -213,16 +214,18 @@ def test_analyze_csv_golden_lines(capsys):
     assert lines[1] == "sl23,24,,2,,3,nonabelian,true,oracle,0"
 
     assert main(
-        ["analyze", "--spec", str(CORPUS / "d8.json"), "--format", "csv", "--fast-only"]
+        ["analyze", "--spec", str(CORPUS / "d8.json"), "--format", "csv",
+         "--lattice-cap", "0"]
     ) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1] == "d8,8,2,2,2,2,2,true,two-group-criterion,0"
 
 
-def test_analyze_fast_only_skips_lattice_work(tmp_path):
+def test_analyze_lattice_cap_0_skips_lattice_work(tmp_path):
     out = tmp_path / "r.json"
     rc = main(
-        ["analyze", "--spec", str(CORPUS / "d16.json"), "--fast-only", "--out", str(out)]
+        ["analyze", "--spec", str(CORPUS / "d16.json"), "--lattice-cap", "0",
+         "--out", str(out)]
     )
     assert rc == 0
     rep = json.loads(out.read_text())
@@ -369,3 +372,43 @@ def test_run_census_api_matches_cli_output(small_corpus, tmp_path):
     rep_api = run_census(small_corpus)
     assert rep_api["groups"].keys() == rep_cli["groups"].keys()
     assert rep_api["summary"] == rep_cli["summary"]
+
+
+def test_census_beyond_lattice_cap_exits_0(small_corpus, tmp_path):
+    # c12 and a4 lie beyond the cap: the abelian c12 keeps its shortcut
+    # verdict and its lattice claims skip instead of crashing the census.
+    out = tmp_path / "census.json"
+    rc = main(["census", "--corpus", str(small_corpus), "--lattice-cap", "8",
+               "--out", str(out)])
+    assert rc == 0
+    rep = json.loads(out.read_text())
+    assert sorted(rep["groups"]) == sorted(SMALL_CORPUS)
+    assert rep["summary"]["claims_failed"] == 0
+    assert rep["groups"]["c12"]["dc"] == {"is_dc": True, "method": "abelian-shortcut"}
+    assert rep["groups"]["a4"]["dc"] == {"is_dc": None, "method": "undecided"}
+
+
+@pytest.mark.parametrize("cap", [LATTICE_CAP, 8])
+def test_analyze_report_matches_census_row(small_corpus, tmp_path, cap):
+    census = run_census(small_corpus, lattice_cap=cap)
+    for gid in SMALL_CORPUS:
+        out = tmp_path / f"{gid}.json"
+        rc = main(["analyze", "--spec", str(small_corpus / f"{gid}.json"),
+                   "--lattice-cap", str(cap), "--out", str(out)])
+        assert rc == 0, gid
+        rep = json.loads(out.read_text())
+        assert rep.pop("tool") == census["tool"]
+        assert rep.pop("group_id") == gid
+        assert rep == census["groups"][gid], gid
+
+
+def test_run_census_roundup(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for gid in ("q8", "he3", "c6"):
+        shutil.copy(CORPUS / f"{gid}.json", corpus / f"{gid}.json")
+    rep = run_census(corpus)
+    assert sorted(rep["groups"]) == ["c6", "he3", "q8"]
+    assert rep["summary"]["claims_failed"] == 0
+    assert rep["pairs"]
+    assert "maximal-class-3group-order-3^5+" in rep["notes"]

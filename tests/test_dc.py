@@ -19,13 +19,11 @@ from dcgroup.dc import (
     dc_2group_predicate,
     dc_sufficient_conditions,
     derived_set,
-    group_meta,
     is_chain,
     is_dc_fast,
     is_dc_oracle,
     is_sublattice,
     pair_claims,
-    theorem_census,
     witness_property_check,
 )
 from dcgroup.errors import NotPGroup, NotTwoGroup
@@ -252,25 +250,6 @@ def test_auto_pairs_bounds_and_determinism():
     for left, right in picked:
         assert orders[left] * orders[right] <= 128
         assert orders[left] <= 64
-
-
-def test_group_meta():
-    gid, order, abelian, p = group_meta("q8", C.generalized_quaternion(8))
-    assert (gid, order, abelian, p) == ("q8", 8, False, 2)
-    _, _, _, p = group_meta("s4", C.symmetric(4))
-    assert p is None
-
-
-def test_theorem_census_roundup():
-    named = [
-        ("q8", C.generalized_quaternion(8)),
-        ("he3", C.extraspecial_p3(3, "p")),
-        ("c6", C.cyclic(6)),
-    ]
-    rep = theorem_census(named, with_pairs=True)
-    assert sorted(rep.groups) == ["c6", "he3", "q8"]
-    assert rep.failures() == []
-    assert "maximal-class-3group-order-3^5+" in rep.notes
 
 
 # -- GroupContext -------------------------------------------------------------------
