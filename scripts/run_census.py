@@ -38,9 +38,10 @@ def summarize(report_path: Path) -> None:
     report = json.loads(report_path.read_text())
     tally: Counter = Counter()
     per_claim: dict[str, Counter] = {}
-    group_claims = (c for row in report["groups"].values() for c in row["claims"])
-    pair_claims = (c for rows in report.get("pairs", {}).values() for c in rows)
-    for c in (*group_claims, *pair_claims):
+    # (group id or "left|right" pair id, its claims)
+    rows = [*((gid, row["claims"]) for gid, row in report["groups"].items()),
+            *report.get("pairs", {}).items()]
+    for c in (c for _, claims in rows for c in claims):
         status = "skip" if c["status"] == "skipped" else c["status"]
         tally[status] += 1
         per_claim.setdefault(c["claim"], Counter())[status] += 1
@@ -54,14 +55,10 @@ def summarize(report_path: Path) -> None:
         c = per_claim[claim]
         mark = "FAIL" if c["fail"] else "ok"
         print(f"  {claim:<{width}}  {c['pass']:>4} pass {c['skip']:>5} skip  {mark}")
-    failed = [
-        (gid, c["claim"], c["detail"])
-        for gid, row in report["groups"].items()
-        for c in row["claims"]
-        if c["status"] == "fail"
-    ]
-    for gid, claim, detail in failed:
-        print(f"FAIL {gid} {claim}: {detail}")
+    for gid, claims in rows:
+        for c in claims:
+            if c["status"] == "fail":
+                print(f"FAIL {gid} {c['claim']}: {c['detail']}")
 
 
 def main() -> int:
@@ -74,8 +71,12 @@ def main() -> int:
     if args.lattice_cap is not None:
         argv += ["--lattice-cap", str(args.lattice_cap)]
     rc = cli_main(argv)
+    if rc == 2:
+        # exit 2 writes no report, so a file at `out` is from an earlier run
+        print(f"no report written (exit {rc})")
+        return rc
     print(f"report written to {out} (exit {rc})")
-    if args.format == "json" and Path(out).exists():
+    if args.format == "json":
         summarize(Path(out))
     return rc
 

@@ -56,22 +56,24 @@ PERM_DEGREE_CAP = 16
 CLOSURE_UNIVERSE_CAP = 10**6
 
 
-def prime_power(n: int) -> tuple[int, int] | None:
-    """(p, k) with n = p^k and k >= 1, or None."""
-    if n < 2:
-        return None
+def prime_factors(n: int) -> dict[int, int]:
+    """{p: k} with p^k exactly dividing n, over the primes p | n, ascending."""
+    out: dict[int, int] = {}
     p = 2
     while p * p <= n:
-        if n % p == 0:
-            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
         p += 1
-    else:
-        p = n
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return (p, k) if n == 1 else None
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) with n = p^k and k >= 1, or None."""
+    factors = prime_factors(n)
+    return next(iter(factors.items())) if len(factors) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -319,42 +321,20 @@ class TableGroup(FiniteGroup):
     ):
         if len(table) != order * order:
             raise InvalidId(f"table length {len(table)} != {order}^2")
-        if generators is None:
-            generators = _default_generators(table, order)
-        super().__init__(order, generators, name)
+        super().__init__(order, generators or (), name)
         self._table = [int(v) for v in table]
         n = order
         self._inv = [0] * n
         for x in range(n):
             self._inv[x] = self._table[x * n : (x + 1) * n].index(0)
+        if generators is None:
+            self.generators = _pick_generators(self, range(n), self.element_orders())
 
     def _mul(self, x: int, y: int) -> int:
         return self._table[x * self.order + y]
 
     def _invert(self, x: int) -> int:
         return self._inv[x]
-
-
-def _default_generators(table: Sequence[int], order: int) -> list[int]:
-    """Greedy small generating set for a table group."""
-    gens: list[int] = []
-    reached = {0}
-    for x in range(1, order):
-        if x in reached:
-            continue
-        gens.append(x)
-        frontier = [0]
-        reached = {0}
-        while frontier:
-            e = frontier.pop()
-            for g in gens:
-                t = table[e * order + g]
-                if t not in reached:
-                    reached.add(t)
-                    frontier.append(t)
-        if len(reached) == order:
-            break
-    return gens
 
 
 class PermGroup(FiniteGroup):
@@ -540,6 +520,32 @@ def _orbit_closure(table: list[int], n: int, seed: Sequence[int]):
     return member, elems
 
 
+def _frontier_closure(G: FiniteGroup, seed: Sequence[int]) -> np.ndarray:
+    """Right-multiplication orbit of the identity, a frontier at a time."""
+    member = np.zeros(G.order, dtype=bool)
+    member[0] = True
+    frontier = np.array([0], dtype=np.int64)
+    while frontier.size:
+        new = []
+        for g in seed:
+            t = G.mul_vec(frontier, g)
+            fresh = t[~member[t]]
+            if fresh.size:
+                fresh = np.unique(fresh)
+                member[fresh] = True
+                new.append(fresh)
+        frontier = np.concatenate(new) if new else np.empty(0, dtype=np.int64)
+    return member
+
+
+def _closure_mask(G: FiniteGroup, seed: Sequence[int]) -> np.ndarray:
+    """Boolean membership mask of <seed>: a table orbit, else frontiers."""
+    table = G.flat_table()
+    if table is not None:
+        return np.asarray(_orbit_closure(table, G.order, seed)[0]).view(bool)
+    return _frontier_closure(G, seed)
+
+
 def closure_ids(G: FiniteGroup, seed: Iterable[int]) -> list[int]:
     """Subgroup generated by seed ids, as a sorted id list.
 
@@ -547,27 +553,22 @@ def closure_ids(G: FiniteGroup, seed: Iterable[int]) -> list[int]:
     needed because the group is finite.
     """
     gens = sorted({G.check_id(int(s)) for s in seed} - {0})
-    table = G.flat_table()
-    if table is not None:
-        _, elems = _orbit_closure(table, G.order, gens)
-        elems.sort()
-        return elems
-    member = bytearray(G.order)
-    member[0] = 1
-    elems = [0]
-    for g in gens:
-        if not member[g]:
-            member[g] = 1
-            elems.append(g)
-    i = 0
-    mul = G.mul
-    while i < len(elems):
-        x = elems[i]
-        i += 1
-        for g in gens:
-            t = mul(x, g)
-            if not member[t]:
-                member[t] = 1
-                elems.append(t)
-    elems.sort()
-    return elems
+    return np.flatnonzero(_closure_mask(G, gens)).tolist()
+
+
+def _pick_generators(G: FiniteGroup, candidates, orders: np.ndarray) -> tuple[int, ...]:
+    """Greedy generating set, sorted, for the subgroup the candidates generate.
+
+    Candidates are taken highest element order first, ties to the smaller
+    id; each one outside the closure of those picked so far is picked. Each
+    pick at least doubles that closure, so a subgroup of order m gets at
+    most log2 m generators.
+    """
+    cand = np.asarray(candidates, dtype=np.int64)
+    pool = cand[np.lexsort((cand, -orders[cand]))]
+    pool = pool[pool != 0]
+    gens: list[int] = []
+    while pool.size:
+        gens.append(int(pool[0]))
+        pool = pool[~_closure_mask(G, gens)[pool]]
+    return tuple(sorted(gens))

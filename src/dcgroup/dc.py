@@ -30,7 +30,7 @@ from math import comb
 
 import numpy as np
 
-from .core import FiniteGroup, QuotientGroup, prime_power
+from .core import FiniteGroup, QuotientGroup, prime_factors, prime_power
 from .errors import (
     NotPGroup,
     NotTwoGroup,
@@ -643,18 +643,7 @@ def _claim_dc_solvable(ctx: GroupContext):
     _HAS_LATTICE,
 )
 def _claim_dc_sylow_split(ctx: GroupContext):
-    n = ctx.G.order
-    primes = []
-    m = n
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            primes.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        primes.append(m)
+    primes = list(prime_factors(ctx.G.order))
     for q in primes:
         split = sylow_decomposition(ctx.G, q, ctx.lattice)
         if split is not None and split.complement is not None and split.complement_abelian:
@@ -1143,7 +1132,14 @@ def pair_claims(
     from .constructors import central_product, direct_product
 
     out: list[ClaimResult] = []
-    left = is_dc_oracle(G, cap=lattice_cap)
+    try:
+        left = is_dc_oracle(G, cap=lattice_cap)
+    except OrderCapExceeded:
+        why = "left factor lattice beyond cap"
+        return [
+            ClaimResult("direct-product-dc-iff", SKIP, why),
+            ClaimResult("central-product-dc-iff", SKIP, why),
+        ]
     want = left.is_dc and A.is_abelian
     claim = "direct-product-dc-iff"
     try:

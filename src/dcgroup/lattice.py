@@ -1,9 +1,10 @@
 """Subgroups and subgroup lattice enumeration.
 
-Subgroups of groups up to 2^16 elements carry a bitset of member ids (a
-Python int), which makes dedup, subset tests and meets cheap integer ops.
-Subgroups of larger parents carry a sorted id array instead and support the
-subset of operations that never materialize the full lattice.
+Every subgroup carries its sorted member ids. Subgroups of parents of at
+most BITSET_CAP = 2^16 elements, and only those, also carry them as a bitset
+(a Python int), which makes dedup, subset tests and meets cheap integer ops;
+subgroups of larger parents support the subset of operations that never
+materialize the full lattice.
 
 ``all_subgroups`` computes the full lattice as the join-closure of the cyclic
 subgroups: every subgroup is the join of the cyclic subgroups it contains, so
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FiniteGroup, TableGroup, _orbit_closure
+from .core import FiniteGroup, TableGroup, _orbit_closure, _pick_generators, closure_ids
 from .errors import (
     NotNormal,
     OrderCapExceeded,
@@ -62,33 +63,17 @@ class Subgroup:
         parent: FiniteGroup,
         bits: int | None,
         gens: Sequence[int],
-        ids: Sequence[int] | np.ndarray | None = None,
-        order: int | None = None,
+        ids: Sequence[int] | np.ndarray,
     ):
         self.parent = parent
         self.bits = bits
         self.gens = tuple(gens)
-        if ids is not None:
-            arr = np.asarray(ids, dtype=np.int64)
-            self._ids = arr
-        else:
-            self._ids = None
-        if order is not None:
-            self.order = order
-        elif bits is not None:
-            self.order = bits.bit_count()
-        elif self._ids is not None:
-            self.order = int(self._ids.size)
-        else:
-            raise ParentMismatch("subgroup needs a member bitset or id array")
-        if bits is None and self._ids is None:
-            raise ParentMismatch("subgroup needs a member bitset or id array")
+        self._ids = np.asarray(ids, dtype=np.int64)
+        self.order = int(self._ids.size)
 
     # -- members ---------------------------------------------------------
 
     def ids(self) -> np.ndarray:
-        if self._ids is None:
-            self._ids = np.array(_bits_to_ids(self.bits), dtype=np.int64)
         return self._ids
 
     def contains(self, x: int) -> bool:
@@ -172,55 +157,43 @@ def _member_bytes_to_bits(member: bytearray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
+def _subgroup(
+    G: FiniteGroup, ids: Sequence[int] | np.ndarray, gens: Sequence[int] | None = None
+) -> Subgroup:
+    """The subgroup with these sorted member ids.
+
+    It carries a bitset exactly when G.order <= BITSET_CAP. Without given
+    generators, `core._pick_generators` picks them.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if gens is None:
+        gens = _pick_generators(G, ids, G.element_orders())
+    bits = None
     if G.order <= BITSET_CAP:
-        return Subgroup(G, 1, (), ids=[0])
-    return Subgroup(G, None, (), ids=[0])
+        member = np.zeros(G.order, dtype=np.uint8)
+        member[ids] = 1
+        bits = _member_bytes_to_bits(member)
+    return Subgroup(G, bits, gens, ids=ids)
+
+
+def trivial_subgroup(G: FiniteGroup) -> Subgroup:
+    return _subgroup(G, [0], ())
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
-    gens = G.generators
-    if G.order <= BITSET_CAP:
-        return Subgroup(G, (1 << G.order) - 1, gens, order=G.order)
-    return Subgroup(G, None, gens, ids=np.arange(G.order, dtype=np.int64))
+    return _subgroup(G, np.arange(G.order), G.generators)
 
 
 # ---------------------------------------------------------------------------
 # closure
 
 
-def _closure_vec(G: FiniteGroup, seed: Sequence[int]) -> np.ndarray:
-    """Vectorized orbit closure for large parents; returns sorted ids."""
-    member = np.zeros(G.order, dtype=bool)
-    member[0] = True
-    seed = sorted({int(s) for s in seed} - {0})
-    if not seed:
-        return np.array([0], dtype=np.int64)
-    frontier = np.array([0], dtype=np.int64)
-    while frontier.size:
-        new = []
-        for g in seed:
-            t = G.mul_vec(frontier, g)
-            fresh = t[~member[t]]
-            if fresh.size:
-                fresh = np.unique(fresh)
-                member[fresh] = True
-                new.append(fresh)
-        frontier = np.concatenate(new) if new else np.empty(0, dtype=np.int64)
-    return np.nonzero(member)[0].astype(np.int64)
-
-
 def closure(G: FiniteGroup, seed: Iterable[int], gens: Sequence[int] | None = None) -> Subgroup:
-    """Subgroup generated by the seed ids."""
-    seed = [G.check_id(int(s)) for s in seed]
-    if G.order <= BITSET_CAP and G.flat_table() is not None:
-        member, elems = _orbit_closure(G.flat_table(), G.order, sorted(set(seed) - {0}))
-        bits = _member_bytes_to_bits(member)
-        sub_gens = tuple(gens) if gens is not None else tuple(sorted(set(seed) - {0}))
-        return Subgroup(G, bits, sub_gens, ids=sorted(elems))
-    ids = _closure_vec(G, seed)
-    sub_gens = tuple(gens) if gens is not None else tuple(sorted(set(seed) - {0}))
-    return Subgroup(G, None, sub_gens, ids=ids)
+    """Subgroup generated by the seed ids; its generators default to the seed."""
+    seed = [int(s) for s in seed]
+    if gens is None:
+        gens = sorted(set(seed) - {0})
+    return _subgroup(G, closure_ids(G, seed), gens)
 
 
 # ---------------------------------------------------------------------------
@@ -266,24 +239,6 @@ class SubgroupLattice:
         return [s for s in self.subgroups if s.order == k]
 
 
-def _find_generators(table, n, elems, orders) -> tuple[int, ...]:
-    """Greedy small generating set for a known subgroup (deterministic)."""
-    target = len(elems)
-    if target == 1:
-        return ()
-    pool = sorted(elems[1:], key=lambda e: (-orders[e], e))
-    gens = [pool[0]]
-    got, got_elems = _orbit_closure(table, n, gens)
-    while len(got_elems) < target:
-        for e in pool:
-            if not got[e]:
-                gens.append(e)
-                break
-        gens.sort()
-        got, got_elems = _orbit_closure(table, n, gens)
-    return tuple(gens)
-
-
 def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
     """Enumerate every subgroup of G.
 
@@ -296,7 +251,7 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
         raise OrderCapExceeded(f"|{G.name}| = {G.order} exceeds lattice cap {cap}")
     n = G.order
     table = G.flat_table()
-    orders = G.element_orders().tolist()
+    orders = G.element_orders()
 
     # cyclic atoms, deduped, canonically ordered
     atom_of: dict[int, list[int]] = {}
@@ -346,7 +301,7 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
                 union_memo[u_key] = j_bits
                 if j_bits not in subs:
                     elems.sort()
-                    gens = _find_generators(table, n, elems, orders)
+                    gens = _pick_generators(G, elems, orders)
                     subs[j_bits] = (gens, elems)
             cand = a_idx + 1
             if cand < best.get(j_bits, A + 1):
@@ -367,18 +322,9 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
 def meet(a: Subgroup, b: Subgroup) -> Subgroup:
     """Intersection; always a subgroup."""
     _same_parent(a, b)
-    G = a.parent
     if a.bits is not None and b.bits is not None:
-        bits = a.bits & b.bits
-        ids = _bits_to_ids(bits)
-        table = G.flat_table()
-        if table is not None:
-            gens = _find_generators(table, G.order, ids, G.element_orders())
-        else:
-            gens = tuple(v for v in ids if v != 0)
-        return Subgroup(G, bits, gens, ids=ids)
-    ids = np.intersect1d(a.ids(), b.ids(), assume_unique=True)
-    return Subgroup(G, None, _generators_from_ids(G, ids), ids=ids)
+        return _subgroup(a.parent, _bits_to_ids(a.bits & b.bits))
+    return _subgroup(a.parent, np.intersect1d(a.ids(), b.ids(), assume_unique=True))
 
 
 def join(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -386,21 +332,6 @@ def join(a: Subgroup, b: Subgroup) -> Subgroup:
     _same_parent(a, b)
     seed = list(a.gens or a.ids()[1:]) + list(b.gens or b.ids()[1:])
     return closure(a.parent, seed)
-
-
-def _generators_from_ids(G: FiniteGroup, ids: np.ndarray) -> tuple[int, ...]:
-    """Greedy generating set for a big-parent subgroup given its ids."""
-    if ids.size == 1:
-        return ()
-    gens: list[int] = []
-    have = np.array([0], dtype=np.int64)
-    for _ in range(64):
-        rest = ids[~np.isin(ids, have, assume_unique=True)]
-        if rest.size == 0:
-            break
-        gens.append(int(rest[0]))
-        have = _closure_vec(G, gens)
-    return tuple(gens)
 
 
 def maximal_subgroups(

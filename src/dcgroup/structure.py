@@ -13,7 +13,14 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .core import FiniteGroup, QuotientGroup, closure_ids, prime_power
+from .core import (
+    FiniteGroup,
+    QuotientGroup,
+    _pick_generators,
+    closure_ids,
+    prime_factors,
+    prime_power,
+)
 from .errors import (
     NotAbelian,
     NotPGroup,
@@ -25,8 +32,7 @@ from .errors import (
 from .lattice import (
     Subgroup,
     SubgroupLattice,
-    _generators_from_ids,
-    _ids_to_bits,
+    _subgroup,
     closure,
     full_subgroup,
     is_normal,
@@ -77,32 +83,6 @@ REGULARITY_CAP = 1024
 
 # Generating-set search for non-p-groups tries at most this many closures.
 GEN_SEARCH_BUDGET = 20000
-
-
-def _span(G: FiniteGroup, candidates: np.ndarray, name_gens: bool = True) -> Subgroup:
-    """Subgroup generated by a candidate id set, via greedy generator picking."""
-    cand = np.unique(np.asarray(candidates, dtype=np.int64))
-    cand = cand[cand != 0]
-    if cand.size == 0:
-        return trivial_subgroup(G)
-    gens: list[int] = []
-    sub = trivial_subgroup(G)
-    while True:
-        inside = np.isin(cand, sub.ids(), assume_unique=True)
-        missing = cand[~inside]
-        if missing.size == 0:
-            return sub
-        gens.append(int(missing[0]))
-        sub = closure(G, gens, gens=tuple(gens))
-
-
-def _subgroup_from_ids(G: FiniteGroup, ids: np.ndarray) -> Subgroup:
-    ids = np.unique(np.asarray(ids, dtype=np.int64))
-    gens = _generators_from_ids(G, ids)
-    bits = None
-    if G.order <= 1 << 16:
-        bits = _ids_to_bits(int(v) for v in ids)
-    return Subgroup(G, bits, gens, ids=ids)
 
 
 def _as_subgroup(G: FiniteGroup, S: Subgroup | None) -> Subgroup:
@@ -222,14 +202,8 @@ def subgroup_min_generators(G: FiniteGroup, S: Subgroup) -> int:
     pk = prime_power(S.order)
     if pk is None:
         raise NotPGroup(f"subgroup order {S.order} is not a prime power")
-    p = pk[0]
     phi = subgroup_frattini(G, S)
-    quot = S.order // phi.order
-    d = 0
-    while quot > 1:
-        quot //= p
-        d += 1
-    return d
+    return prime_factors(S.order // phi.order).get(pk[0], 0)
 
 
 def subgroup_frattini(G: FiniteGroup, S: Subgroup) -> Subgroup:
@@ -237,10 +211,7 @@ def subgroup_frattini(G: FiniteGroup, S: Subgroup) -> Subgroup:
     S = _as_subgroup(G, S)
     if S.order == 1:
         return trivial_subgroup(G)
-    p = 2
-    m = S.order
-    while m % p:
-        p += 1
+    p = next(iter(prime_factors(S.order)))
     dg = derived_subgroup(G, S)
     seed = set(dg.gens) | {G.power(g, p) for g in S.gens}
     seed -= {0}
@@ -263,7 +234,7 @@ def center_of_subgroup(G: FiniteGroup, S: Subgroup | None = None) -> Subgroup:
     mask = np.ones(ids.size, dtype=bool)
     for g in S.gens:
         mask &= G.mul_vec(ids, g) == G.lmul_vec(g, ids)
-    return _subgroup_from_ids(G, ids[mask])
+    return _subgroup(G, ids[mask])
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -277,7 +248,7 @@ def centralizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
     mask = np.ones(G.order, dtype=bool)
     for g in S.gens:
         mask &= G.mul_vec(ids, g) == G.lmul_vec(g, ids)
-    return _subgroup_from_ids(G, ids[mask])
+    return _subgroup(G, ids[mask])
 
 
 def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
@@ -295,7 +266,7 @@ def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
     for s in S.gens:
         conj = arr[arr[invs, s], allg]
         mask &= member[conj]
-    return _subgroup_from_ids(G, allg[mask])
+    return _subgroup(G, allg[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +311,8 @@ def frattini_subgroup(
     with generator p-th powers, which avoids any lattice work; other groups
     need the lattice.
     """
-    pn = is_pgroup(G)
-    if pn is not None:
-        p = pn[0]
-        dg = derived_subgroup(G)
-        seed = set(dg.gens) | {G.power(g, p) for g in G.generators}
-        seed -= {0}
-        if not seed:
-            return trivial_subgroup(G)
-        return closure(G, sorted(seed))
+    if is_pgroup(G) is not None:
+        return subgroup_frattini(G, full_subgroup(G))
     if G.order == 1:
         return trivial_subgroup(G)
     if lattice is None:
@@ -370,7 +334,7 @@ def omega(G: FiniteGroup, s: int = 1) -> Subgroup:
         raise ParamOutOfRange(f"omega index {s} must be >= 1")
     orders = G.element_orders()
     ids = np.nonzero(orders <= p**s)[0]
-    return _span(G, ids)
+    return closure(G, _pick_generators(G, ids, orders))
 
 
 def agemo(G: FiniteGroup, s: int = 1) -> Subgroup:
@@ -379,7 +343,7 @@ def agemo(G: FiniteGroup, s: int = 1) -> Subgroup:
     if s < 1:
         raise ParamOutOfRange(f"agemo index {s} must be >= 1")
     xs = np.arange(G.order, dtype=np.int64)
-    return _span(G, G.pow_vec(xs, p**s))
+    return closure(G, _pick_generators(G, G.pow_vec(xs, p**s), G.element_orders()))
 
 
 def min_generators(G: FiniteGroup, budget: int = GEN_SEARCH_BUDGET) -> int:
@@ -391,16 +355,8 @@ def min_generators(G: FiniteGroup, budget: int = GEN_SEARCH_BUDGET) -> int:
     """
     if G.order == 1:
         return 0
-    pn = is_pgroup(G)
-    if pn is not None:
-        p, _ = pn
-        phi = frattini_subgroup(G)
-        quot = G.order // phi.order
-        d = 0
-        while quot > 1:
-            quot //= p
-            d += 1
-        return d
+    if is_pgroup(G) is not None:
+        return subgroup_min_generators(G, full_subgroup(G))
     orders = G.element_orders()
     if int(orders.max()) == G.order:
         return 1
@@ -551,7 +507,7 @@ def pgroup_maximal_subgroups(G: FiniteGroup) -> list[Subgroup]:
         member = np.zeros(quot.order, dtype=bool)
         member[kernel] = True
         ids = np.nonzero(member[quot._class_of])[0]
-        out.append(_subgroup_from_ids(G, ids))
+        out.append(_subgroup(G, ids))
     out.sort(key=Subgroup.sort_key)
     return out
 
@@ -590,13 +546,10 @@ def sylow_decomposition(
     Returns None when no Sylow p-subgroup is normal. Among complements an
     abelian one is preferred; ties break by canonical subgroup order.
     """
-    n = G.order
-    pv = 1
-    while n % p == 0:
-        n //= p
-        pv *= p
+    pv = p ** prime_factors(G.order).get(p, 0)
+    n = G.order // pv
     if pv == 1:
-        raise ParamOutOfRange(f"{p} does not divide |{G.name}| = {G.order}")
+        raise ParamOutOfRange(f"{p} is not a prime dividing |{G.name}| = {G.order}")
     if lattice is None:
         from .lattice import all_subgroups
 
@@ -675,7 +628,7 @@ def is_regular(G: FiniteGroup, cap: int = REGULARITY_CAP) -> bool | None:
             if key not in span_cache:
                 two = closure(G, [x, y])
                 dg = derived_subgroup(G, two)
-                u1 = _span(G, G.pow_vec(dg.ids(), p))
+                u1 = closure(G, _pick_generators(G, G.pow_vec(dg.ids(), p), G.element_orders()))
                 span_cache[key] = u1.ids()
             target = G.mul(G.inv(base), lhs)
             if not bool(np.isin(target, span_cache[key]).item()):
@@ -714,7 +667,7 @@ def fundamental_subgroup(G: FiniteGroup) -> Subgroup:
     for k in k2.gens:
         comms = _commutator_with_all(G, k, xs)
         mask &= np.isin(comms, k4_ids)
-    return _subgroup_from_ids(G, xs[mask])
+    return _subgroup(G, xs[mask])
 
 
 # ---------------------------------------------------------------------------

@@ -375,17 +375,22 @@ def test_run_census_api_matches_cli_output(small_corpus, tmp_path):
 
 
 def test_census_beyond_lattice_cap_exits_0(small_corpus, tmp_path):
-    # c12 and a4 lie beyond the cap: the abelian c12 keeps its shortcut
+    # c12 and a4 lie beyond both caps: the abelian c12 keeps its shortcut
     # verdict and its lattice claims skip instead of crashing the census.
-    out = tmp_path / "census.json"
-    rc = main(["census", "--corpus", str(small_corpus), "--lattice-cap", "8",
-               "--out", str(out)])
-    assert rc == 0
-    rep = json.loads(out.read_text())
-    assert sorted(rep["groups"]) == sorted(SMALL_CORPUS)
-    assert rep["summary"]["claims_failed"] == 0
-    assert rep["groups"]["c12"]["dc"] == {"is_dc": True, "method": "abelian-shortcut"}
-    assert rep["groups"]["a4"]["dc"] == {"is_dc": None, "method": "undecided"}
+    # At cap 4 the left pair factor d8 lies beyond it too.
+    for cap in (8, 4):
+        out = tmp_path / f"census{cap}.json"
+        rc = main(["census", "--corpus", str(small_corpus), "--lattice-cap",
+                   str(cap), "--out", str(out)])
+        assert rc == 0
+        rep = json.loads(out.read_text())
+        assert sorted(rep["groups"]) == sorted(SMALL_CORPUS)
+        assert rep["summary"]["claims_failed"] == 0
+        assert rep["groups"]["c12"]["dc"] == {"is_dc": True, "method": "abelian-shortcut"}
+        assert rep["groups"]["a4"]["dc"] == {"is_dc": None, "method": "undecided"}
+    assert [(c["status"], c["detail"]) for c in rep["pairs"]["d8|c2"]] == [
+        ("skipped", "left factor lattice beyond cap")
+    ] * 2
 
 
 @pytest.mark.parametrize("cap", [LATTICE_CAP, 8])

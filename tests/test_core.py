@@ -19,6 +19,8 @@ from dcgroup.core import (
     perm_inv,
     perm_mul,
     perm_sign,
+    prime_factors,
+    prime_power,
     quotient_group,
 )
 from dcgroup.errors import DegreeMismatch, InvalidId, NotNormal
@@ -244,6 +246,28 @@ def test_closure_ids_proper_subgroup():
     G = s4()
     r = G.id_of((1, 2, 3, 0))
     assert len(closure_ids(G, [r])) == 4
+    # order 5^7: no Cayley table, so the frontier closure runs
+    G = C.witness_bundle("group2").group
+    assert G.flat_table() is None
+    for x in np.random.default_rng(3).integers(1, G.order, size=4).tolist():
+        assert len(closure_ids(G, [x])) == G.element_order(x)
+
+
+@pytest.mark.parametrize(
+    "n, factors",
+    [
+        (1, {}),
+        (7, {7: 1}),
+        (2**7, {2: 7}),
+        (72, {2: 3, 3: 2}),
+        (5**7, {5: 7}),
+        (360, {2: 3, 3: 2, 5: 1}),
+    ],
+)
+def test_prime_factors_and_prime_power(n, factors):
+    assert prime_factors(n) == factors
+    assert list(prime_factors(n)) == sorted(factors)
+    assert prime_power(n) == (next(iter(factors.items())) if len(factors) == 1 else None)
 
 
 # -- group axioms as sampled properties -------------------------------------------

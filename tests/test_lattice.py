@@ -23,6 +23,7 @@ from dcgroup.lattice import (
     subgroups_brute,
     trivial_subgroup,
 )
+from dcgroup.structure import centralizer
 
 # Frozen subgroup counts and maximal-subgroup order multisets.
 LATTICE_FACTS = {
@@ -34,6 +35,7 @@ LATTICE_FACTS = {
     "sl23": (15, [6, 6, 6, 6, 8]),
     "d16": (19, [8, 8, 8]),
     "he3": (19, [9, 9, 9, 9]),
+    "d8xc2": (35, [8, 8, 8, 8, 8, 8, 8]),
 }
 
 BUILDERS = {
@@ -45,6 +47,7 @@ BUILDERS = {
     "sl23": lambda: C.sl23(),
     "d16": lambda: C.dihedral(16),
     "he3": lambda: C.extraspecial_p3(3, "p"),
+    "d8xc2": lambda: C.direct_product(C.dihedral(8), C.cyclic(2)),
 }
 
 
@@ -91,6 +94,9 @@ def test_all_subgroups_counts(name):
     L = all_subgroups(G)
     assert len(L) == count
     assert sorted(s.order for s in maximal_subgroups(G, L)) == max_orders
+    for S in L:
+        assert closure(G, S.gens) == S
+        assert 2 ** len(S.gens) <= S.order
 
 
 def test_lattice_is_sorted_and_bounded():
@@ -115,7 +121,7 @@ def test_lattice_of_order_matches_lagrange():
 
 
 def test_brute_enumerator_matches_lattice_smoke():
-    for name in ("d8", "q8", "c12", "a4", "s4"):
+    for name in ("d8", "q8", "c12", "a4", "s4", "d8xc2"):
         G = BUILDERS[name]()
         fast = {bytes(s.ids().tolist()) for s in all_subgroups(G)}
         brute = {bytes(s.ids().tolist()) for s in subgroups_brute(G)}
@@ -145,6 +151,18 @@ def test_join_is_generated_union():
     j = join(a, b)
     assert a <= j and b <= j
     assert j.order % a.order == 0 and j.order % b.order == 0
+
+
+def test_one_bitset_rule_without_a_table():
+    # S8 has no Cayley table but lies under BITSET_CAP: every subgroup of it
+    # carries a bitset, however it was built.
+    G = C.symmetric(8)
+    t = G.id_of((1, 0, 2, 3, 4, 5, 6, 7))
+    Z = centralizer(G, closure(G, [t]))
+    assert Z.order == 1440
+    S = closure(G, Z.gens)
+    assert S == Z and hash(S) == hash(Z) and len({S, Z}) == 1
+    assert 2 ** len(meet(Z, full_subgroup(G)).gens) <= Z.order
 
 
 def test_meet_join_reject_mixed_parents():
