@@ -30,7 +30,7 @@ from math import comb
 
 import numpy as np
 
-from .core import FiniteGroup, QuotientGroup, prime_factors, prime_power
+from .core import FiniteGroup, QuotientGroup, _pick_generators, prime_factors, prime_power
 from .errors import (
     NotPGroup,
     NotTwoGroup,
@@ -789,8 +789,9 @@ def _claim_dc_derived_rank_p_elementary(ctx: GroupContext):
 @_claim("dc-derived-power-index-bound", _NONABELIAN_P, _HAS_ORACLE, _IS_DC)
 def _claim_dc_derived_power_index_bound(ctx: GroupContext):
     p = ctx.pn[0]
-    powered = np.unique(ctx.G.pow_vec(ctx.derived.ids(), p))
-    span = closure(ctx.G, [int(v) for v in powered if v != 0])
+    G = ctx.G
+    powered = G.pow_vec(ctx.derived.ids(), p)
+    span = closure(G, _pick_generators(G, powered, G.element_orders()))
     index = ctx.derived.order // span.order
     return _verdict(index <= p**p, f"index {index} exceeds p^p = {p**p}")
 

@@ -6,22 +6,27 @@ most BITSET_CAP = 2^16 elements, and only those, also carry them as a bitset
 subgroups of larger parents support the subset of operations that never
 materialize the full lattice.
 
-``all_subgroups`` computes the full lattice as the join-closure of the cyclic
-subgroups: every subgroup is the join of the cyclic subgroups it contains, so
-iterating joins with cyclic atoms to a fixpoint enumerates everything. Joins
-are explored along increasing atom index, which prunes the worklist without
-losing completeness (any subgroup is the join of its atoms taken in
-increasing index order).
+``all_subgroups`` computes the full lattice by cyclic extension (Neubüser's
+method): its atoms are the zuppos, the cyclic subgroups of prime-power
+order, and it joins one representative per conjugacy class with one atom
+per orbit of the representative's normalizer, bringing in each new class
+whole by conjugation.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FiniteGroup, TableGroup, _orbit_closure, _pick_generators, closure_ids
+from .core import (
+    FiniteGroup,
+    TableGroup,
+    _orbit_closure,
+    _pick_generators,
+    closure_ids,
+    prime_factors,
+)
 from .errors import (
     NotNormal,
     OrderCapExceeded,
@@ -150,13 +155,6 @@ def _ids_to_bits(ids: Iterable[int]) -> int:
     return b
 
 
-def _member_bytes_to_bits(member: bytearray) -> int:
-    packed = np.packbits(
-        np.frombuffer(bytes(member), dtype=np.uint8), bitorder="little"
-    )
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 def _subgroup(
     G: FiniteGroup, ids: Sequence[int] | np.ndarray, gens: Sequence[int] | None = None
 ) -> Subgroup:
@@ -172,7 +170,8 @@ def _subgroup(
     if G.order <= BITSET_CAP:
         member = np.zeros(G.order, dtype=np.uint8)
         member[ids] = 1
-        bits = _member_bytes_to_bits(member)
+        packed = np.packbits(member, bitorder="little")
+        bits = int.from_bytes(packed.tobytes(), "little")
     return Subgroup(G, bits, gens, ids=ids)
 
 
@@ -240,79 +239,143 @@ class SubgroupLattice:
 
 
 def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
-    """Enumerate every subgroup of G.
+    """Enumerate every subgroup of G, one conjugacy class at a time.
 
-    Joins with cyclic atoms are explored along increasing atom index; a
-    subgroup is (re)queued whenever it is reached by a path whose largest
-    atom index is smaller than any seen before, so every increasing path is
-    eventually covered.
+    The atoms are the zuppos. Their classes are the G-orbits of zuppos, and
+    one atom per orbit starts the work list of class representatives. Each
+    representative R is joined with one atom from each orbit of N_G(R) on
+    the atoms outside R. A join never seen before brings in its whole class
+    by conjugation and joins the work list with its normalizer, read off the
+    same conjugation gather. Atoms inside a join of prime index over R are
+    skipped for R, since R is maximal in that join and their join with R is
+    that one.
+
+    This reaches every class. A subgroup H > 1 is the join of its zuppos, so
+    H = K v A for a proper subgroup K of H and a zuppo A of H outside K. If
+    K = R^g, then H^(g^-1) = R v A^(g^-1), and for n in N_G(R),
+    R v A^n = (R v A)^n: joining R with its orbit representative of A^(g^-1)
+    gives a conjugate of H. By induction on |H| every class is reached.
+
+    Every member's generators are those `core._pick_generators` gives for
+    its ids; for an atom that is its least generator.
     """
     if G.order > cap:
         raise OrderCapExceeded(f"|{G.name}| = {G.order} exceeds lattice cap {cap}")
     n = G.order
     table = G.flat_table()
+    arr = G.np_table()
+    every = np.arange(n)
+    inv = G.inv_vec(every)
     orders = G.element_orders()
+    order_list = orders.tolist()
 
-    # cyclic atoms, deduped, canonically ordered
-    atom_of: dict[int, list[int]] = {}
-    for x in range(1, n):
-        member, elems = _orbit_closure(table, n, [x])
-        bits = _member_bytes_to_bits(member)
-        if bits not in atom_of:
-            atom_of[bits] = [bits, x, sorted(elems)]
-    atoms = sorted(atom_of.values(), key=lambda a: (len(a[2]), a[0]))
-    A = len(atoms)
+    def conjugates(ids: np.ndarray) -> np.ndarray:
+        """Row g holds the ids conjugated by g."""
+        return arr[arr[inv[:, None], ids], every[:, None]]
 
-    # discovered subgroups: bits -> [gens, sorted ids]
-    subs: dict[int, tuple[tuple[int, ...], list[int]]] = {1: ((), [0])}
-    best: dict[int, int] = {}
-    extended: dict[int, int] = {}
-    union_memo: dict[int, int] = {}
-    queue: deque[tuple[int, int]] = deque()
-
-    for idx, (bits, gen, elems) in enumerate(atoms):
-        subs[bits] = ((gen,), elems)
-        best[bits] = idx + 1
-        queue.append((bits, idx + 1))
-
-    while queue:
-        s_bits, start = queue.popleft()
-        if best.get(s_bits, A) < start:
-            continue  # stale entry; a better path requeued this subgroup
-        stop = extended.get(s_bits, A)
-        if start >= stop:
+    # zuppos, each with its least generator; atom_at[x] = <x>. Smaller atoms
+    # come first, as their joins are the likelier prime-index covers below.
+    prime_of = {
+        m: next(iter(f)) for m in set(order_list) if len(f := prime_factors(m)) == 1
+    }
+    atom_at = [-1] * n
+    atoms: list[Subgroup] = []
+    atom_masks: list[bytearray] = []
+    for x in sorted(range(1, n), key=order_list.__getitem__):
+        p = prime_of.get(order_list[x])
+        if p is None or atom_at[x] >= 0:
             continue
-        extended[s_bits] = start
-        s_gens, s_elems = subs[s_bits]
-        s_order = len(s_elems)
-        for a_idx in range(start, stop):
-            a_bits, a_gen, a_elems = atoms[a_idx]
-            if a_bits & ~s_bits == 0:
-                continue
-            u_key = s_bits | a_bits
-            j_bits = union_memo.get(u_key)
-            if j_bits is None:
-                if s_order >= len(a_elems):
-                    seed = list(s_gens) + [a_gen]
-                else:
-                    seed = [a_gen] + list(s_gens)
-                member, elems = _orbit_closure(table, n, seed)
-                j_bits = _member_bytes_to_bits(member)
-                union_memo[u_key] = j_bits
-                if j_bits not in subs:
-                    elems.sort()
-                    gens = _pick_generators(G, elems, orders)
-                    subs[j_bits] = (gens, elems)
-            cand = a_idx + 1
-            if cand < best.get(j_bits, A + 1):
-                best[j_bits] = cand
-                queue.append((j_bits, cand))
+        mask = bytearray(n)
+        mask[0] = 1
+        elems, bits, y = [0], 1, x
+        for k in range(1, order_list[x]):
+            mask[y] = 1
+            elems.append(y)
+            bits |= 1 << y
+            if k % p:
+                atom_at[y] = len(atoms)
+            y = table[y * n + x]
+        atoms.append(Subgroup(G, bits, (x,), sorted(elems)))
+        atom_masks.append(mask)
+    atom_gens = [A.gens[0] for A in atoms]
+    atom_gen_ids = np.asarray(atom_gens, dtype=np.int64)
+    atom_ids = np.arange(len(atoms))
+    # moved[g, a] = the atom a^g; an orbit's least atom represents it
+    moved = np.asarray(atom_at, dtype=np.int64)[conjugates(atom_gen_ids)]
+    g_reps = moved.min(axis=0) == atom_ids
+    atom_normal = (moved == atom_ids).all(axis=0).tolist()
+    primes = set(prime_factors(n))
 
-    out = [
-        Subgroup(G, bits, gens, ids=elems)
-        for bits, (gens, elems) in subs.items()
+    subs = [trivial_subgroup(G), *atoms]
+    seen = {bytes(m) for m in atom_masks}  # member masks of the subgroups in subs
+    seen.add(bytes(every == 0))
+    # work items (R, R's member mask, N_G(R)); an atom's normalizer fixes it
+    work = [
+        (
+            A,
+            np.frombuffer(atom_masks[a], dtype=np.bool_),
+            np.flatnonzero(moved[:, a] == a),
+        )
+        for a, A in enumerate(atoms)
+        if g_reps[a]
     ]
-    return SubgroupLattice(G, out)
+
+    def add_class(ids: np.ndarray, member: np.ndarray, normal: bool) -> None:
+        """Record the class of the subgroup with these ids as one work item.
+
+        A subgroup already known to be normal skips the conjugation gather.
+        """
+        if normal:
+            normalizer = every
+        else:
+            rows = conjugates(ids)
+            normalizer = np.flatnonzero(member[rows].all(axis=1))
+        if normalizer.size == n:
+            reps, masks = [ids], [member.tobytes()]
+        else:
+            rows.sort(axis=1)
+            width = rows.shape[1] * rows.itemsize
+            blob = rows.tobytes()
+            first = {}
+            for g in range(n):
+                first.setdefault(blob[g * width : (g + 1) * width], g)
+            reps = rows[list(first.values())]
+            mask = np.zeros((len(reps), n), dtype=np.bool_)
+            mask[np.arange(len(reps))[:, None], reps] = True
+            masks = [m.tobytes() for m in mask]
+        for row in reps:
+            subs.append(_subgroup(G, row, _pick_generators(G, row, orders)))
+        seen.update(masks)
+        if ids.size < n:
+            work.append((subs[-len(masks)], member, normalizer))
+
+    joined: set[int] = set()
+    while work:
+        R, r_member, normalizer = work.pop()
+        r_normal = normalizer.size == n
+        if r_normal:
+            orbit_reps = g_reps
+        else:
+            orbit_reps = moved[normalizer].min(axis=0) == atom_ids
+        fresh = orbit_reps & ~r_member[atom_gen_ids]
+        # atoms inside a join of prime index over R: their join is that one
+        covered = np.zeros(len(atoms), dtype=np.bool_)
+        for a in np.flatnonzero(fresh).tolist():
+            union = R.bits | atoms[a].bits
+            if covered[a] or union in joined:
+                continue
+            joined.add(union)
+            member, elems = _orbit_closure(table, n, R.gens + (atom_gens[a],))
+            j_member = np.frombuffer(member, dtype=np.bool_)
+            if len(elems) // R.order in primes:
+                covered |= j_member[atom_gen_ids]
+            if bytes(member) not in seen:
+                elems.sort()
+                # a join of two normal subgroups is normal
+                normal = r_normal and atom_normal[a]
+                add_class(np.asarray(elems, dtype=np.int64), j_member, normal)
+
+    return SubgroupLattice(G, subs)
 
 
 # ---------------------------------------------------------------------------

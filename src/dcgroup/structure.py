@@ -180,14 +180,15 @@ def lcs_of_subgroup(G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
     return series
 
 
+def _lcm_of(orders: np.ndarray) -> int:
+    """Least common multiple of some element orders."""
+    return lcm(*np.unique(orders).tolist())
+
+
 def subgroup_exponent(G: FiniteGroup, S: Subgroup) -> int:
     """Exponent of a subgroup, from parent element orders."""
     S = _as_subgroup(G, S)
-    orders = G.element_orders()[S.ids()]
-    out = 1
-    for v in np.unique(orders):
-        out = lcm(out, int(v))
-    return out
+    return _lcm_of(G.element_orders()[S.ids()])
 
 
 def subgroup_min_generators(G: FiniteGroup, S: Subgroup) -> int:
@@ -286,14 +287,7 @@ def _require_pgroup(G: FiniteGroup) -> tuple[int, int]:
 
 
 def exponent(G: FiniteGroup) -> int:
-    orders = G.element_orders()
-    pn = is_pgroup(G)
-    if pn is not None or G.order == 1:
-        return int(orders.max())
-    out = 1
-    for v in np.unique(orders):
-        out = lcm(out, int(v))
-    return out
+    return _lcm_of(G.element_orders())
 
 
 def is_cyclic(G: FiniteGroup, S: Subgroup | None = None) -> bool:

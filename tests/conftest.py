@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
@@ -23,3 +24,33 @@ def corpus_ids() -> list[str]:
 @pytest.fixture(scope="session")
 def corpus_dir() -> Path:
     return CORPUS
+
+
+def _subgroup_classes(G, lattice) -> int:
+    """Number of conjugacy classes of subgroups in a full lattice of G.
+
+    Conjugates every member by each generator of G and joins the classes of
+    the two; asserts that each conjugate is itself a member.
+    """
+    index = {S.ids().tobytes(): i for i, S in enumerate(lattice)}
+    table, inv = G.np_table(), G.inv_vec(np.arange(G.order))
+    root = list(range(len(index)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, S in enumerate(lattice):
+        for g in G.generators:
+            conj = np.sort(table[table[inv[g], S.ids()], g])
+            j = index.get(conj.tobytes())
+            assert j is not None, f"a conjugate of an order-{S.order} member is missing"
+            root[find(i)] = find(j)
+    return sum(1 for i in range(len(root)) if find(i) == i)
+
+
+@pytest.fixture(scope="session")
+def subgroup_classes():
+    return _subgroup_classes

@@ -77,7 +77,7 @@ def realize(gid: str):
 # -- 1: the symmetric-degree-6 counterexample, end to end ---------------------------
 
 
-def test_c01_s6_derived_family_breaks_chain_and_sublattice():
+def test_c01_s6_derived_family_breaks_chain_and_sublattice(subgroup_classes):
     t0 = time.monotonic()
     b = C.witness_bundle("s6_example")
     G = b.G
@@ -99,6 +99,7 @@ def test_c01_s6_derived_family_breaks_chain_and_sublattice():
     ctx = GroupContext(G)
     pairs = ctx.derived_pairs
     assert pairs is not None and len(ctx.lattice) == 1455
+    assert subgroup_classes(G, ctx.lattice) == 56
     assert not any(d == intersection for _, d in pairs)
 
     ds = ctx.ds

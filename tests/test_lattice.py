@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from dcgroup import constructors as C
 from dcgroup.core import PermGroup
 from dcgroup.errors import OrderCapExceeded, ParentMismatch
+from dcgroup.pc import realize_pc_group
 from dcgroup.lattice import (
     Subgroup,
     all_subgroups,
@@ -36,6 +40,8 @@ LATTICE_FACTS = {
     "d16": (19, [8, 8, 8]),
     "he3": (19, [9, 9, 9, 9]),
     "d8xc2": (35, [8, 8, 8, 8, 8, 8, 8]),
+    "s5": (156, [12] * 10 + [20] * 6 + [24] * 5 + [60]),
+    "a6": (501, [24] * 30 + [36] * 10 + [60] * 12),
 }
 
 BUILDERS = {
@@ -48,6 +54,8 @@ BUILDERS = {
     "d16": lambda: C.dihedral(16),
     "he3": lambda: C.extraspecial_p3(3, "p"),
     "d8xc2": lambda: C.direct_product(C.dihedral(8), C.cyclic(2)),
+    "s5": lambda: C.symmetric(5),
+    "a6": lambda: C.alternating(6),
 }
 
 
@@ -126,6 +134,37 @@ def test_brute_enumerator_matches_lattice_smoke():
         fast = {bytes(s.ids().tolist()) for s in all_subgroups(G)}
         brute = {bytes(s.ids().tolist()) for s in subgroups_brute(G)}
         assert fast == brute
+
+
+@pytest.mark.parametrize("name, classes", [("s4", 11), ("s5", 19), ("a6", 22)])
+def test_lattice_is_closed_under_conjugation(name, classes, subgroup_classes):
+    G = BUILDERS[name]()
+    assert subgroup_classes(G, all_subgroups(G)) == classes
+
+
+def _search_presentations():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "search_presentations.py"
+    spec = importlib.util.spec_from_file_location("search_presentations", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_brute_enumerator_matches_lattice_on_order_32_grid():
+    # Most subgroups of a 2-group are normal, so each class is one subgroup
+    # and the normalizer orbits on atoms are as large as they get.
+    search = _search_presentations()
+    points = 0
+    for k, (powers, comms) in enumerate(search.grid_32()):
+        pres = search.consistent((2,) * 5, powers, comms)
+        if pres is None:
+            continue
+        points += 1
+        G = realize_pc_group(pres)
+        fast = {s.ids().tobytes() for s in all_subgroups(G)}
+        brute = {s.ids().tobytes() for s in subgroups_brute(G)}
+        assert fast == brute, f"grid point {k}"
+    assert points == 109
 
 
 def test_brute_enumerator_cap():
