@@ -9,12 +9,11 @@ Sections:
   group2  fixed order-5^7 witness with two generators of order 25
 
 Each line prints ok/FAIL; the exit code is the number of failed checks.
-The group1 maximal-subgroup property bundle is slow, so it runs only with
---full; the lattice-wide s6 sublattice refutation always runs.
+Every section runs in full, the lattice-wide s6 sublattice refutation and
+both maximal-subgroup property bundles included.
 
 Usage:
     python3 scripts/verify_witnesses.py
-    python3 scripts/verify_witnesses.py --which group1 --full
     python3 scripts/verify_witnesses.py --which group1 -p 11
 """
 
@@ -96,7 +95,7 @@ def verify_s6() -> None:
     print(f"  (lattice work took {time.monotonic() - t0:.1f}s)")
 
 
-def verify_group1(p: int, full: bool) -> None:
+def verify_group1(p: int) -> None:
     section(f"group1: two-generated order {p}^7 witness")
     b = C.witness_bundle("group1", p=p)
     G = b.group
@@ -118,9 +117,6 @@ def verify_group1(p: int, full: bool) -> None:
     check("G' is non-abelian: [a2, a1] != 1",
           G.commutator(g["a2"], g["a1"]) != 0)
 
-    if not full:
-        print("  (run with --full for the maximal-subgroup property bundle)")
-        return
     t0 = time.monotonic()
     props = witness_property_check(G)
     for name, ok in props.items():
@@ -155,14 +151,12 @@ def main() -> int:
                     default="all")
     ap.add_argument("-p", type=int, default=7,
                     help="prime parameter for group1 (>= 7)")
-    ap.add_argument("--full", action="store_true",
-                    help="also run the slow group1 maximal-subgroup bundle")
     args = ap.parse_args()
 
     if args.which in ("s6", "all"):
         verify_s6()
     if args.which in ("group1", "all"):
-        verify_group1(args.p, args.full)
+        verify_group1(args.p)
     if args.which in ("group2", "all"):
         verify_group2()
 

@@ -311,16 +311,14 @@ class DirectProductGroup(FiniteGroup):
         return self.left._invert(a) * nb + self.right._invert(b)
 
     def np_table(self) -> np.ndarray | None:
+        """The factors' tables combined; each factor is no larger than A x B."""
         if self._np is None and self.order <= TABLE_CAP:
             ta = self.left.np_table()
             tb = self.right.np_table()
-            if ta is not None and tb is not None:
-                nb = self.right.order
-                combined = ta[:, None, :, None] * nb + tb[None, :, None, :]
-                self._np = np.ascontiguousarray(
-                    combined.reshape(self.order, self.order)
-                )
-        return super().np_table()
+            nb = self.right.order
+            combined = ta[:, None, :, None] * nb + tb[None, :, None, :]
+            self._np = np.ascontiguousarray(combined.reshape(self.order, self.order))
+        return self._np
 
 
 def direct_product(left: FiniteGroup, right: FiniteGroup, name: str = "") -> DirectProductGroup:

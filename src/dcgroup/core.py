@@ -220,24 +220,33 @@ class FiniteGroup:
     # -- bulk helpers ------------------------------------------------------
 
     def flat_table(self) -> list[int] | None:
-        """Row-major Cayley table, cached; None above TABLE_CAP."""
-        if self._table is None and self.order <= TABLE_CAP:
-            n = self.order
-            mul = self._mul
-            self._table = [mul(x, y) for x in range(n) for y in range(n)]
-            self._inv = [0] * n
-            for x in range(n):
-                row = self._table[x * n : (x + 1) * n]
-                self._inv[x] = row.index(0)
+        """Row-major Cayley table as a list, cached; None above TABLE_CAP.
+
+        Read off `np_table`, with the inverses: x^-1 is where row x holds
+        the identity id 0, its smallest entry. Entries refer to one shared
+        int object per id, so the list costs a pointer per entry.
+        """
+        if self._table is None:
+            arr = self.np_table()
+            if arr is not None:
+                ids = np.array(range(self.order), dtype=object)
+                self._table = ids[arr].ravel().tolist()
+                self._inv = arr.argmin(axis=1).tolist()
         return self._table
 
     def np_table(self) -> np.ndarray | None:
-        """Cayley table as a cached 2d array; None above TABLE_CAP."""
-        if self._np is None:
-            t = self.flat_table()
-            if t is None:
-                return None
-            self._np = np.asarray(t, dtype=np.int64).reshape(self.order, self.order)
+        """Cayley table as a cached 2d array; None above TABLE_CAP.
+
+        Backends with a bulk product override this; here every entry is one
+        scalar product.
+        """
+        if self._np is None and self.order <= TABLE_CAP:
+            n = self.order
+            mul = self._mul
+            flat = np.fromiter(
+                (mul(x, y) for x in range(n) for y in range(n)), np.int64, n * n
+            )
+            self._np = flat.reshape(n, n)
         return self._np
 
     def mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
@@ -322,13 +331,12 @@ class TableGroup(FiniteGroup):
         if len(table) != order * order:
             raise InvalidId(f"table length {len(table)} != {order}^2")
         super().__init__(order, generators or (), name)
-        self._table = [int(v) for v in table]
-        n = order
-        self._inv = [0] * n
-        for x in range(n):
-            self._inv[x] = self._table[x * n : (x + 1) * n].index(0)
+        self._np = np.asarray(table, dtype=np.int64).reshape(order, order)
+        if not (self._np == 0).any(axis=1).all():
+            raise InvalidId("every row of a Cayley table must hold the identity id 0")
+        self.flat_table()
         if generators is None:
-            self.generators = _pick_generators(self, range(n), self.element_orders())
+            self.generators = _pick_generators(self, range(order), self.element_orders())
 
     def _mul(self, x: int, y: int) -> int:
         return self._table[x * self.order + y]
@@ -377,6 +385,34 @@ class PermGroup(FiniteGroup):
 
     def _invert(self, x: int) -> int:
         return self._index[perm_inv(self.perms[x])]
+
+    def np_table(self) -> np.ndarray | None:
+        """Cayley table from composed rows of the permutation array.
+
+        The product x*y sends point i to P[y][P[x][i]]. Products are found
+        by a sorted key over their first degree-1 images, which determine
+        the permutation and keep the key below 16^15 < 2^63. Rows are done
+        in blocks of about 2^16 entries, so the build needs no more than a
+        few such blocks beyond the table itself.
+        """
+        if self._np is None and self.order <= TABLE_CAP:
+            n, d = self.order, self.degree
+            perms = np.array(self.perms, dtype=np.int64).reshape(n, d)
+            weights = d ** np.arange(d - 1, dtype=np.int64)
+            keys = perms[:, :-1] @ weights
+            by_key = np.argsort(keys)
+            sorted_keys = keys[by_key]
+            image_of = np.ascontiguousarray(perms.T)  # image_of[i, y] = P[y][i]
+            table = np.empty((n, n), dtype=np.int64)
+            step = max(1, (1 << 16) // n)
+            for lo in range(0, n, step):
+                block = perms[lo : lo + step]
+                prod_keys = np.zeros((len(block), n), dtype=np.int64)
+                for i, w in enumerate(weights.tolist()):
+                    prod_keys += w * image_of[block[:, i]]
+                table[lo : lo + step] = by_key[np.searchsorted(sorted_keys, prod_keys)]
+            self._np = table
+        return self._np
 
     def perm(self, x: int) -> tuple[int, ...]:
         return self.perms[self.check_id(x)]
@@ -438,15 +474,24 @@ class QuotientGroup(FiniteGroup):
             raise NotNormal("normal subgroup must contain the identity")
         member = np.zeros(parent.order, dtype=bool)
         member[n_ids] = True
+        n_arr = np.array(n_ids, dtype=np.int64)
+        # N^g = g^-1 (N g) for each generator g, a vector at a time: through
+        # the parent's Cayley table when it is built, else its vector
+        # products, which cache no per-element left-multiplication table.
+        table = parent._np
         for g in parent.generators:
-            for s in n_ids:
-                if not member[parent.conjugate(s, g)]:
-                    raise NotNormal(
-                        f"subgroup of order {len(n_ids)} is not normal in {parent.name}"
-                    )
+            g_inv = parent.inv(g)
+            if table is not None:
+                conj = table[table[g_inv, n_arr], g]
+            else:
+                left = np.full(len(n_arr), g_inv, dtype=np.int64)
+                conj = parent.mul_pairwise_vec(left, parent.mul_vec(n_arr, g))
+            if not member[conj].all():
+                raise NotNormal(
+                    f"subgroup of order {len(n_ids)} is not normal in {parent.name}"
+                )
 
         class_of = np.full(parent.order, -1, dtype=np.int64)
-        n_arr = np.array(n_ids, dtype=np.int64)
         reps: list[int] = []
 
         def absorb(rep: int) -> int:

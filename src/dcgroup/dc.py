@@ -324,13 +324,16 @@ def dc_sufficient_conditions(G: FiniteGroup) -> set[str]:
     return out
 
 
-def witness_property_check(G: FiniteGroup) -> dict[str, bool]:
+def witness_property_check(
+    G: FiniteGroup, maximals: Sequence[Subgroup] | None = None
+) -> dict[str, bool]:
     """Property bundle for the order-p^7 reference groups.
 
     Checks the facts the DC argument for those groups rests on: G' is
     non-abelian, the center is cyclic, G needs exactly two generators,
     exactly one maximal subgroup M0 has |M0'| = p, and every other maximal
-    subgroup has cyclic center.
+    subgroup has cyclic center. `maximals` are G's maximal subgroups when
+    the caller has them already.
     """
     pn = is_pgroup(G)
     if pn is None:
@@ -342,7 +345,8 @@ def witness_property_check(G: FiniteGroup) -> dict[str, bool]:
         "center-cyclic": is_cyclic(G, center(G)),
         "two-generated": min_generators(G) == 2,
     }
-    maximals = pgroup_maximal_subgroups(G)
+    if maximals is None:
+        maximals = pgroup_maximal_subgroups(G)
     small = [M for M in maximals if derived_subgroup(G, M).order == p]
     out["unique-small-derived-maximal"] = len(small) == 1
     if len(small) == 1:
@@ -357,14 +361,17 @@ def witness_property_check(G: FiniteGroup) -> dict[str, bool]:
     return out
 
 
-def is_dc_fast(G: FiniteGroup) -> DcVerdict | None:
+def is_dc_fast(
+    G: FiniteGroup, bundle: Callable[[], dict[str, bool]] | None = None
+) -> DcVerdict | None:
     """Best lattice-free verdict, or None when nothing applies.
 
     Tries, in order: the abelian shortcut, the exact 2-group criterion,
     the reference-shape property bundle (order p^7, p >= 5 only), and the
     three sufficient conditions. The bundle outranks the conditions at the
     one shape it targets so the report names the argument that certifies
-    those groups.
+    those groups. `bundle` returns `witness_property_check(G)`, say from a
+    cache; it is called only at that shape.
     """
     if G.is_abelian:
         return is_dc_oracle(G)
@@ -374,8 +381,10 @@ def is_dc_fast(G: FiniteGroup) -> DcVerdict | None:
     p, n = pn
     if p == 2:
         return DcVerdict(dc_2group_predicate(G), "two-group-criterion")
-    if p >= 5 and n == 7 and all(witness_property_check(G).values()):
-        return DcVerdict(True, "properties-verified")
+    if p >= 5 and n == 7:
+        props = witness_property_check(G) if bundle is None else bundle()
+        if all(props.values()):
+            return DcVerdict(True, "properties-verified")
     conds = dc_sufficient_conditions(G)
     for name in (CONDITION_CYCLIC, CONDITION_ABELIAN_MAXIMAL, CONDITION_MAXCLASS):
         if name in conds:
@@ -529,6 +538,14 @@ class GroupContext:
             return None
 
         return self._get("maximals", build)
+
+    @property
+    def witness_properties(self) -> dict[str, bool]:
+        """`witness_property_check` over the cached maximal subgroups."""
+        return self._get(
+            "witness_properties",
+            lambda: witness_property_check(self.G, self.maximals),
+        )
 
     @property
     def has_abelian_maximal(self) -> bool | None:
@@ -1071,7 +1088,7 @@ def _claim_maxclass_nonfundamental_maximals(ctx: GroupContext):
     ),
 )
 def _claim_p7_witness_properties(ctx: GroupContext):
-    props = witness_property_check(ctx.G)
+    props = ctx.witness_properties
     bad = sorted(k for k, v in props.items() if not v)
     return _verdict(not bad, f"failed properties: {bad}")
 

@@ -442,12 +442,13 @@ class PcGroup(FiniteGroup):
     def inv_vec(self, xs: np.ndarray) -> np.ndarray:
         return self._inverse_table()[np.asarray(xs, dtype=np.int64)]
 
-    def flat_table(self) -> list[int] | None:
-        if self._table is None and self.order <= TABLE_CAP:
-            rows = [self.left_mul_table(x, cache=False) for x in range(self.order)]
-            self._table = [int(v) for row in rows for v in row]
-            self._inv = [int(v) for v in self._inverse_table()]
-        return self._table
+    def np_table(self) -> np.ndarray | None:
+        """Cayley table with row x the uncached left table of x."""
+        if self._np is None and self.order <= TABLE_CAP:
+            self._np = np.stack(
+                [self.left_mul_table(x, cache=False) for x in range(self.order)]
+            )
+        return self._np
 
     def digits(self, x: int) -> tuple[int, ...]:
         """Normal-form exponent vector of an id."""

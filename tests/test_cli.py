@@ -310,6 +310,31 @@ def test_census_is_deterministic_across_jobs(small_corpus, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_census_pairs_in_the_pool_match_serial_run(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for gid in ("d8", "q8", "c2"):
+        shutil.copy(CORPUS / f"{gid}.json", corpus / f"{gid}.json")
+    # parses, but the realizer wants prime relative orders
+    (corpus / "bad.json").write_text('{"kind": "pc", "orders": [4, 2]}\n')
+    reports = []
+    for jobs in (1, 2):
+        out = tmp_path / f"census{jobs}.json"
+        rc = main(["census", "--corpus", str(corpus), "--jobs", str(jobs),
+                   "--out", str(out)])
+        assert rc == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    rep = json.loads(reports[0])
+    assert list(rep["skipped"]) == ["bad"]
+    assert rep["skipped"]["bad"].startswith("realization failed: ")
+    assert list(rep["pairs"]) == [
+        "d8|c2", "d8|d8", "d8|q8", "q8|c2", "q8|d8", "q8|q8"
+    ]
+    assert all(len(claims) == 2 for claims in rep["pairs"].values())
+    assert rep["summary"]["claims_failed"] == 0
+
+
 def test_census_csv_format(small_corpus, tmp_path, capsys):
     rc = main(["census", "--corpus", str(small_corpus), "--format", "csv"])
     assert rc == 0

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import load_spec
 from dcgroup import constructors as C
+from dcgroup.cli import realize_spec
 from dcgroup.core import (
     PERM_DEGREE_CAP,
+    TABLE_CAP,
     PermGroup,
     QuotientGroup,
     TableGroup,
@@ -24,6 +27,7 @@ from dcgroup.core import (
     quotient_group,
 )
 from dcgroup.errors import DegreeMismatch, InvalidId, NotNormal
+from dcgroup.structure import derived_subgroup
 
 # Frozen Cayley table of S3 on ids 0..5 (0 = identity).
 S3_TABLE = [
@@ -141,6 +145,9 @@ def test_table_group_s3():
 def test_table_group_size_mismatch():
     with pytest.raises(InvalidId):
         TableGroup([0, 1, 1, 0], 3)
+    # inverses are read off where each row holds the identity
+    with pytest.raises(InvalidId, match="identity"):
+        TableGroup([0, 1, 1, 1], 2)
 
 
 def test_table_group_default_generators_reach_everything():
@@ -155,6 +162,31 @@ def test_flat_table_round_trip():
     assert H.flat_table() == t
 
 
+@pytest.mark.parametrize(
+    "G",
+    [
+        s4(),
+        # degree 16: a key in base 16 over all 16 images would reach 2^64
+        PermGroup(
+            [
+                [1, 0] + list(range(2, 16)),
+                [0, 1, 3, 2] + list(range(4, 16)),
+                list(range(8, 16)) + list(range(8)),
+            ]
+        ),
+        C.direct_product(C.symmetric(3), C.cyclic(4)),
+        realize_spec(load_spec("pos32")),
+    ],
+    ids=["s4", "degree16", "s3xc4", "pc32"],
+)
+def test_bulk_table_matches_scalar_products(G):
+    n = G.order
+    want = [[G._mul(x, y) for y in range(n)] for x in range(n)]
+    assert G.np_table().tolist() == want
+    assert G.flat_table() == [v for row in want for v in row]
+    assert G._inv == [G._invert(x) for x in range(n)]
+
+
 # -- QuotientGroup ---------------------------------------------------------------
 
 
@@ -166,12 +198,53 @@ def test_quotient_by_center_of_q8():
     assert sorted(V.element_orders().tolist()) == [1, 2, 2, 2]
 
 
+def _is_normal_scalar(G, ids) -> bool:
+    """Reference test: N^g inside N for every generator g, one element at a time."""
+    member = set(ids)
+    return all(G.conjugate(s, g) in member for g in G.generators for s in ids)
+
+
 def test_quotient_by_non_normal_rejected():
     G = s4()
     # a 2-element subgroup generated by a transposition is not normal in S4
     t = G.id_of((1, 0, 2, 3))
     with pytest.raises(NotNormal):
         QuotientGroup(G, [0, t])
+    # a parent with its Cayley table built: id 3 of S3 is a transposition
+    with pytest.raises(NotNormal, match="subgroup of order 2 is not normal"):
+        QuotientGroup(TableGroup(S3_TABLE, 6), [0, 3])
+
+    # parents above TABLE_CAP, which multiply through their backends
+    S7 = C.symmetric(7)
+    assert S7.order > TABLE_CAP and S7.np_table() is None
+    t = S7.id_of((1, 0, 2, 3, 4, 5, 6))
+    with pytest.raises(NotNormal, match="subgroup of order 2 is not normal"):
+        QuotientGroup(S7, [0, t])
+
+    P = C.witness_bundle("group2").group
+    assert P.order > TABLE_CAP and P.np_table() is None
+    N = closure_ids(P, [P.generators[0]])
+    assert not _is_normal_scalar(P, N)
+    with pytest.raises(NotNormal, match=f"subgroup of order {len(N)} is not normal"):
+        QuotientGroup(P, N)
+
+
+@pytest.mark.parametrize("which", ["s7", "group2"])
+def test_quotient_of_tableless_parent_partitions_cosets(which):
+    if which == "s7":
+        G = C.symmetric(7)
+        N = [x for x in range(G.order) if G.sign(x) == 1]
+    else:
+        G = C.witness_bundle("group2").group
+        N = derived_subgroup(G).ids().tolist()
+    assert G.np_table() is None and _is_normal_scalar(G, N)
+    Q = QuotientGroup(G, N)
+    assert Q.order * len(N) == G.order
+    n_arr = np.array(N, dtype=np.int64)
+    for c, rep in enumerate(Q.reps):
+        assert np.array_equal(
+            np.flatnonzero(Q._class_of == c), np.sort(G.mul_vec(n_arr, rep))
+        )
 
 
 def test_quotient_by_trivial_is_relabeled_isomorphism():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcgroup import constructors as C
-from dcgroup.cli import realize_spec
+from dcgroup.cli import analyze_group, realize_spec
 from dcgroup.dc import (
     CLAIMS,
     GroupContext,
@@ -184,6 +184,30 @@ def test_witness_property_check_group2():
         "unique-small-derived-maximal": True,
         "other-maximal-centers-cyclic": True,
     }
+
+
+def test_group2_analysis_builds_maximals_and_bundle_once(monkeypatch):
+    import dcgroup.dc as dc_module
+
+    calls = {"pgroup_maximal_subgroups": 0, "witness_property_check": 0}
+
+    def counted(name):
+        fn = getattr(dc_module, name)
+
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(dc_module, name, run)
+
+    for name in calls:
+        counted(name)
+    G = from_corpus("group2")
+    row = analyze_group(G, {"kind": "test"})
+    assert calls == {"pgroup_maximal_subgroups": 1, "witness_property_check": 1}
+    assert row["dc"] == {"is_dc": True, "method": "properties-verified"}
+    bundle = [c for c in row["claims"] if c["claim"] == "large-witness-property-bundle"]
+    assert bundle == [{"claim": "large-witness-property-bundle", "status": "pass", "detail": ""}]
 
 
 # -- claims ------------------------------------------------------------------------
