@@ -152,6 +152,23 @@ class FiniteGroup:
     def _invert(self, x: int) -> int:
         raise NotImplementedError
 
+    # Vector kernels, called by the vector ops below only when the group has
+    # no Cayley table; a backend with a faster bulk product overrides them.
+
+    def _mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
+        return np.array([self._mul(int(x), y) for x in xs], dtype=np.int64)
+
+    def _lmul_vec(self, y: int, xs: np.ndarray) -> np.ndarray:
+        return np.array([self._mul(y, int(x)) for x in xs], dtype=np.int64)
+
+    def _mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return np.array(
+            [self._mul(int(x), int(y)) for x, y in zip(xs, ys)], dtype=np.int64
+        )
+
+    def _inv_vec(self, xs: np.ndarray) -> np.ndarray:
+        return np.array([self._invert(int(x)) for x in xs], dtype=np.int64)
+
     # -- public ops ------------------------------------------------------
 
     def check_id(self, x: int) -> int:
@@ -250,12 +267,17 @@ class FiniteGroup:
         return self._np
 
     def mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
-        """Right-multiply an id vector by a fixed element."""
+        """Right-multiply an id vector by a fixed element.
+
+        This op, `lmul_vec`, `mul_pairwise_vec` and `inv_vec` read the
+        Cayley table when the group has one (`np_table`, built on first use
+        up to TABLE_CAP) and call the backend's vector kernel otherwise.
+        """
         self.check_id(y)
         arr = self.np_table()
         if arr is not None:
             return arr[xs, y]
-        return np.array([self._mul(int(x), y) for x in xs], dtype=np.int64)
+        return self._mul_vec(np.asarray(xs, dtype=np.int64), y)
 
     def lmul_vec(self, y: int, xs: np.ndarray) -> np.ndarray:
         """Left-multiply an id vector by a fixed element."""
@@ -263,15 +285,15 @@ class FiniteGroup:
         arr = self.np_table()
         if arr is not None:
             return arr[y, xs]
-        return np.array([self._mul(y, int(x)) for x in xs], dtype=np.int64)
+        return self._lmul_vec(y, np.asarray(xs, dtype=np.int64))
 
     def mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Elementwise products xs[i]*ys[i]."""
         arr = self.np_table()
         if arr is not None:
             return arr[xs, ys]
-        return np.array(
-            [self._mul(int(x), int(y)) for x, y in zip(xs, ys)], dtype=np.int64
+        return self._mul_pairwise_vec(
+            np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
         )
 
     def pow_vec(self, xs: np.ndarray, k: int) -> np.ndarray:
@@ -291,10 +313,9 @@ class FiniteGroup:
 
     def inv_vec(self, xs: np.ndarray) -> np.ndarray:
         """Elementwise inverses."""
-        self.flat_table()
-        if self._inv is not None:
+        if self.flat_table() is not None:
             return np.asarray(self._inv, dtype=np.int64)[xs]
-        return np.array([self._invert(int(x)) for x in xs], dtype=np.int64)
+        return self._inv_vec(np.asarray(xs, dtype=np.int64))
 
     def element_orders(self) -> np.ndarray:
         """Orders of all elements, cached."""
@@ -319,7 +340,12 @@ class FiniteGroup:
 
 
 class TableGroup(FiniteGroup):
-    """Group given by an explicit row-major Cayley table."""
+    """Group given by an explicit row-major Cayley table.
+
+    The table must have id 0 as its identity and every row and column a
+    permutation of the ids; then each element's powers return to 0, which
+    the element orders rely on. Associativity is not checked.
+    """
 
     def __init__(
         self,
@@ -331,9 +357,16 @@ class TableGroup(FiniteGroup):
         if len(table) != order * order:
             raise InvalidId(f"table length {len(table)} != {order}^2")
         super().__init__(order, generators or (), name)
-        self._np = np.asarray(table, dtype=np.int64).reshape(order, order)
-        if not (self._np == 0).any(axis=1).all():
+        arr = np.asarray(table, dtype=np.int64).reshape(order, order)
+        if not (arr == 0).any(axis=1).all():
             raise InvalidId("every row of a Cayley table must hold the identity id 0")
+        ids = np.arange(order)
+        if not (np.array_equal(arr[0], ids) and np.array_equal(arr[:, 0], ids)):
+            raise InvalidId("row 0 and column 0 of a Cayley table must read 0..n-1")
+        rows_ok = (np.sort(arr, axis=1) == ids).all()
+        if not (rows_ok and (np.sort(arr, axis=0).T == ids).all()):
+            raise InvalidId("every row and column of a Cayley table must permute the ids")
+        self._np = arr
         self.flat_table()
         if generators is None:
             self.generators = _pick_generators(self, range(order), self.element_orders())
@@ -475,17 +508,11 @@ class QuotientGroup(FiniteGroup):
         member = np.zeros(parent.order, dtype=bool)
         member[n_ids] = True
         n_arr = np.array(n_ids, dtype=np.int64)
-        # N^g = g^-1 (N g) for each generator g, a vector at a time: through
-        # the parent's Cayley table when it is built, else its vector
-        # products, which cache no per-element left-multiplication table.
-        table = parent._np
+        # N^g = g^-1 (N g) for each generator g, a vector at a time; the
+        # pairwise product caches no per-element left-multiplication table.
         for g in parent.generators:
-            g_inv = parent.inv(g)
-            if table is not None:
-                conj = table[table[g_inv, n_arr], g]
-            else:
-                left = np.full(len(n_arr), g_inv, dtype=np.int64)
-                conj = parent.mul_pairwise_vec(left, parent.mul_vec(n_arr, g))
+            left = np.full(len(n_arr), parent.inv(g), dtype=np.int64)
+            conj = parent.mul_pairwise_vec(left, parent.mul_vec(n_arr, g))
             if not member[conj].all():
                 raise NotNormal(
                     f"subgroup of order {len(n_ids)} is not normal in {parent.name}"

@@ -66,7 +66,6 @@ from .structure import (
     is_p_abelian,
     is_pgroup,
     is_regular,
-    lcs_of_subgroup,
     lower_central_series,
     min_generators,
     nilpotency_class,
@@ -94,7 +93,6 @@ __all__ = [
     "dc_2group_predicate",
     "dc_sufficient_conditions",
     "witness_property_check",
-    "commutator_image_lemma",
     "ClaimResult",
     "GroupContext",
     "CLAIMS",
@@ -886,18 +884,6 @@ def _claim_commutator_image(ctx: GroupContext):
     return FAIL, "no single element covers the derived subgroup"
 
 
-def commutator_image_lemma(G: FiniteGroup) -> ClaimResult:
-    """Search for one element whose commutator image is exactly G'.
-
-    Skipped unless G is a p-group whose derived subgroup needs at most two
-    generators (the regime where such an element is guaranteed), or until
-    the search space exceeds the cap. Abelian groups pass with the identity.
-    """
-    if is_pgroup(G) is None:
-        raise NotPGroup(f"order {G.order} is not a prime power")
-    return _claim_commutator_image(GroupContext(G))
-
-
 @_claim(
     "metabelian-power-commutator-formula",
     (lambda c: not c.abelian and c.dl == 2, "needs derived length exactly 2"),
@@ -1011,7 +997,7 @@ def _claim_lcs_match_when_derived_factors(ctx: GroupContext):
         merged = join(Hp, K3) if K3.order > 1 else Hp
         if merged != target:
             continue
-        sub_series = lcs_of_subgroup(ctx.G, H)
+        sub_series = lower_central_series(ctx.G, H)
         for i in range(1, max(len(series), len(sub_series))):
             KG = series[i] if i < len(series) else trivial_subgroup(ctx.G)
             KH = sub_series[i] if i < len(sub_series) else trivial_subgroup(ctx.G)
@@ -1070,8 +1056,7 @@ def _claim_maxclass_nonfundamental_maximals(ctx: GroupContext):
     for M in ctx.maximals:
         if M == G1:
             continue
-        sub_series = lcs_of_subgroup(ctx.G, M)
-        cl_m = len(sub_series) - 1 if sub_series[-1].order == 1 else None
+        cl_m = nilpotency_class(ctx.G, M)
         if cl_m != n - 2:
             return FAIL, (
                 f"maximal subgroup besides the fundamental one has class {cl_m}, "

@@ -115,9 +115,11 @@ class Subgroup:
         return hash((id(self.parent), self.ids().tobytes()))
 
     def sort_key(self):
+        """Order first, then the member set: as a bitset when there is one,
+        else as the sorted ids, whose big-endian bytes compare as the ids do."""
         if self.bits is not None:
             return (self.order, self.bits)
-        return (self.order, tuple(int(v) for v in self.ids()))
+        return (self.order, self.ids().astype(">i8").tobytes())
 
     @property
     def is_trivial(self) -> bool:

@@ -16,6 +16,7 @@ a product costs a handful of array lookups instead of a symbolic collection.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -274,6 +275,9 @@ class PcGroup(FiniteGroup):
     unit. Tables are built deepest generator first; the table for g_j needs the
     conjugation action of g_j on U_{j+1}, which is filled by dynamic
     programming over ids ordered by their deepest nonzero digit.
+
+    Like every backend, a group of order up to TABLE_CAP multiplies through
+    its Cayley table; the digit-walking vector kernels serve larger ones.
     """
 
     def __init__(self, pres: PcPresentation, name: str = ""):
@@ -324,111 +328,95 @@ class PcGroup(FiniteGroup):
         return xs
 
     def _build_tloc(self, j: int) -> np.ndarray:
-        n = self.pres.ngens
         o = self.pres.rel_orders
         s = self.sizes
         szt = s[j + 1]
-        # conjugation of U_{j+1} by g_j: phi[z] = g_j^-1 z g_j, filled by
-        # deepest-digit recursion phi[y * g_m] = phi[y] * (g_m [g_m, g_j])
-        phi = np.zeros(szt, dtype=np.int64)
-        for m in range(j + 1, n):
-            gamma = s[m + 1]
-            for g, e in self.pres.commutators.get((m, j), ()):
-                for _ in range(e):
-                    gamma = self._tstep(g, gamma)
-            stride = s[m]
-            reach = szt // stride
-            base = np.arange(reach, dtype=np.int64) * stride
-            for e in range(1, o[m]):
-                z = base + e * s[m + 1]
-                phi[z] = self._mul_into_tail(phi[z - s[m + 1]], gamma, j + 1)
+        comms = self.pres.commutators
+
+        def by_conjugate(m: int):
+            # g_j^-1 g_m g_j = g_m [g_m, g_j], a right factor inside U_{j+1}
+            gamma = self._word_element(((m, 1), *comms.get((m, j), ())))
+            return lambda v: self._mul_into_tail(v, gamma, j + 1)
+
+        # conjugation of U_{j+1} by g_j: phi[z] = g_j^-1 z g_j
+        phi = self._digit_fill(j + 1, 0, by_conjugate)
+        # (g_j^e z) g_j = g_j^(e+1) phi[z], and g_j^(o_j) = u_j lies in U_{j+1}
         tj = np.empty(s[j], dtype=np.int64)
-        for e in range(o[j]):
-            block = slice(e * szt, (e + 1) * szt)
-            if e + 1 < o[j]:
-                tj[block] = (e + 1) * szt + phi
-            else:
-                uj = self._word_element(self.pres.powers.get(j, ()))
-                if uj == 0:
-                    tj[block] = phi
-                else:
-                    tj[block] = np.array(
-                        [self._lmul_tail(uj, int(v), j + 1) for v in phi],
-                        dtype=np.int64,
-                    )
+        for e in range(o[j] - 1):
+            tj[e * szt : (e + 1) * szt] = (e + 1) * szt + phi
+        uj = self._word_element(self.pres.powers.get(j, ()))
+        left = np.full(szt, uj, dtype=np.int64)
+        tj[(o[j] - 1) * szt :] = self._mul_pairwise_vec(left, phi) if uj else phi
         return tj
 
-    def _lmul_tail(self, x: int, y: int, top: int) -> int:
-        """Scalar product x * y with both ids in U_top."""
+    def _digit_fill(self, top: int, start: int, step) -> np.ndarray:
+        """Array f over the ids of U_top, f[0] = start, f[y * g_m] = step(m)(f[y]).
+
+        Deepest-digit recursion: an id z whose deepest nonzero digit is that
+        of g_m is y * g_m, for y the id one lower in that digit. Filling
+        generator by generator, each digit value in turn, finds f[y] set.
+        step(m) is called once per generator and returns a vector map.
+        """
         s = self.sizes
         o = self.pres.rel_orders
-        for i in range(top, self.pres.ngens):
-            d = (y // s[i + 1]) % o[i]
-            for _ in range(d):
-                x = self._tstep(i, x)
-        return x
+        out = np.zeros(s[top], dtype=np.int64)
+        out[0] = start
+        for m in range(top, self.pres.ngens):
+            apply = step(m)
+            base = np.arange(s[top] // s[m], dtype=np.int64) * s[m]
+            for e in range(1, o[m]):
+                z = base + e * s[m + 1]
+                out[z] = apply(out[z - s[m + 1]])
+        return out
 
     # -- group interface ----------------------------------------------------
 
     def _mul(self, x: int, y: int) -> int:
-        return self._lmul_tail(x, y, 0)
+        s = self.sizes
+        o = self.pres.rel_orders
+        for i in range(self.pres.ngens):
+            for _ in range((y // s[i + 1]) % o[i]):
+                x = self._tstep(i, x)
+        return x
 
     def _invert(self, x: int) -> int:
         return int(self._inverse_table()[x])
 
     def _inverse_table(self) -> np.ndarray:
+        """Array I with I[x] = x^-1: I[y * g_m] = g_m^-1 * I[y]."""
         if self._inv_arr is None:
-            n = self.pres.ngens
-            o = self.pres.rel_orders
-            s = self.sizes
-            inv = np.zeros(self.order, dtype=np.int64)
-            for m in range(n):
-                gm = s[m + 1]
+
+            def by_inverse(m: int):
+                gm = self.sizes[m + 1]
                 gm_inv = self.power(gm, self.element_order(gm) - 1)
-                left = self.left_mul_table(gm_inv, cache=False)
-                stride = s[m]
-                reach = self.order // stride
-                base = np.arange(reach, dtype=np.int64) * stride
-                for e in range(1, o[m]):
-                    z = base + e * s[m + 1]
-                    inv[z] = left[inv[z - s[m + 1]]]
-            self._inv_arr = inv
+                return self.left_mul_table(gm_inv, cache=False).__getitem__
+
+            self._inv_arr = self._digit_fill(0, 0, by_inverse)
         return self._inv_arr
 
     def left_mul_table(self, c: int, cache: bool = True) -> np.ndarray:
-        """Array L with L[x] = c * x, by deepest-digit recursion."""
+        """Array L with L[x] = c * x: L[y * g_m] = L[y] * g_m."""
         if c in self._left_cache:
             return self._left_cache[c]
-        n = self.pres.ngens
-        o = self.pres.rel_orders
-        s = self.sizes
-        left = np.zeros(self.order, dtype=np.int64)
-        left[0] = c
-        for m in range(n):
-            stride = s[m]
-            reach = self.order // stride
-            base = np.arange(reach, dtype=np.int64) * stride
-            for e in range(1, o[m]):
-                z = base + e * s[m + 1]
-                left[z] = self._tstep_vec(m, left[z - s[m + 1]])
+        left = self._digit_fill(0, c, lambda m: partial(self._tstep_vec, m))
         if cache:
             if len(self._left_cache) >= 16:
                 self._left_cache.clear()
             self._left_cache[c] = left
         return left
 
-    def mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
-        self.check_id(y)
-        xs = np.asarray(xs, dtype=np.int64)
+    # -- vector kernels, for groups beyond TABLE_CAP ----------------------
+
+    def _mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
         return self._mul_into_tail(xs.copy(), y, 0)
 
-    def lmul_vec(self, y: int, xs: np.ndarray) -> np.ndarray:
-        self.check_id(y)
-        return self.left_mul_table(y)[np.asarray(xs, dtype=np.int64)]
+    def _lmul_vec(self, y: int, xs: np.ndarray) -> np.ndarray:
+        return self.left_mul_table(y)[xs]
 
-    def mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.int64).copy()
-        ys = np.asarray(ys, dtype=np.int64)
+    def _mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        # a zero digit of ys reads no translation table, so `_build_tloc`
+        # calls this for ys in U_{j+1} before the tables of g_0..g_j exist
+        xs = xs.copy()
         s = self.sizes
         o = self.pres.rel_orders
         for i in range(self.pres.ngens):
@@ -439,8 +427,8 @@ class PcGroup(FiniteGroup):
                     xs[mask] = self._tstep_vec(i, xs[mask])
         return xs
 
-    def inv_vec(self, xs: np.ndarray) -> np.ndarray:
-        return self._inverse_table()[np.asarray(xs, dtype=np.int64)]
+    def _inv_vec(self, xs: np.ndarray) -> np.ndarray:
+        return self._inverse_table()[xs]
 
     def np_table(self) -> np.ndarray | None:
         """Cayley table with row x the uncached left table of x."""

@@ -49,7 +49,6 @@ __all__ = [
     "derived_length",
     "lower_central_series",
     "nilpotency_class",
-    "lcs_of_subgroup",
     "subgroup_exponent",
     "subgroup_min_generators",
     "subgroup_frattini",
@@ -139,32 +138,11 @@ def derived_length(G: FiniteGroup, S: Subgroup | None = None) -> int | None:
     return len(series) - 1
 
 
-def lower_central_series(G: FiniteGroup) -> list[Subgroup]:
-    """K_1 = G, K_{i+1} = [K_i, G], stopping when it stabilizes."""
-    cur = full_subgroup(G)
-    series = [cur]
-    while cur.order > 1:
-        seed = {
-            G.commutator(a, g) for a in cur.gens for g in G.generators
-        } - {0}
-        nxt = normal_closure(G, seed) if seed else trivial_subgroup(G)
-        if nxt.order == cur.order:
-            break
-        series.append(nxt)
-        cur = nxt
-    return series
+def lower_central_series(G: FiniteGroup, S: Subgroup | None = None) -> list[Subgroup]:
+    """Lower central series of S (default: of G itself), inside the parent.
 
-
-def nilpotency_class(G: FiniteGroup) -> int | None:
-    """Length of the lower central series; None if G is not nilpotent."""
-    series = lower_central_series(G)
-    if series[-1].order != 1:
-        return None
-    return len(series) - 1
-
-
-def lcs_of_subgroup(G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
-    """Lower central series of a subgroup, computed inside the parent."""
+    K_1 = S, K_{i+1} = [K_i, S], stopping when it stabilizes.
+    """
     S = _as_subgroup(G, S)
     cur = S
     series = [cur]
@@ -178,6 +156,14 @@ def lcs_of_subgroup(G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
         series.append(nxt)
         cur = nxt
     return series
+
+
+def nilpotency_class(G: FiniteGroup, S: Subgroup | None = None) -> int | None:
+    """Length of the lower central series of S; None if S is not nilpotent."""
+    series = lower_central_series(G, S)
+    if series[-1].order != 1:
+        return None
+    return len(series) - 1
 
 
 def _lcm_of(orders: np.ndarray) -> int:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -261,6 +264,42 @@ def test_analyze_exit_2_on_bad_inputs(tmp_path, capsys):
     assert main(["analyze", "--spec", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+
+
+BAD_CAYLEY = ([[1, 0], [0, 1]], [[0, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("table", BAD_CAYLEY)
+def test_analyze_exit_2_on_non_group_table(tmp_path, capsys, table):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "cayley", "table": table}))
+    assert main(["analyze", "--spec", str(bad)]) == 2
+    assert "Cayley table" in capsys.readouterr().err
+
+
+def test_census_skips_non_group_table(tmp_path):
+    # In a child process with a timeout, so a table that loops fails here
+    # instead of hanging the suite.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copy(CORPUS / "d8.json", corpus / "d8.json")
+    (corpus / "bad.json").write_text(
+        json.dumps({"kind": "cayley", "table": BAD_CAYLEY[0]})
+    )
+    out = tmp_path / "census.json"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from dcgroup.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "census", "--corpus", str(corpus),
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(out.read_text())
+    assert sorted(rep["groups"]) == ["d8"]
+    assert rep["skipped"]["bad"].startswith("realization failed")
 
 
 def test_usage_errors_exit_2():

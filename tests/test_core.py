@@ -150,6 +150,21 @@ def test_table_group_size_mismatch():
         TableGroup([0, 1, 1, 1], 2)
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        [1, 0, 0, 1],  # id 0 is not the identity
+        [0, 0, 0, 1],  # row 0 repeats an id
+        [0, 1, 2, 1, 0, 0, 2, 0, 1],  # identity row and column, row 1 repeats
+        [0, 1, 2, 1, 0, 2, 2, 1, 0],  # rows permute the ids, column 2 repeats
+    ],
+)
+def test_table_group_rejects_non_latin_tables(table):
+    # such tables once sent element_orders into an endless loop
+    with pytest.raises(InvalidId):
+        TableGroup(table, round(len(table) ** 0.5))
+
+
 def test_table_group_default_generators_reach_everything():
     G = TableGroup(S3_TABLE, 6)
     assert closure_ids(G, G.generators) == list(range(6))

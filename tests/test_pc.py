@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import load_spec
+from dcgroup.cli import realize_spec
 from dcgroup.errors import BadPresentation, InconsistentPresentation
 from dcgroup.pc import (
     PC_GEN_CAP,
@@ -189,9 +191,8 @@ def test_associativity_exhaustive_small():
                 assert G.mul(xy, z) == G.mul(x, G.mul(y, z))
 
 
-def test_associativity_sampled_beyond_table_cap():
-    """10^5 random triples on an order-5^7 realization with no cached table."""
-    pres = PcPresentation(
+def order_5_7_pres() -> PcPresentation:
+    return PcPresentation(
         (5,) * 7,
         powers={0: [(5, 1)], 2: [(6, 1)]},
         commutators={
@@ -205,7 +206,11 @@ def test_associativity_sampled_beyond_table_cap():
             (5, 1): [(6, 4)],
         },
     )
-    G = realize_pc_group(pres)
+
+
+def test_associativity_sampled_beyond_table_cap():
+    """10^5 random triples on an order-5^7 realization with no cached table."""
+    G = realize_pc_group(order_5_7_pres())
     assert G.order == 5**7
     assert G.flat_table() is None
     rng = np.random.default_rng(2026)
@@ -213,6 +218,46 @@ def test_associativity_sampled_beyond_table_cap():
     left = G.mul_pairwise_vec(G.mul_pairwise_vec(xs, ys), zs)
     right = G.mul_pairwise_vec(xs, G.mul_pairwise_vec(ys, zs))
     assert np.array_equal(left, right)
+
+
+@pytest.mark.parametrize("which", ["q8", "he3", "mc35a"])
+def test_digit_kernels_match_table(which):
+    """Below TABLE_CAP the vector ops read the table; the kernels must agree."""
+    if which == "mc35a":
+        G = realize_spec(load_spec("mc35a"))
+    else:
+        G = realize_pc_group(q8_pres() if which == "q8" else he3_pres())
+    n = G.order
+    table = G.np_table()
+    assert table is not None
+    ids = np.arange(n, dtype=np.int64)
+    xs, ys = (a.ravel() for a in np.meshgrid(ids, ids, indexing="ij"))
+    assert np.array_equal(G._mul_pairwise_vec(xs, ys), table[xs, ys])
+    for y in range(n):
+        assert np.array_equal(G._mul_vec(ids, y), table[:, y])
+        assert np.array_equal(G._lmul_vec(y, ids), table[y])
+    assert np.array_equal(table[ids, G._inv_vec(ids)], np.zeros(n, dtype=np.int64))
+    assert np.array_equal(G._inv_vec(ids), G.inv_vec(ids))
+    # the table itself against symbolic collection
+    rng = np.random.default_rng(7)
+    for x, y in rng.integers(0, n, size=(200, 2)).tolist():
+        word = [(i, e) for i, e in enumerate(G.digits(x)) if e]
+        word += [(i, e) for i, e in enumerate(G.digits(y)) if e]
+        assert table[x, y] == G.id_of_digits(collect(G.pres, word))
+
+
+def test_public_ops_use_kernels_beyond_table_cap():
+    G = realize_pc_group(order_5_7_pres())
+    assert G.np_table() is None
+    rng = np.random.default_rng(11)
+    xs, ys = (rng.integers(0, G.order, 2000) for _ in range(2))
+    y = int(ys[0])
+    assert np.array_equal(G.mul_vec(xs, y), G._mul_vec(xs, y))
+    assert np.array_equal(G.lmul_vec(y, xs), G._lmul_vec(y, xs))
+    assert np.array_equal(G.mul_pairwise_vec(xs, ys), G._mul_pairwise_vec(xs, ys))
+    assert np.array_equal(G.inv_vec(xs), G._inv_vec(xs))
+    assert [G.mul(x, y) for x in xs[:50].tolist()] == G.mul_vec(xs[:50], y).tolist()
+    assert np.array_equal(G.mul_pairwise_vec(xs, G.inv_vec(xs)), np.zeros(2000))
 
 
 PRES_POOL = [d8_pres(), q8_pres(), he3_pres()]
