@@ -23,6 +23,7 @@ from .errors import (
     DegreeMismatch,
     InvalidId,
     NotNormal,
+    NotPGroup,
     UniverseOverflow,
 )
 
@@ -142,6 +143,7 @@ class FiniteGroup:
         self._inv: list[int] | None = None
         self._np: np.ndarray | None = None
         self._orders: np.ndarray | None = None
+        self._power_map: np.ndarray | None = None
         self._abelian: bool | None = None
 
     # -- backend interface ---------------------------------------------
@@ -297,18 +299,26 @@ class FiniteGroup:
         )
 
     def pow_vec(self, xs: np.ndarray, k: int) -> np.ndarray:
-        """Elementwise k-th powers, k >= 0."""
+        """Elementwise k-th powers, k >= 0, as a new array.
+
+        Binary exponentiation that starts from the lowest set bit of k, so
+        no product is by the identity: k = 7 takes 4 products.
+        """
         if k < 0:
             raise InvalidId("pow_vec exponent must be nonnegative")
-        xs = np.asarray(xs, dtype=np.int64)
-        acc = np.zeros(len(xs), dtype=np.int64)
-        base = xs.copy()
+        base = np.array(xs, dtype=np.int64)
+        if k == 0:
+            return np.zeros(len(base), dtype=np.int64)
+        while not k & 1:
+            base = self.mul_pairwise_vec(base, base)
+            k >>= 1
+        acc = base
+        k >>= 1
         while k:
+            base = self.mul_pairwise_vec(base, base)
             if k & 1:
                 acc = self.mul_pairwise_vec(acc, base)
             k >>= 1
-            if k:
-                base = self.mul_pairwise_vec(base, base)
         return acc
 
     def inv_vec(self, xs: np.ndarray) -> np.ndarray:
@@ -317,23 +327,70 @@ class FiniteGroup:
             return np.asarray(self._inv, dtype=np.int64)[xs]
         return self._inv_vec(np.asarray(xs, dtype=np.int64))
 
+    def power_map(self) -> np.ndarray:
+        """P with P[x] = x^p for a group of order p^n, cached.
+
+        Stored as int32, half the size of an id vector (every realizable
+        order is far below 2^31). Raises NotPGroup for other orders.
+        """
+        if self._power_map is None:
+            pn = prime_power(self.order)
+            if pn is None:
+                raise NotPGroup(f"{self.name} has order {self.order}, not a prime power")
+            ids = np.arange(self.order, dtype=np.int64)
+            self._power_map = self.pow_vec(ids, pn[0]).astype(np.int32)
+        return self._power_map
+
+    def p_power_vec(self, xs: np.ndarray, s: int = 1) -> np.ndarray:
+        """Elementwise p^s-th powers in a p-group: s gathers through P."""
+        P = self.power_map()
+        out = np.asarray(xs, dtype=np.int64)
+        for _ in range(s):
+            out = P[out]
+        return out.astype(np.int64)
+
     def element_orders(self) -> np.ndarray:
-        """Orders of all elements, cached."""
+        """Orders of all elements, cached.
+
+        In a p-group, order(1) = 1 and order(x) = p * order(x^p), so the
+        orders come from gathers through the power map; other groups
+        multiply round by round.
+        """
         if self._orders is None:
-            n = self.order
-            out = np.ones(n, dtype=np.int64)
-            cur = np.arange(n, dtype=np.int64)
-            ids = np.arange(n, dtype=np.int64)
-            alive = cur != 0
-            k = 1
-            while alive.any():
-                cur[alive] = self.mul_pairwise_vec(cur[alive], ids[alive])
-                k += 1
-                just_closed = alive & (cur == 0)
-                out[just_closed] = k
-                alive = alive & (cur != 0)
-            self._orders = out
+            pn = prime_power(self.order)
+            if pn is None:
+                self._orders = self._orders_by_rounds()
+            else:
+                P = self.power_map()
+                out = np.ones(self.order, dtype=np.int64)
+                cur = np.arange(self.order, dtype=np.int32)
+                alive = cur != 0
+                # an element order divides p^n, so n gathers reach 1 unless
+                # the operation is not associative (a Cayley table input)
+                for _ in range(pn[1]):
+                    out[alive] *= pn[0]
+                    cur = P[cur]
+                    alive = cur != 0
+                if alive.any():
+                    raise InvalidId(f"x^(p^{pn[1]}) != 1 for some x in {self.name}")
+                self._orders = out
         return self._orders
+
+    def _orders_by_rounds(self) -> np.ndarray:
+        """Element orders by multiplying each element by itself until 1."""
+        n = self.order
+        out = np.ones(n, dtype=np.int64)
+        cur = np.arange(n, dtype=np.int64)
+        ids = np.arange(n, dtype=np.int64)
+        alive = cur != 0
+        k = 1
+        while alive.any():
+            cur[alive] = self.mul_pairwise_vec(cur[alive], ids[alive])
+            k += 1
+            just_closed = alive & (cur == 0)
+            out[just_closed] = k
+            alive = alive & (cur != 0)
+        return out
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r} order={self.order}>"

@@ -805,7 +805,7 @@ def _claim_dc_derived_rank_p_elementary(ctx: GroupContext):
 def _claim_dc_derived_power_index_bound(ctx: GroupContext):
     p = ctx.pn[0]
     G = ctx.G
-    powered = G.pow_vec(ctx.derived.ids(), p)
+    powered = G.p_power_vec(ctx.derived.ids())
     span = closure(G, _pick_generators(G, powered, G.element_orders()))
     index = ctx.derived.order // span.order
     return _verdict(index <= p**p, f"index {index} exceeds p^p = {p**p}")
@@ -968,12 +968,11 @@ def _claim_class_lt_p_regular(ctx: GroupContext):
 @_claim("regular-power-commutator-iff", _NONABELIAN_P, _VERIFIED_REGULAR)
 def _claim_regular_power_bracket(ctx: GroupContext):
     G = ctx.G
-    p = ctx.pn[0]
     xs, ys = ctx.sample_pairs(2000)
     base = _comm_pairwise(G, xs, ys)
     for k, n in ((0, 1), (1, 0), (1, 1), (2, 0)):
-        lhs = _comm_pairwise(G, G.pow_vec(xs, p**k), G.pow_vec(ys, p**n)) == 0
-        rhs = G.pow_vec(base, p ** (k + n)) == 0
+        lhs = _comm_pairwise(G, G.p_power_vec(xs, k), G.p_power_vec(ys, n)) == 0
+        rhs = G.p_power_vec(base, k + n) == 0
         bad = np.nonzero(lhs != rhs)[0]
         if bad.size:
             i = int(bad[0])

@@ -349,17 +349,18 @@ class PcGroup(FiniteGroup):
         tj[(o[j] - 1) * szt :] = self._mul_pairwise_vec(left, phi) if uj else phi
         return tj
 
-    def _digit_fill(self, top: int, start: int, step) -> np.ndarray:
+    def _digit_fill(self, top: int, start: int | np.ndarray, step) -> np.ndarray:
         """Array f over the ids of U_top, f[0] = start, f[y * g_m] = step(m)(f[y]).
 
         Deepest-digit recursion: an id z whose deepest nonzero digit is that
         of g_m is y * g_m, for y the id one lower in that digit. Filling
         generator by generator, each digit value in turn, finds f[y] set.
-        step(m) is called once per generator and returns a vector map.
+        step(m) is called once per generator and returns a map on a block
+        of entries. An entry is an id, or a row when start is a vector.
         """
         s = self.sizes
         o = self.pres.rel_orders
-        out = np.zeros(s[top], dtype=np.int64)
+        out = np.zeros((s[top], *np.shape(start)), dtype=np.int64)
         out[0] = start
         for m in range(top, self.pres.ngens):
             apply = step(m)
@@ -431,11 +432,19 @@ class PcGroup(FiniteGroup):
         return self._inverse_table()[xs]
 
     def np_table(self) -> np.ndarray | None:
-        """Cayley table with row x the uncached left table of x."""
+        """Cayley table, row x the left table of x, filled by row gathers.
+
+        Row(y * g_m) = row(y)[row(g_m)], so after one left table per
+        generator each row is a gather of the row one digit lower.
+        """
         if self._np is None and self.order <= TABLE_CAP:
-            self._np = np.stack(
-                [self.left_mul_table(x, cache=False) for x in range(self.order)]
-            )
+
+            def by_row(m: int):
+                gen_row = self.left_mul_table(self.sizes[m + 1], cache=False)
+                return lambda rows: rows[:, gen_row]
+
+            ids = np.arange(self.order, dtype=np.int64)
+            self._np = self._digit_fill(0, ids, by_row)
         return self._np
 
     def digits(self, x: int) -> tuple[int, ...]:

@@ -322,8 +322,8 @@ def agemo(G: FiniteGroup, s: int = 1) -> Subgroup:
     p, _ = _require_pgroup(G)
     if s < 1:
         raise ParamOutOfRange(f"agemo index {s} must be >= 1")
-    xs = np.arange(G.order, dtype=np.int64)
-    return closure(G, _pick_generators(G, G.pow_vec(xs, p**s), G.element_orders()))
+    powers = G.p_power_vec(np.arange(G.order, dtype=np.int64), s)
+    return closure(G, _pick_generators(G, powers, G.element_orders()))
 
 
 def min_generators(G: FiniteGroup, budget: int = GEN_SEARCH_BUDGET) -> int:
@@ -413,21 +413,24 @@ def _check_abelian_type(H: FiniteGroup, typ: list[int]) -> None:
 def quotient_exponent(G: FiniteGroup, A: Subgroup, B: Subgroup) -> int:
     """Exponent of A/B for B normal in A, without building the quotient.
 
-    p-groups only: repeatedly raises every element of A to the p-th power
-    until all land in B.
+    p-groups only: steps the elements of A outside B through the power
+    map until all land in B. An element that lands in B is dropped, since
+    its later p-th powers stay there.
     """
     p, _ = _require_pgroup(G)
     if not B.issubset(A):
         raise ParentMismatch("quotient needs B <= A")
-    xs = A.ids().copy()
-    b_ids = B.ids()
+    P = G.power_map()
+    in_b = np.zeros(G.order, dtype=bool)
+    in_b[B.ids()] = True
+    xs = A.ids()
+    xs = xs[~in_b[xs]]
     t = 0
-    while True:
-        inside = np.isin(xs, b_ids)
-        if inside.all():
-            return p**t
-        xs = G.pow_vec(xs, p)
+    while xs.size:
+        xs = P[xs]
+        xs = xs[~in_b[xs]]
         t += 1
+    return p**t
 
 
 def quotient_is_cyclic(G: FiniteGroup, A: Subgroup, B: Subgroup) -> bool:
@@ -592,11 +595,11 @@ def is_regular(G: FiniteGroup, cap: int = REGULARITY_CAP) -> bool | None:
             cyc[x] = closure(G, [x])
         return cyc[x]
 
-    pows = G.pow_vec(np.arange(G.order, dtype=np.int64), p)
+    pows = G.power_map()
     for x in range(G.order):
         xp = int(pows[x])
         for y in range(G.order):
-            lhs = G.power(G.mul(x, y), p)
+            lhs = int(pows[G.mul(x, y)])
             base = G.mul(xp, int(pows[y]))
             if lhs == base:
                 continue
@@ -608,7 +611,7 @@ def is_regular(G: FiniteGroup, cap: int = REGULARITY_CAP) -> bool | None:
             if key not in span_cache:
                 two = closure(G, [x, y])
                 dg = derived_subgroup(G, two)
-                u1 = closure(G, _pick_generators(G, G.pow_vec(dg.ids(), p), G.element_orders()))
+                u1 = closure(G, _pick_generators(G, G.p_power_vec(dg.ids()), G.element_orders()))
                 span_cache[key] = u1.ids()
             target = G.mul(G.inv(base), lhs)
             if not bool(np.isin(target, span_cache[key]).item()):
@@ -624,9 +627,9 @@ def is_p_abelian(G: FiniteGroup, cap: int = REGULARITY_CAP) -> bool | None:
     if G.order > cap:
         return None
     xs = np.arange(G.order, dtype=np.int64)
-    pows = G.pow_vec(xs, p)
+    pows = G.power_map()
     for x in range(G.order):
-        lhs = G.pow_vec(G.lmul_vec(x, xs), p)
+        lhs = pows[G.lmul_vec(x, xs)]
         rhs = G.lmul_vec(int(pows[x]), pows)
         if not (lhs == rhs).all():
             return False

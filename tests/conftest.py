@@ -8,6 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dcgroup.cli import realize_spec
+from dcgroup.core import prime_power
+from dcgroup.pc import PcPresentation
+
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
 
@@ -19,6 +23,30 @@ def load_spec(gid: str) -> dict:
 
 def corpus_ids() -> list[str]:
     return sorted(p.stem for p in CORPUS.glob("*.json"))
+
+
+def corpus_pgroups(max_order: int) -> list:
+    """Fresh realizations of the corpus groups of prime-power order <= max_order."""
+    groups = (realize_spec(load_spec(gid), name=gid) for gid in corpus_ids())
+    return [G for G in groups if G.order <= max_order and prime_power(G.order)]
+
+
+def order_5_7_pres() -> PcPresentation:
+    """A consistent presentation of order 5^7, beyond TABLE_CAP."""
+    return PcPresentation(
+        (5,) * 7,
+        powers={0: [(5, 1)], 2: [(6, 1)]},
+        commutators={
+            (1, 0): [(2, 1)],
+            (2, 1): [(3, 1)],
+            (3, 1): [(4, 1)],
+            (4, 1): [(5, 1)],
+            (3, 0): [(6, 4)],
+            (3, 2): [(6, 4)],
+            (4, 0): [(6, 4)],
+            (5, 1): [(6, 4)],
+        },
+    )
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ once per module.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import time
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from dcgroup import constructors as C
-from dcgroup.cli import main, realize_spec, run_census
+from dcgroup.cli import _dumps, main, realize_spec, run_census
 from dcgroup.core import perm_from_cycles
 from dcgroup.dc import (
     GroupContext,
@@ -334,3 +335,14 @@ def test_c11_census_determinism_and_brute_enumerator(census, tmp_path):
         fast = {bytes(s.ids().tolist()) for s in all_subgroups(G)}
         brute = {bytes(s.ids().tolist()) for s in subgroups_brute(G)}
         assert fast == brute, gid
+
+
+# sha256 of the full-corpus `dcgroup census` JSON report, as the command
+# writes it; it moves only when a verdict, claim or report field does
+CENSUS_SHA256 = "476a18247ab1d3e8c7ad4700d8aee4ecbf6b8ba31d666395e0a849f37f1e1033"
+
+
+def test_c12_full_census_report_is_pinned(census):
+    text = _dumps(census)
+    assert text.endswith("\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_SHA256

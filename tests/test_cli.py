@@ -302,6 +302,19 @@ def test_census_skips_non_group_table(tmp_path):
     assert rep["skipped"]["bad"].startswith("realization failed")
 
 
+def test_python_m_dcgroup_runs_cleanly():
+    repo = CORPUS.parent
+    path = os.pathsep.join(filter(None, (str(repo / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcgroup", "analyze", "--spec", "corpus/d8.json"],
+        cwd=repo, env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["order"] == 8
+
+
 def test_usage_errors_exit_2():
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_spec
+from conftest import corpus_pgroups, load_spec, order_5_7_pres
 from dcgroup import constructors as C
 from dcgroup.cli import realize_spec
 from dcgroup.core import (
@@ -26,7 +26,8 @@ from dcgroup.core import (
     prime_power,
     quotient_group,
 )
-from dcgroup.errors import DegreeMismatch, InvalidId, NotNormal
+from dcgroup.errors import DegreeMismatch, InvalidId, NotNormal, NotPGroup
+from dcgroup.pc import realize_pc_group
 from dcgroup.structure import derived_subgroup
 
 # Frozen Cayley table of S3 on ids 0..5 (0 = identity).
@@ -302,6 +303,43 @@ def test_pow_vec_and_inv_vec_match_scalar():
     assert [G.inv(int(x)) for x in xs] == G.inv_vec(xs).tolist()
     with pytest.raises(InvalidId):
         G.pow_vec(xs, -1)
+
+
+def test_pow_vec_zero_and_one():
+    for G in (C.sl23(), realize_pc_group(order_5_7_pres())):
+        xs = np.array([3, 0, 7, 7], dtype=np.int64)
+        assert G.pow_vec(xs, 0).tolist() == [0, 0, 0, 0]
+        one = G.pow_vec(xs, 1)
+        assert one.tolist() == xs.tolist()
+        assert not np.shares_memory(one, xs)
+
+
+def test_power_map_orders_match_multiplication_rounds():
+    """Power-map orders and p-th powers against the round-by-round products."""
+    big = realize_pc_group(order_5_7_pres())
+    assert big.np_table() is None
+    for G in corpus_pgroups(2000) + [big]:
+        p, _ = prime_power(G.order)
+        ids = np.arange(G.order, dtype=np.int64)
+        assert np.array_equal(G.power_map(), G.pow_vec(ids, p)), G.name
+        assert np.array_equal(G.element_orders(), G._orders_by_rounds()), G.name
+        assert np.array_equal(G.p_power_vec(ids, 2), G.pow_vec(ids, p * p)), G.name
+    with pytest.raises(NotPGroup):
+        C.symmetric(4).power_map()
+
+
+def test_power_map_refuses_non_associative_table():
+    # a Latin square with identity 0 (a loop, not a group) in which some
+    # fifth power misses 0: the power-map orders must not loop forever
+    loop = [
+        0, 1, 2, 3, 4,
+        1, 0, 3, 4, 2,
+        2, 3, 4, 0, 1,
+        3, 4, 1, 2, 0,
+        4, 2, 0, 1, 3,
+    ]
+    with pytest.raises(InvalidId, match="x\\^"):
+        TableGroup(loop, 5)
 
 
 def test_mul_pairwise_vec():

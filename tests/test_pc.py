@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_spec
+from conftest import load_spec, order_5_7_pres
 from dcgroup.cli import realize_spec
 from dcgroup.errors import BadPresentation, InconsistentPresentation
 from dcgroup.pc import (
@@ -191,23 +191,6 @@ def test_associativity_exhaustive_small():
                 assert G.mul(xy, z) == G.mul(x, G.mul(y, z))
 
 
-def order_5_7_pres() -> PcPresentation:
-    return PcPresentation(
-        (5,) * 7,
-        powers={0: [(5, 1)], 2: [(6, 1)]},
-        commutators={
-            (1, 0): [(2, 1)],
-            (2, 1): [(3, 1)],
-            (3, 1): [(4, 1)],
-            (4, 1): [(5, 1)],
-            (3, 0): [(6, 4)],
-            (3, 2): [(6, 4)],
-            (4, 0): [(6, 4)],
-            (5, 1): [(6, 4)],
-        },
-    )
-
-
 def test_associativity_sampled_beyond_table_cap():
     """10^5 random triples on an order-5^7 realization with no cached table."""
     G = realize_pc_group(order_5_7_pres())
@@ -258,6 +241,17 @@ def test_public_ops_use_kernels_beyond_table_cap():
     assert np.array_equal(G.inv_vec(xs), G._inv_vec(xs))
     assert [G.mul(x, y) for x in xs[:50].tolist()] == G.mul_vec(xs[:50], y).tolist()
     assert np.array_equal(G.mul_pairwise_vec(xs, G.inv_vec(xs)), np.zeros(2000))
+
+
+@pytest.mark.parametrize("which", ["d8", "he3", "mc35a", "neg32"])
+def test_table_rows_are_left_tables(which):
+    """The row-gather table build against one left table per element."""
+    if which in ("mc35a", "neg32"):
+        G = realize_spec(load_spec(which))
+    else:
+        G = realize_pc_group(d8_pres() if which == "d8" else he3_pres())
+    rows = np.stack([G.left_mul_table(x, cache=False) for x in range(G.order)])
+    assert np.array_equal(G.np_table(), rows)
 
 
 PRES_POOL = [d8_pres(), q8_pres(), he3_pres()]

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corpus_pgroups
 from dcgroup import constructors as C
 from dcgroup import structure as S
 from dcgroup.cli import realize_spec
+from dcgroup.core import QuotientGroup
 from dcgroup.errors import NotAbelian, NotPGroup, ParamOutOfRange, SearchBudgetExceeded
-from dcgroup.lattice import closure, is_normal, subgroup_as_group
+from dcgroup.lattice import closure, full_subgroup, is_normal, subgroup_as_group
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -190,6 +192,23 @@ def test_quotient_exponent_and_cyclicity():
     assert S.quotient_exponent(G, top, der) == 2
     assert not S.quotient_is_cyclic(G, top, der)
     assert S.quotient_is_cyclic(G, der, triv)
+
+
+def test_quotient_exponent_matches_built_quotients():
+    """Every lower central factor and G/Phi(G) of the corpus p-groups up to 256."""
+    groups = corpus_pgroups(256)
+    assert len(groups) >= 40
+    for G in groups:
+        series = S.lower_central_series(G)
+        sections = list(zip(series, series[1:]))
+        sections.append((full_subgroup(G), S.frattini_subgroup(G)))
+        for A, B in sections:
+            H, emb = subgroup_as_group(A)
+            local = {v: i for i, v in enumerate(emb)}
+            Q = QuotientGroup(H, [local[int(v)] for v in B.ids()])
+            # the quotient's orders by multiplication rounds, no power map
+            want = int(Q._orders_by_rounds().max())
+            assert S.quotient_exponent(G, A, B) == want, (G.name, A.order, B.order)
 
 
 # -- p-group specific ----------------------------------------------------------------
