@@ -8,9 +8,7 @@ from .core import (
     QuotientGroup,
     TableGroup,
     closure_ids,
-    make_perm_group,
     perm_from_cycles,
-    quotient_group,
 )
 from .errors import DcgroupError
 from .pc import PcGroup, PcPresentation, check_consistency, collect, realize_pc_group
@@ -40,7 +38,6 @@ from .structure import (
     min_generators,
     nilpotency_class,
     normalizer,
-    p_group_profile,
     sylow_decomposition,
 )
 from .constructors import build_family, witness_bundle
@@ -65,9 +62,7 @@ __all__ = [
     "QuotientGroup",
     "TableGroup",
     "closure_ids",
-    "make_perm_group",
     "perm_from_cycles",
-    "quotient_group",
     # errors
     "DcgroupError",
     # pc
@@ -101,7 +96,6 @@ __all__ = [
     "min_generators",
     "nilpotency_class",
     "normalizer",
-    "p_group_profile",
     "sylow_decomposition",
     # constructors
     "build_family",

@@ -35,8 +35,6 @@ __all__ = [
     "TableGroup",
     "PermGroup",
     "QuotientGroup",
-    "make_perm_group",
-    "quotient_group",
     "closure_ids",
     "prime_power",
     "perm_from_cycles",
@@ -616,16 +614,6 @@ class QuotientGroup(FiniteGroup):
 
     def _invert(self, x: int) -> int:
         return int(self._class_of[self.parent.inv(self.reps[x])])
-
-
-def make_perm_group(
-    gen_perms: Sequence[Sequence[int]], name: str = ""
-) -> PermGroup:
-    return PermGroup(gen_perms, name=name)
-
-
-def quotient_group(parent: FiniteGroup, normal_ids: Sequence[int], name: str = "") -> QuotientGroup:
-    return QuotientGroup(parent, normal_ids, name=name)
 
 
 def _orbit_closure(table: list[int], n: int, seed: Sequence[int]):

@@ -48,12 +48,12 @@ from .lattice import (
     join,
     maximal_subgroups,
     meet,
-    subgroup_as_group,
     trivial_subgroup,
 )
 from .structure import (
     REGULARITY_CAP,
     _commutator_with_all,
+    _require_pgroup,
     _subgroup_is_abelian,
     abelian_type,
     center,
@@ -69,7 +69,6 @@ from .structure import (
     lower_central_series,
     min_generators,
     nilpotency_class,
-    p_group_profile,
     pgroup_maximal_subgroups,
     quotient_is_cyclic,
     quotient_exponent,
@@ -300,12 +299,9 @@ def dc_sufficient_conditions(G: FiniteGroup) -> set[str]:
     Conditions target non-abelian groups; abelian input returns the empty
     set (the abelian shortcut is a separate, unconditional fact).
     """
-    pn = is_pgroup(G)
-    if pn is None:
-        raise NotPGroup(f"order {G.order} is not a prime power")
+    p, n = _require_pgroup(G)
     if G.is_abelian:
         return set()
-    p, n = pn
     out: set[str] = set()
     dp = derived_subgroup(G)
     if is_cyclic(G, dp):
@@ -333,10 +329,7 @@ def witness_property_check(
     subgroup has cyclic center. `maximals` are G's maximal subgroups when
     the caller has them already.
     """
-    pn = is_pgroup(G)
-    if pn is None:
-        raise NotPGroup(f"order {G.order} is not a prime power")
-    p, _ = pn
+    p, _ = _require_pgroup(G)
     dp = derived_subgroup(G)
     out = {
         "derived-nonabelian": not _subgroup_is_abelian(G, dp),
@@ -529,7 +522,7 @@ class GroupContext:
     @property
     def maximals(self) -> list[Subgroup] | None:
         def build():
-            if self.pn is not None and self.G.order > 1:
+            if self.pn is not None:
                 return pgroup_maximal_subgroups(self.G)
             if self.lattice is not None:
                 return maximal_subgroups(self.G, self.lattice)
@@ -1036,9 +1029,8 @@ def _claim_maxclass_3group_fundamental(ctx: GroupContext):
     G1 = fundamental_subgroup(ctx.G)
     if _subgroup_is_abelian(ctx.G, G1):
         return PASS, "fundamental subgroup abelian"
-    T, _ = subgroup_as_group(G1)
     return _verdict(
-        p_group_profile(T).minimal_nonabelian,
+        all(_subgroup_is_abelian(ctx.G, M) for M in pgroup_maximal_subgroups(ctx.G, G1)),
         "fundamental subgroup neither abelian nor minimal non-abelian",
     )
 

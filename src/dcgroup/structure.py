@@ -9,18 +9,11 @@ lattice take it as an explicit argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
-from .core import (
-    FiniteGroup,
-    QuotientGroup,
-    _pick_generators,
-    closure_ids,
-    prime_factors,
-    prime_power,
-)
+from .core import FiniteGroup, _pick_generators, prime_factors, prime_power
 from .errors import (
     NotAbelian,
     NotPGroup,
@@ -37,7 +30,6 @@ from .lattice import (
     full_subgroup,
     is_normal,
     normal_closure,
-    subgroup_as_group,
     trivial_subgroup,
 )
 
@@ -67,14 +59,11 @@ __all__ = [
     "quotient_exponent",
     "quotient_is_cyclic",
     "pgroup_maximal_subgroups",
-    "frattini_quotient_coords",
     "SylowSplit",
     "sylow_decomposition",
     "fundamental_subgroup",
     "is_regular",
     "is_p_abelian",
-    "PGroupProfile",
-    "p_group_profile",
 ]
 
 # Definitional (all-pairs) regularity and p-abelian tests run up to this order.
@@ -369,45 +358,26 @@ def _tuple_stream(pool: list[int], k: int):
 def abelian_type(G: FiniteGroup, S: Subgroup | None = None) -> list[int]:
     """Invariant factors d_1 | d_2 | ... | d_k of an abelian (sub)group.
 
-    Peels a maximal-order cyclic direct factor per step; the result is
-    cross-checked against element order statistics before returning.
+    Read off parent element orders: for each prime q, the elements with
+    x^(q^j) = 1 number q^(sum_i min(j, e_i)), where the q^(e_i) are the
+    q-parts of the factors. So the j-th difference of the exact logs counts
+    the factors with e_i >= j.
     """
     S = _as_subgroup(G, S)
-    if S.order == 1:
-        return []
-    H, _ = subgroup_as_group(S) if not S.is_full else (G, None)
-    if H.order > 4096:
-        raise OrderCapExceeded(f"abelian type of order {H.order} needs a table")
-    gens = H.generators
-    if any(H.mul(a, b) != H.mul(b, a) for a in gens for b in gens):
-        raise NotAbelian(f"{H.name} is not abelian")
-    typ: list[int] = []
-    cur: FiniteGroup = H
-    while cur.order > 1:
-        orders = cur.element_orders()
-        m = int(orders.max())
-        x = int(np.argmax(orders == m))
-        typ.append(m)
-        cur = QuotientGroup(cur, closure_ids(cur, [x]))
-    typ.reverse()
-    _check_abelian_type(H, typ)
-    return typ
-
-
-def _check_abelian_type(H: FiniteGroup, typ: list[int]) -> None:
-    """Element-count cross-check: #{x : x^k = 1} must equal prod gcd(k, d_i)."""
-    orders = H.element_orders()
-    e = int(orders.max())
-    divisors = [k for k in range(1, e + 1) if e % k == 0]
-    for k in divisors:
-        expected = 1
-        for d in typ:
-            expected *= gcd(k, d)
-        got = int((k % orders == 0).sum())
-        if got != expected:
-            raise NotAbelian(
-                f"type {typ} fails order statistics at k={k}: {got} != {expected}"
-            )
+    if not _subgroup_is_abelian(G, S):
+        raise NotAbelian(f"order-{S.order} subgroup of {G.name} is not abelian")
+    orders = G.element_orders()[S.ids()]
+    desc: list[int] = []  # the factors, largest first
+    for q, n in prime_factors(S.order).items():
+        logs = [0]
+        while logs[-1] < n:
+            killed = int(np.count_nonzero(q ** len(logs) % orders == 0))
+            logs.append(prime_factors(killed).get(q, 0))
+        for rank in np.diff(logs).tolist():
+            desc += [1] * (rank - len(desc))
+            for i in range(rank):
+                desc[i] *= q
+    return desc[::-1]
 
 
 def quotient_exponent(G: FiniteGroup, A: Subgroup, B: Subgroup) -> int:
@@ -439,60 +409,59 @@ def quotient_is_cyclic(G: FiniteGroup, A: Subgroup, B: Subgroup) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Frattini quotient as a vector space; maximal subgroups of p-groups
+# maximal subgroups of p-groups
 
 
-def frattini_quotient_coords(
-    G: FiniteGroup, phi: Subgroup | None = None
-) -> tuple[QuotientGroup, dict[int, tuple[int, ...]], list[int]]:
-    """Coordinates on G/Phi(G) as a vector space over F_p.
+def pgroup_maximal_subgroups(G: FiniteGroup, S: Subgroup | None = None) -> list[Subgroup]:
+    """Maximal subgroups of a p-subgroup S (default: of G), in the parent's ids.
 
-    Returns the quotient, a map coset id -> exponent vector, and the coset
-    ids of the chosen basis.
+    Each is the preimage of a hyperplane of S/Phi(S). The member arrays come
+    first, so the coset numbering is freed before the subgroups pick their
+    generators, which may compute the parent's element orders.
     """
-    p, _ = _require_pgroup(G)
-    if phi is None:
-        phi = frattini_subgroup(G)
-    quot = QuotientGroup(G, [int(v) for v in phi.ids()], name=f"{G.name}/Phi")
-    coords: dict[int, tuple[int, ...]] = {0: ()}
-    basis: list[int] = []
-    for g in quot.generators:
-        if g in coords:
-            continue
-        basis.append(g)
-        old = list(coords.items())
-        coords = {}
-        cur = 0
-        for e in range(p):
-            for q, vec in old:
-                coords[quot.mul(q, cur)] = vec + (e,)
-            cur = quot.mul(cur, g)
-    if len(coords) != quot.order:
-        raise NotPGroup(f"Frattini quotient of {G.name} is not elementary abelian")
-    return quot, coords, basis
-
-
-def pgroup_maximal_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """Maximal subgroups of a p-group: hyperplane preimages mod Frattini."""
-    p, _ = _require_pgroup(G)
-    phi = frattini_subgroup(G)
-    if phi.order == G.order:
-        return []
-    quot, coords, basis = frattini_quotient_coords(G, phi)
-    d = len(basis)
-    vec_of = np.zeros((quot.order, d), dtype=np.int64)
-    for q, vec in coords.items():
-        vec_of[q] = vec
-    out: list[Subgroup] = []
-    for functional in _projective_functionals(p, d):
-        f = np.asarray(functional, dtype=np.int64)
-        kernel = np.nonzero(vec_of @ f % p == 0)[0]
-        member = np.zeros(quot.order, dtype=bool)
-        member[kernel] = True
-        ids = np.nonzero(member[quot._class_of])[0]
-        out.append(_subgroup(G, ids))
+    S = _as_subgroup(G, S)
+    out = [_subgroup(G, ids) for ids in _hyperplane_preimages(G, S)]
     out.sort(key=Subgroup.sort_key)
     return out
+
+
+def _hyperplane_preimages(G: FiniteGroup, S: Subgroup) -> list[np.ndarray]:
+    """Sorted member ids of each hyperplane preimage of S/Phi(S).
+
+    Numbers the cosets of Phi(S) in S: each generator of S outside the span
+    built so far extends it by p right cosets, so coset numbers read
+    sum_i e_i p^i in a basis of S/Phi(S).
+    """
+    if S.order == 1:
+        return []
+    pk = prime_power(S.order)
+    if pk is None:
+        raise NotPGroup(f"subgroup order {S.order} is not a prime power")
+    p = pk[0]
+    phi = subgroup_frattini(G, S)
+    coset = np.full(G.order, -1, dtype=np.int32)
+    span = phi.ids()
+    coset[span] = 0
+    d = 0
+    for g in S.gens if not S.is_full else G.generators:
+        if coset[g] >= 0:
+            continue
+        nums, cur, cosets = coset[span], span, [span]
+        last = span.size * p == S.order
+        for e in range(1, p):
+            cur = G.mul_vec(cur, g)
+            coset[cur] = nums + e * p**d
+            if not last:
+                cosets.append(cur)
+        span = cosets[0] if last else np.concatenate(cosets)
+        d += 1
+    if phi.order * p**d != S.order:
+        raise NotPGroup(f"generators of an order-{S.order} subgroup miss part of it")
+    digits = np.arange(p**d)[:, None] // p ** np.arange(d) % p
+    return [
+        np.flatnonzero(np.append(digits @ np.asarray(f) % p == 0, False)[coset])
+        for f in _projective_functionals(p, d)
+    ]
 
 
 def _projective_functionals(p: int, d: int):
@@ -651,59 +620,3 @@ def fundamental_subgroup(G: FiniteGroup) -> Subgroup:
         comms = _commutator_with_all(G, k, xs)
         mask &= np.isin(comms, k4_ids)
     return _subgroup(G, xs[mask])
-
-
-# ---------------------------------------------------------------------------
-# profile
-
-
-@dataclass(frozen=True)
-class PGroupProfile:
-    """Headline invariants of a finite p-group."""
-
-    p: int
-    n: int
-    order: int
-    d: int
-    cl: int
-    dl: int
-    exponent: int
-    abelian: bool
-    derived_order: int
-    center_order: int
-    center_cyclic: bool
-    regular: bool | None
-    p_abelian: bool | None
-    minimal_nonabelian: bool
-    maximal_class: bool
-
-
-def p_group_profile(G: FiniteGroup) -> PGroupProfile:
-    p, n = _require_pgroup(G)
-    cl = nilpotency_class(G)
-    dl = derived_length(G)
-    if cl is None or dl is None:
-        raise NotPGroup(f"{G.name} claims to be a p-group but is not nilpotent")
-    dg = derived_subgroup(G)
-    z = center(G)
-    maximals = pgroup_maximal_subgroups(G)
-    minimal_na = not G.is_abelian and all(
-        _subgroup_is_abelian(G, m) for m in maximals
-    )
-    return PGroupProfile(
-        p=p,
-        n=n,
-        order=G.order,
-        d=min_generators(G),
-        cl=cl,
-        dl=dl,
-        exponent=exponent(G),
-        abelian=G.is_abelian,
-        derived_order=dg.order,
-        center_order=z.order,
-        center_cyclic=is_cyclic(G, z),
-        regular=is_regular(G),
-        p_abelian=is_p_abelian(G),
-        minimal_nonabelian=minimal_na,
-        maximal_class=(n >= 3 and cl == n - 1),
-    )

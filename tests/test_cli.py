@@ -257,6 +257,24 @@ def test_analyze_timings_flag(tmp_path):
     assert all(isinstance(v, float) for v in rep["timings"].values())
 
 
+def test_analyze_abelian_derived_beyond_relabel_size(tmp_path):
+    """C7 acting on C7^6 by one Jordan block: order 7^7, derived subgroup
+    abelian of order 7^5, whose type is read without relabeling it."""
+    spec = {
+        "kind": "pc",
+        "orders": [7] * 7,
+        "powers": {},
+        "commutators": {f"({k},1)": [[k + 1, 1]] for k in range(2, 7)},
+    }
+    path, out = tmp_path / "c7_c7e6.json", tmp_path / "r.json"
+    path.write_text(json.dumps(spec))
+    rc = main(["analyze", "--spec", str(path), "--out", str(out)])
+    assert rc != 2
+    rep = json.loads(out.read_text())
+    assert rep["invariants"]["dprime_order"] == 16807
+    assert rep["invariants"]["dprime_type"] == "7x7x7x7x7"
+
+
 def test_analyze_exit_2_on_bad_inputs(tmp_path, capsys):
     assert main(["analyze", "--spec", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"

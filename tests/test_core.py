@@ -24,7 +24,6 @@ from dcgroup.core import (
     perm_sign,
     prime_factors,
     prime_power,
-    quotient_group,
 )
 from dcgroup.errors import DegreeMismatch, InvalidId, NotNormal, NotPGroup
 from dcgroup.pc import realize_pc_group
@@ -208,7 +207,7 @@ def test_bulk_table_matches_scalar_products(G):
 
 def test_quotient_by_center_of_q8():
     Q = C.generalized_quaternion(8)
-    V = quotient_group(Q, [0, 2])
+    V = QuotientGroup(Q, [0, 2])
     assert V.order == 4
     assert V.is_abelian
     assert sorted(V.element_orders().tolist()) == [1, 2, 2, 2]
@@ -265,7 +264,7 @@ def test_quotient_of_tableless_parent_partitions_cosets(which):
 
 def test_quotient_by_trivial_is_relabeled_isomorphism():
     G = TableGroup(S3_TABLE, 6)
-    Q = quotient_group(G, [0])
+    Q = QuotientGroup(G, [0])
     assert Q.order == G.order
     f = [Q.project(x) for x in G.elements()]
     assert sorted(f) == list(range(6))

@@ -15,7 +15,14 @@ from dcgroup import structure as S
 from dcgroup.cli import realize_spec
 from dcgroup.core import QuotientGroup
 from dcgroup.errors import NotAbelian, NotPGroup, ParamOutOfRange, SearchBudgetExceeded
-from dcgroup.lattice import closure, full_subgroup, is_normal, subgroup_as_group
+from dcgroup.lattice import (
+    all_subgroups,
+    closure,
+    full_subgroup,
+    is_normal,
+    maximal_subgroups,
+    subgroup_as_group,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -163,6 +170,12 @@ def test_abelian_type_invariant_factors():
     # each factor divides the next
     t = S.abelian_type(C.abelian([2, 4, 8]))
     assert all(b % a == 0 for a, b in zip(t, t[1:]))
+    # mixed primes, against the constructor's invariant factors
+    for invs in ([2, 4, 12], [6, 6], [3, 9, 27], [2, 30], [4, 4, 8], [1]):
+        assert S.abelian_type(C.abelian(invs)) == [d for d in invs if d > 1], invs
+    # factors not yet in divisor-chain form
+    assert S.abelian_type(C.abelian([4, 6])) == [2, 12]
+    assert S.abelian_type(C.abelian([9, 2, 3, 4])) == [6, 36]
 
 
 def test_abelian_type_rejects_nonabelian():
@@ -222,6 +235,40 @@ def test_pgroup_maximal_subgroups():
     assert sorted(m.order for m in S.pgroup_maximal_subgroups(he3)) == [9, 9, 9, 9]
 
 
+def test_pgroup_maximal_subgroups_of_subgroups_match_lattice():
+    """Every subgroup H of order <= 64 of the corpus p-groups up to 2000: the
+    maximal subgroups in the parent's ids equal those of the relabeled H's
+    own lattice, mapped back through the embedding."""
+    groups = corpus_pgroups(2000)
+    assert len(groups) >= 50
+    checked = 0
+    for G in groups:
+        for H in all_subgroups(G):
+            if H.order > 64:
+                continue
+            T, emb = subgroup_as_group(H)
+            want = sorted(
+                tuple(emb[int(v)] for v in M.ids())
+                for M in maximal_subgroups(T, all_subgroups(T))
+            )
+            got = [tuple(M.ids().tolist()) for M in S.pgroup_maximal_subgroups(G, H)]
+            assert sorted(got) == want, (G.name, H.order)
+            checked += 1
+    assert checked > 1000
+
+
+def test_pgroup_maximal_subgroups_needs_a_p_subgroup():
+    G = C.symmetric(4)
+    lat = all_subgroups(G)
+    with pytest.raises(NotPGroup):
+        S.pgroup_maximal_subgroups(G)
+    with pytest.raises(NotPGroup):
+        S.pgroup_maximal_subgroups(G, lat.of_order(6)[0])
+    assert S.pgroup_maximal_subgroups(G, closure(G, [])) == []
+    sylow = lat.of_order(8)[0]
+    assert [M.order for M in S.pgroup_maximal_subgroups(G, sylow)] == [4, 4, 4]
+
+
 def test_sylow_decomposition_examples():
     sp = S.sylow_decomposition(C.sl23(), 2)
     assert sp is not None
@@ -265,21 +312,6 @@ def test_is_regular_and_p_abelian():
     assert S.is_regular(C.semidihedral(16)) is False
     assert S.is_p_abelian(C.extraspecial_p3(3, "p")) is True
     assert S.is_p_abelian(C.generalized_quaternion(8)) is False
-
-
-def test_p_group_profile_he3():
-    prof = S.p_group_profile(C.extraspecial_p3(3, "p"))
-    assert (prof.p, prof.n, prof.order) == (3, 3, 27)
-    assert prof.d == 2 and prof.cl == 2 and prof.dl == 2
-    assert prof.exponent == 3
-    assert prof.derived_order == 3 and prof.center_order == 3
-    assert prof.center_cyclic and prof.minimal_nonabelian and prof.maximal_class
-    assert prof.regular is True
-
-
-def test_p_group_profile_rejects_non_pgroup():
-    with pytest.raises(NotPGroup):
-        S.p_group_profile(C.symmetric(4))
 
 
 # -- sampled structural invariants ----------------------------------------------------
