@@ -54,6 +54,11 @@ PERM_DEGREE_CAP = 16
 # Hard cap on the number of elements any closure may enumerate.
 CLOSURE_UNIVERSE_CAP = 10**6
 
+# Dtype of cached maps over all ids (the power map, the pc digit tables):
+# int32, half the size of an id vector. Every realizable order is far below
+# 2^31, since a realization holds arrays of its order's length.
+ID32 = np.int32
+
 
 def prime_factors(n: int) -> dict[int, int]:
     """{p: k} with p^k exactly dividing n, over the primes p | n, ascending."""
@@ -328,15 +333,14 @@ class FiniteGroup:
     def power_map(self) -> np.ndarray:
         """P with P[x] = x^p for a group of order p^n, cached.
 
-        Stored as int32, half the size of an id vector (every realizable
-        order is far below 2^31). Raises NotPGroup for other orders.
+        Stored as `ID32`. Raises NotPGroup for other orders.
         """
         if self._power_map is None:
             pn = prime_power(self.order)
             if pn is None:
                 raise NotPGroup(f"{self.name} has order {self.order}, not a prime power")
             ids = np.arange(self.order, dtype=np.int64)
-            self._power_map = self.pow_vec(ids, pn[0]).astype(np.int32)
+            self._power_map = self.pow_vec(ids, pn[0]).astype(ID32)
         return self._power_map
 
     def p_power_vec(self, xs: np.ndarray, s: int = 1) -> np.ndarray:
@@ -361,7 +365,7 @@ class FiniteGroup:
             else:
                 P = self.power_map()
                 out = np.ones(self.order, dtype=np.int64)
-                cur = np.arange(self.order, dtype=np.int32)
+                cur = np.arange(self.order, dtype=ID32)
                 alive = cur != 0
                 # an element order divides p^n, so n gathers reach 1 unless
                 # the operation is not associative (a Cayley table input)

@@ -22,7 +22,6 @@ import numpy as np
 from .core import (
     FiniteGroup,
     TableGroup,
-    _orbit_closure,
     _pick_generators,
     closure_ids,
     prime_factors,
@@ -248,9 +247,10 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
     representative R is joined with one atom from each orbit of N_G(R) on
     the atoms outside R. A join never seen before brings in its whole class
     by conjugation and joins the work list with its normalizer, read off the
-    same conjugation gather. Atoms inside a join of prime index over R are
-    skipped for R, since R is maximal in that join and their join with R is
-    that one.
+    same conjugation gather. A join grows from R by whole right cosets of
+    R (`_coset_join`), which also counts its index over R. Atoms inside a
+    join of prime index over R are skipped for R, since R is maximal in
+    that join and their join with R is that one.
 
     This reaches every class. A subgroup H > 1 is the join of its zuppos, so
     H = K v A for a proper subgroup K of H and a zuppo A of H outside K. If
@@ -367,17 +367,43 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
             if covered[a] or union in joined:
                 continue
             joined.add(union)
-            member, elems = _orbit_closure(table, n, R.gens + (atom_gens[a],))
-            j_member = np.frombuffer(member, dtype=np.bool_)
-            if len(elems) // R.order in primes:
+            j_member, index = _coset_join(G, R, r_member, atom_gens[a])
+            if index in primes:
                 covered |= j_member[atom_gen_ids]
-            if bytes(member) not in seen:
-                elems.sort()
+            if j_member.tobytes() not in seen:
                 # a join of two normal subgroups is normal
                 normal = r_normal and atom_normal[a]
-                add_class(np.asarray(elems, dtype=np.int64), j_member, normal)
+                add_class(np.flatnonzero(j_member), j_member, normal)
 
     return SubgroupLattice(G, subs)
+
+
+def _coset_join(
+    G: FiniteGroup, R: Subgroup, r_member: np.ndarray, a: int
+) -> tuple[np.ndarray, int]:
+    """Member mask of J = R v <a> and the index |J:R|, for G with a table.
+
+    J is built as a union of right cosets R t. Each representative t is
+    multiplied by the generators of R and by a; a product u outside the
+    union adds its whole coset R u in one gather. The union is then closed
+    under right multiplication by the generators of J, so it is J, and the
+    representatives number |J:R|.
+    """
+    n = G.order
+    table, arr = G.flat_table(), G.np_table()
+    r_ids = R.ids()
+    seed = R.gens + (a,)
+    member = bytearray(r_member)
+    mask = np.frombuffer(member, dtype=np.bool_)
+    reps = [0]
+    for t in reps:  # reps grows while it is walked
+        row = t * n
+        for g in seed:
+            u = table[row + g]
+            if not member[u]:
+                mask[arr[:, u][r_ids]] = True
+                reps.append(u)
+    return mask, len(reps)
 
 
 # ---------------------------------------------------------------------------

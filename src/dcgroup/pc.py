@@ -21,11 +21,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import TABLE_CAP, FiniteGroup, prime_power
+from .core import ID32, TABLE_CAP, FiniteGroup, prime_power
 from .errors import (
     BadPresentation,
     CollectionLimitExceeded,
     InconsistentPresentation,
+    UniverseOverflow,
 )
 
 __all__ = [
@@ -269,15 +270,27 @@ def check_consistency(pres: PcPresentation) -> None:
 class PcGroup(FiniteGroup):
     """Realization of a consistent power-commutator presentation.
 
-    Stores one right-translation table per generator: T[j] maps the id of a
-    tail element r in U_j = <g_j, ..., g_{n-1}> to the id of r * g_j. A product
-    x * y then walks y's digits front to back, translating x once per digit
-    unit. Tables are built deepest generator first; the table for g_j needs the
-    conjugation action of g_j on U_{j+1}, which is filled by dynamic
-    programming over ids ordered by their deepest nonzero digit.
+    Tables live on the tail subgroups U_j = <g_j, ..., g_{n-1}>, whose ids
+    are 0..s_j-1, and are int32 (`core.ID32`). Per generator g_j they hold
+    the conjugation phi_j(z) = g_j^-1 z g_j of U_{j+1} and the left
+    multiplication L_j(z) = u_j z of U_{j+1} by u_j = g_j^p. For
+    r = g_j^a r'' with r'' in U_{j+1},
+
+        r * g_j^d = g_j^(a+d) phi_j^d(r''),
+
+    and g_j^(a+d) = g_j^(a+d-p) u_j when a + d >= p. In ids, with
+    t = s_{j+1}, the U_j part a*t + r'' of x becomes (a+d)*t + phi_j^d(r'')
+    or (a+d-p)*t + L_j phi_j^d(r''). So the step table of g_j stacks 2p
+    blocks over U_{j+1}: block d holds d*t + phi_j^d, block p + d holds
+    (d-p)*t + L_j phi_j^d, and x * g_j^d adds one entry to x - r''. A
+    product x * y takes one gather per digit of y.
+
+    Tables are built deepest generator first; phi_j is filled by dynamic
+    programming over ids ordered by their deepest nonzero digit, from the
+    tables of the deeper generators.
 
     Like every backend, a group of order up to TABLE_CAP multiplies through
-    its Cayley table; the digit-walking vector kernels serve larger ones.
+    its Cayley table; the digit-step vector kernels serve larger ones.
     """
 
     def __init__(self, pres: PcPresentation, name: str = ""):
@@ -289,14 +302,18 @@ class PcGroup(FiniteGroup):
             sizes[i] = o[i] * sizes[i + 1]
         self.sizes = tuple(sizes)
         order = sizes[0]
+        if 2 * order > np.iinfo(ID32).max:
+            # the step tables index 2 * s_j entries with int32
+            raise UniverseOverflow(f"order {order} is too large for int32 tables")
         super().__init__(
             order, [sizes[j + 1] for j in range(n)], name or f"pc<{order}>"
         )
+        self._steps: list[np.ndarray | None] = [None] * n
         self._tloc: list[np.ndarray | None] = [None] * n
         self._left_cache: dict[int, np.ndarray] = {}
         self._inv_arr: np.ndarray | None = None
         for j in range(n - 1, -1, -1):
-            self._tloc[j] = self._build_tloc(j)
+            self._build_tables(j)
 
     # -- table construction ----------------------------------------------
 
@@ -304,33 +321,37 @@ class PcGroup(FiniteGroup):
         """Id of a normal-form word over generators with built tables."""
         x = 0
         for g, e in word:
-            for _ in range(e):
-                x = self._tstep(g, x)
+            x = int(self._step(g, x, e))
         return x
 
-    def _tstep(self, i: int, x: int) -> int:
-        """x * g_i for scalar x."""
-        r = x % self.sizes[i]
-        return x - r + int(self._tloc[i][r])
+    def _step(self, i: int, xs, d):
+        """xs * g_i^d, for 0 <= d < p; xs, d scalars or arrays of one shape.
+
+        With a the g_i digit of x, pw = p when g_i^(a+d) wraps past u_i,
+        else 0, and block d + pw of the step table reads the U_{i+1} part.
+        """
+        p, szt = self.pres.prime, self.sizes[i + 1]
+        low = xs % szt
+        pw = (xs // szt % p + d) // p * p
+        return xs - low + self._steps[i][(d + pw) * szt + low]
 
     def _tstep_vec(self, i: int, xs: np.ndarray) -> np.ndarray:
+        """xs * g_i, one gather through the right translation T[i] of U_i."""
         r = xs % self.sizes[i]
         return xs - r + self._tloc[i][r]
 
     def _mul_into_tail(self, xs: np.ndarray, c: int, top: int) -> np.ndarray:
         """Vector right-product xs * c where all ids live in U_top."""
         s = self.sizes
-        o = self.pres.rel_orders
         for i in range(top, self.pres.ngens):
-            d = (c // s[i + 1]) % o[i]
-            for _ in range(d):
-                xs = self._tstep_vec(i, xs)
+            d = (c // s[i + 1]) % self.pres.prime
+            if d:
+                xs = self._step(i, xs, d)
         return xs
 
-    def _build_tloc(self, j: int) -> np.ndarray:
-        o = self.pres.rel_orders
-        s = self.sizes
-        szt = s[j + 1]
+    def _build_tables(self, j: int) -> None:
+        p = self.pres.prime
+        szt = self.sizes[j + 1]
         comms = self.pres.commutators
 
         def by_conjugate(m: int):
@@ -338,18 +359,31 @@ class PcGroup(FiniteGroup):
             gamma = self._word_element(((m, 1), *comms.get((m, j), ())))
             return lambda v: self._mul_into_tail(v, gamma, j + 1)
 
-        # conjugation of U_{j+1} by g_j: phi[z] = g_j^-1 z g_j
         phi = self._digit_fill(j + 1, 0, by_conjugate)
-        # (g_j^e z) g_j = g_j^(e+1) phi[z], and g_j^(o_j) = u_j lies in U_{j+1}
-        tj = np.empty(s[j], dtype=np.int64)
-        for e in range(o[j] - 1):
-            tj[e * szt : (e + 1) * szt] = (e + 1) * szt + phi
         uj = self._word_element(self.pres.powers.get(j, ()))
-        left = np.full(szt, uj, dtype=np.int64)
-        tj[(o[j] - 1) * szt :] = self._mul_pairwise_vec(left, phi) if uj else phi
-        return tj
+        if uj:
+            u_left = self._digit_fill(j + 1, uj, lambda m: partial(self._tstep_vec, m))
+        else:
+            u_left = np.arange(szt, dtype=ID32)
+        steps = np.empty((2, p, szt), dtype=ID32)
+        steps[0, 0] = np.arange(szt)
+        for d in range(1, p):
+            steps[0, d] = phi[steps[0, d - 1]]
+        steps[1] = u_left[steps[0]]
+        shift = np.arange(p) * szt
+        steps[0] += shift[:, None]
+        steps[1] += (shift - p * szt)[:, None]
+        self._steps[j] = steps.ravel()
+        # (g_j^e z) g_j = g_j^(e+1) phi[z], and g_j^p = u_j
+        tj = np.empty(self.sizes[j], dtype=ID32)
+        for e in range(p - 1):
+            tj[e * szt : (e + 1) * szt] = (e + 1) * szt + phi
+        tj[(p - 1) * szt :] = u_left[phi]
+        self._tloc[j] = tj
 
-    def _digit_fill(self, top: int, start: int | np.ndarray, step) -> np.ndarray:
+    def _digit_fill(
+        self, top: int, start: int | np.ndarray, step, dtype=ID32
+    ) -> np.ndarray:
         """Array f over the ids of U_top, f[0] = start, f[y * g_m] = step(m)(f[y]).
 
         Deepest-digit recursion: an id z whose deepest nonzero digit is that
@@ -360,7 +394,7 @@ class PcGroup(FiniteGroup):
         """
         s = self.sizes
         o = self.pres.rel_orders
-        out = np.zeros((s[top], *np.shape(start)), dtype=np.int64)
+        out = np.zeros((s[top], *np.shape(start)), dtype=dtype)
         out[0] = start
         for m in range(top, self.pres.ngens):
             apply = step(m)
@@ -374,10 +408,10 @@ class PcGroup(FiniteGroup):
 
     def _mul(self, x: int, y: int) -> int:
         s = self.sizes
-        o = self.pres.rel_orders
         for i in range(self.pres.ngens):
-            for _ in range((y // s[i + 1]) % o[i]):
-                x = self._tstep(i, x)
+            d = (y // s[i + 1]) % self.pres.prime
+            if d:
+                x = int(self._step(i, x, d))
         return x
 
     def _invert(self, x: int) -> int:
@@ -392,11 +426,11 @@ class PcGroup(FiniteGroup):
                 gm_inv = self.power(gm, self.element_order(gm) - 1)
                 return self.left_mul_table(gm_inv, cache=False).__getitem__
 
-            self._inv_arr = self._digit_fill(0, 0, by_inverse)
+            self._inv_arr = self._digit_fill(0, 0, by_inverse, np.int64)
         return self._inv_arr
 
     def left_mul_table(self, c: int, cache: bool = True) -> np.ndarray:
-        """Array L with L[x] = c * x: L[y * g_m] = L[y] * g_m."""
+        """Array L with L[x] = c * x: L[y * g_m] = L[y] * g_m, as int32."""
         if c in self._left_cache:
             return self._left_cache[c]
         left = self._digit_fill(0, c, lambda m: partial(self._tstep_vec, m))
@@ -407,26 +441,19 @@ class PcGroup(FiniteGroup):
         return left
 
     # -- vector kernels, for groups beyond TABLE_CAP ----------------------
+    # They step in int32 and return int64 ids.
 
     def _mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
-        return self._mul_into_tail(xs.copy(), y, 0)
+        return self._mul_into_tail(xs.astype(ID32), y, 0).astype(np.int64)
 
     def _lmul_vec(self, y: int, xs: np.ndarray) -> np.ndarray:
-        return self.left_mul_table(y)[xs]
+        return self.left_mul_table(y)[xs].astype(np.int64)
 
     def _mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        # a zero digit of ys reads no translation table, so `_build_tloc`
-        # calls this for ys in U_{j+1} before the tables of g_0..g_j exist
-        xs = xs.copy()
-        s = self.sizes
-        o = self.pres.rel_orders
+        out, ys = xs.astype(ID32), ys.astype(ID32)
         for i in range(self.pres.ngens):
-            d = (ys // s[i + 1]) % o[i]
-            for rep in range(1, o[i]):
-                mask = d >= rep
-                if mask.any():
-                    xs[mask] = self._tstep_vec(i, xs[mask])
-        return xs
+            out = self._step(i, out, ys // self.sizes[i + 1] % self.pres.prime)
+        return out.astype(np.int64)
 
     def _inv_vec(self, xs: np.ndarray) -> np.ndarray:
         return self._inverse_table()[xs]
@@ -444,7 +471,7 @@ class PcGroup(FiniteGroup):
                 return lambda rows: rows[:, gen_row]
 
             ids = np.arange(self.order, dtype=np.int64)
-            self._np = self._digit_fill(0, ids, by_row)
+            self._np = self._digit_fill(0, ids, by_row, np.int64)
         return self._np
 
     def digits(self, x: int) -> tuple[int, ...]:

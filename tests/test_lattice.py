@@ -5,16 +5,20 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import load_spec
 from dcgroup import constructors as C
-from dcgroup.core import PermGroup
+from dcgroup.cli import realize_spec
+from dcgroup.core import PermGroup, closure_ids, prime_power
 from dcgroup.errors import OrderCapExceeded, ParentMismatch
 from dcgroup.pc import realize_pc_group
 from dcgroup.lattice import (
     Subgroup,
+    _coset_join,
     all_subgroups,
     closure,
     full_subgroup,
@@ -142,9 +146,9 @@ def test_lattice_is_closed_under_conjugation(name, classes, subgroup_classes):
     assert subgroup_classes(G, all_subgroups(G)) == classes
 
 
-def _search_presentations():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "search_presentations.py"
-    spec = importlib.util.spec_from_file_location("search_presentations", path)
+def _script(name: str):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -153,7 +157,7 @@ def _search_presentations():
 def test_brute_enumerator_matches_lattice_on_order_32_grid():
     # Most subgroups of a 2-group are normal, so each class is one subgroup
     # and the normalizer orbits on atoms are as large as they get.
-    search = _search_presentations()
+    search = _script("search_presentations")
     points = 0
     for k, (powers, comms) in enumerate(search.grid_32()):
         pres = search.consistent((2,) * 5, powers, comms)
@@ -165,6 +169,41 @@ def test_brute_enumerator_matches_lattice_on_order_32_grid():
         brute = {s.ids().tobytes() for s in subgroups_brute(G)}
         assert fast == brute, f"grid point {k}"
     assert points == 109
+
+
+# sha256 over (order, bitset, generators) of every member of every lattice
+# in the three sets of scripts/lattice_fingerprint.py; a change to the
+# lattice code must build the same lattices, member for member.
+LATTICE_FINGERPRINT = "fc702c783c818466a26d3dba7d1097ce337842037617a74a6b0c3ec4609618f6"
+
+
+def test_lattice_fingerprint_is_pinned():
+    assert _script("lattice_fingerprint").fingerprint() == LATTICE_FINGERPRINT
+
+
+@pytest.mark.parametrize("name", ["s4", "d8xc2", "he3", "sl23", "a5", "pos32"])
+def test_coset_join_matches_closure(name):
+    """R v <a> by right cosets of R, for every member R and zuppo generator a."""
+    if name == "pos32":
+        G = realize_spec(load_spec("pos32"))
+    elif name == "a5":
+        G = C.alternating(5)
+    else:
+        G = BUILDERS[name]()
+    lattice = all_subgroups(G)
+    zuppos = [
+        S.gens[0] for S in lattice if len(S.gens) == 1 and prime_power(S.order)
+    ]
+    for R in lattice:
+        r_member = np.zeros(G.order, dtype=np.bool_)
+        r_member[R.ids()] = True
+        before = r_member.copy()
+        for a in zuppos:
+            mask, index = _coset_join(G, R, r_member, a)
+            J = closure_ids(G, R.gens + (a,))
+            assert np.flatnonzero(mask).tolist() == J
+            assert index == len(J) // R.order
+        assert np.array_equal(r_member, before)
 
 
 def test_brute_enumerator_cap():

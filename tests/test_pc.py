@@ -243,6 +243,62 @@ def test_public_ops_use_kernels_beyond_table_cap():
     assert np.array_equal(G.mul_pairwise_vec(xs, G.inv_vec(xs)), np.zeros(2000))
 
 
+def _branch_pairs(G, rng, per_branch: int = 4):
+    """Id pairs (x, y) that take both branches of every digit step.
+
+    For each digit i, y has no digits above i and a nonzero digit d at i, so
+    the running product reaches that step as x, whose digit a at i is drawn
+    with a + d < p for half of the pairs and a + d >= p for the other half.
+    Deeper digits of both are random.
+    """
+    p, s, n = G.pres.prime, G.sizes, G.pres.ngens
+    xs, ys = [], []
+    for i in range(n):
+        for wrap in (False, True):
+            for _ in range(per_branch):
+                d = int(rng.integers(1, p))
+                a = int(rng.integers(p - d, p) if wrap else rng.integers(0, p - d))
+                x = int(rng.integers(0, G.order))
+                x += (a - x // s[i + 1] % p) * s[i + 1]
+                xs.append(x)
+                ys.append(d * s[i + 1] + int(rng.integers(0, s[i + 1])))
+    return np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+
+
+@pytest.mark.parametrize("which", ["order_5_7", "group1p7"])
+def test_digit_step_kernels_match_collection(which):
+    """Every product kernel beyond TABLE_CAP against symbolic collection."""
+    if which == "group1p7":
+        G = realize_spec(load_spec("group1p7"))
+    else:
+        G = realize_pc_group(order_5_7_pres())
+    assert G.np_table() is None
+    rng = np.random.default_rng(5)
+    xs, ys = _branch_pairs(G, rng)
+    xs = np.concatenate([xs, rng.integers(0, G.order, 20)])
+    ys = np.concatenate([ys, rng.integers(0, G.order, 20)])
+
+    def collected(x: int, y: int) -> int:
+        word = [(i, e) for i, e in enumerate(G.digits(x)) if e]
+        word += [(i, e) for i, e in enumerate(G.digits(y)) if e]
+        return G.id_of_digits(collect(G.pres, word))
+
+    want = np.array([collected(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
+    for got in (G._mul_pairwise_vec(xs, ys), G.mul_pairwise_vec(xs, ys)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        got = G.mul_vec(xs[k : k + 1], y)
+        assert got.dtype == np.int64 and got[0] == want[k]
+        got = G.mul(x, y)
+        assert type(got) is int and got == want[k]
+    for k in range(0, len(xs), 8):
+        got = G.lmul_vec(int(xs[k]), ys[k : k + 1])
+        assert got.dtype == np.int64 and got[0] == want[k]
+    # the cached left tables are int32; lmul_vec widens them
+    assert G.left_mul_table(int(xs[0])).dtype == np.int32
+
+
 @pytest.mark.parametrize("which", ["d8", "he3", "mc35a", "neg32"])
 def test_table_rows_are_left_tables(which):
     """The row-gather table build against one left table per element."""
