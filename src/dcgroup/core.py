@@ -471,6 +471,7 @@ class PermGroup(FiniteGroup):
         self.degree = degree
         self.perms = elements
         self._index = index
+        self._keys: tuple[np.ndarray, list[int], np.ndarray, np.ndarray] | None = None
 
     def _mul(self, x: int, y: int) -> int:
         return self._index[perm_mul(self.perms[x], self.perms[y])]
@@ -478,31 +479,70 @@ class PermGroup(FiniteGroup):
     def _invert(self, x: int) -> int:
         return self._index[perm_inv(self.perms[x])]
 
-    def np_table(self) -> np.ndarray | None:
-        """Cayley table from composed rows of the permutation array.
+    def _key_index(self) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+        """The permutation array and its sorted key, built once.
 
-        The product x*y sends point i to P[y][P[x][i]]. Products are found
-        by a sorted key over their first degree-1 images, which determine
-        the permutation and keep the key below 16^15 < 2^63. Rows are done
-        in blocks of about 2^16 entries, so the build needs no more than a
-        few such blocks beyond the table itself.
+        Returns (P, weights, sorted_keys, by_key): P[x] is permutation x as
+        an int64 row, and a permutation's key is the weighted sum of its
+        first degree-1 images, which determine it and keep the key below
+        16^15 < 2^63; by_key lists the ids in key order.
         """
-        if self._np is None and self.order <= TABLE_CAP:
+        if self._keys is None:
             n, d = self.order, self.degree
             perms = np.array(self.perms, dtype=np.int64).reshape(n, d)
-            weights = d ** np.arange(d - 1, dtype=np.int64)
-            keys = perms[:, :-1] @ weights
+            weights = (d ** np.arange(d - 1, dtype=np.int64)).tolist()
+            keys = perms[:, :-1] @ np.array(weights, dtype=np.int64)
             by_key = np.argsort(keys)
-            sorted_keys = keys[by_key]
-            image_of = np.ascontiguousarray(perms.T)  # image_of[i, y] = P[y][i]
+            self._keys = (perms, weights, keys[by_key], by_key)
+        return self._keys
+
+    def _ids_of(self, shape: tuple[int, ...], images) -> np.ndarray:
+        """Ids of the permutations whose i-th image is images[i], i < degree-1.
+
+        `images` yields id arrays of the given shape, one per point; those
+        past the first degree-1 are not read.
+        """
+        _, weights, sorted_keys, by_key = self._key_index()
+        keys = np.zeros(shape, dtype=np.int64)
+        for w, col in zip(weights, images):
+            keys += w * col
+        return by_key[np.searchsorted(sorted_keys, keys)]
+
+    # The product x*y sends point i to P[y][P[x][i]].
+
+    def _mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
+        P = self._key_index()[0]
+        return self._ids_of(xs.shape, (P[y][P[xs, i]] for i in range(self.degree)))
+
+    def _lmul_vec(self, y: int, xs: np.ndarray) -> np.ndarray:
+        P = self._key_index()[0]
+        return self._ids_of(xs.shape, (P[xs, i] for i in P[y].tolist()))
+
+    def _mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        P = self._key_index()[0]
+        return self._ids_of(xs.shape, (P[ys, P[xs, i]] for i in range(self.degree)))
+
+    def _inv_vec(self, xs: np.ndarray) -> np.ndarray:
+        inverses = np.argsort(self._key_index()[0][xs], axis=-1)
+        return self._ids_of(xs.shape, np.moveaxis(inverses, -1, 0))
+
+    def np_table(self) -> np.ndarray | None:
+        """Cayley table, a block of rows at a time through `_ids_of`.
+
+        Rows are done in blocks of about 2^16 entries, so the build needs no
+        more than a few such blocks beyond the table itself.
+        """
+        if self._np is None and self.order <= TABLE_CAP:
+            n = self.order
+            P = self._key_index()[0]
+            image_of = np.ascontiguousarray(P.T)  # image_of[i, y] = P[y][i]
             table = np.empty((n, n), dtype=np.int64)
             step = max(1, (1 << 16) // n)
             for lo in range(0, n, step):
-                block = perms[lo : lo + step]
-                prod_keys = np.zeros((len(block), n), dtype=np.int64)
-                for i, w in enumerate(weights.tolist()):
-                    prod_keys += w * image_of[block[:, i]]
-                table[lo : lo + step] = by_key[np.searchsorted(sorted_keys, prod_keys)]
+                block = P[lo : lo + step]
+                table[lo : lo + step] = self._ids_of(
+                    (len(block), n), (image_of[block[:, i]] for i in range(self.degree))
+                )
             self._np = table
         return self._np
 

@@ -428,19 +428,20 @@ def join(a: Subgroup, b: Subgroup) -> Subgroup:
 def maximal_subgroups(
     G: FiniteGroup, lattice: SubgroupLattice | None = None
 ) -> list[Subgroup]:
-    """Proper subgroups not contained in any other proper subgroup."""
+    """Proper subgroups not contained in any other proper subgroup.
+
+    The proper subgroups are scanned by decreasing order. Every proper
+    subgroup lies in a maximal one of larger order unless it is maximal
+    itself, so a subgroup is maximal exactly when none of the maximal
+    subgroups found before it contains it. Returned in lattice order.
+    """
     if lattice is None:
         lattice = all_subgroups(G)
-    proper = [s for s in lattice if not s.is_full]
-    out = []
-    for s in proper:
-        if not any(
-            t is not s and s.order < t.order and t.bits & s.bits == s.bits
-            for t in proper
-            if t.order % s.order == 0
-        ):
-            out.append(s)
-    return out
+    found: list[Subgroup] = []
+    for s in reversed(lattice):
+        if not s.is_full and not any(s.bits & ~t.bits == 0 for t in found):
+            found.append(s)
+    return found[::-1]
 
 
 def normal_closure(

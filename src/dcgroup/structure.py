@@ -9,11 +9,18 @@ lattice take it as an explicit argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import comb, lcm
 
 import numpy as np
 
-from .core import FiniteGroup, _pick_generators, prime_factors, prime_power
+from .core import (
+    FiniteGroup,
+    QuotientGroup,
+    _pick_generators,
+    closure_ids,
+    prime_factors,
+    prime_power,
+)
 from .errors import (
     NotAbelian,
     NotPGroup,
@@ -69,7 +76,7 @@ __all__ = [
 # Definitional (all-pairs) regularity and p-abelian tests run up to this order.
 REGULARITY_CAP = 1024
 
-# Generating-set search for non-p-groups tries at most this many closures.
+# Generating-set search for non-p-groups counts at most this many candidate tuples.
 GEN_SEARCH_BUDGET = 20000
 
 
@@ -320,7 +327,10 @@ def min_generators(G: FiniteGroup, budget: int = GEN_SEARCH_BUDGET) -> int:
 
     For p-groups this is the Frattini quotient rank. Otherwise a bounded
     search over candidate tuples in element-order order; raises
-    SearchBudgetExceeded when the budget runs out before an answer.
+    SearchBudgetExceeded when an answer needs more than `budget` candidate
+    tuples. Since d(G) >= d(G/G') = r, the rank of the abelianization,
+    tuples of size below r are counted without being listed, and a tuple
+    whose image does not generate G/G' is counted but not closed in G.
     """
     if G.order == 1:
         return 0
@@ -330,16 +340,32 @@ def min_generators(G: FiniteGroup, budget: int = GEN_SEARCH_BUDGET) -> int:
     if int(orders.max()) == G.order:
         return 1
     by_order = sorted(range(1, G.order), key=lambda x: (-int(orders[x]), x))
+    # G/G' is G itself when G is abelian; then closing in G is the only test.
+    Q = G if G.is_abelian else QuotientGroup(G, derived_subgroup(G).ids())
+    rank = len(abelian_type(Q))
+    image = {x: Q.project(x) for x in by_order} if Q is not G else None
+    generates_q: dict[frozenset[int], bool] = {}
     spent = 0
     for k in (2, 3, 4):
-        for combo in _tuple_stream(by_order, k):
-            spent += 1
-            if spent > budget:
-                raise SearchBudgetExceeded(
-                    f"no generating {k}-tuple found within {budget} closures"
-                )
-            if closure(G, combo).order == G.order:
-                return k
+        if k < rank:
+            spent += comb(len(by_order), k)
+        else:
+            for combo in _tuple_stream(by_order, k):
+                spent += 1
+                if spent > budget:
+                    break
+                if image is not None:
+                    key = frozenset(image[x] for x in combo)
+                    if key not in generates_q:
+                        generates_q[key] = len(closure_ids(Q, key)) == Q.order
+                    if not generates_q[key]:
+                        continue
+                if closure(G, combo).order == G.order:
+                    return k
+        if spent > budget:
+            raise SearchBudgetExceeded(
+                f"no generating {k}-tuple found within {budget} candidate tuples"
+            )
     raise SearchBudgetExceeded(f"generating sets up to size 4 exhausted for {G.name}")
 
 

@@ -25,10 +25,41 @@ def corpus_ids() -> list[str]:
     return sorted(p.stem for p in CORPUS.glob("*.json"))
 
 
+def corpus_groups(max_order: int) -> list:
+    """Fresh realizations of the corpus groups of order <= max_order."""
+    groups = (realize_spec(load_spec(gid), name=gid) for gid in corpus_ids())
+    return [G for G in groups if G.order <= max_order]
+
+
 def corpus_pgroups(max_order: int) -> list:
     """Fresh realizations of the corpus groups of prime-power order <= max_order."""
-    groups = (realize_spec(load_spec(gid), name=gid) for gid in corpus_ids())
-    return [G for G in groups if G.order <= max_order and prime_power(G.order)]
+    return [G for G in corpus_groups(max_order) if prime_power(G.order)]
+
+
+def _family(name: str, **params) -> dict:
+    return {"kind": "family", "name": name, **params}
+
+
+def _direct(left: dict, right: dict) -> dict:
+    return {"kind": "direct", "left": left, "right": right}
+
+
+# The seven non-p groups of the benchmark's lattice-nonp workload, orders 72
+# to 360, in its order.
+LATTICE_NONP = {
+    "a6": _family("alternating", degree=6),
+    "s5xc2": _direct(_family("symmetric", degree=5), _family("cyclic", order=2)),
+    "d8xs4": _direct(_family("dihedral", order=8), _family("symmetric", degree=4)),
+    "s4xs3": _direct(_family("symmetric", degree=4), _family("symmetric", degree=3)),
+    "a5xc3": _direct(_family("alternating", degree=5), _family("cyclic", order=3)),
+    "s5": _family("symmetric", degree=5),
+    "sl23xc3": _direct(_family("sl23"), _family("cyclic", order=3)),
+}
+
+
+def lattice_nonp_groups() -> dict:
+    """Fresh realizations of the lattice-nonp groups, by name."""
+    return {gid: realize_spec(spec, name=gid) for gid, spec in LATTICE_NONP.items()}
 
 
 def order_5_7_pres() -> PcPresentation:

@@ -294,6 +294,24 @@ def test_mul_vec_matches_scalar():
         assert [G.mul(y, int(x)) for x in xs] == G.lmul_vec(y, xs).tolist()
 
 
+@pytest.mark.parametrize("degree", [7, 8])
+def test_perm_kernels_without_a_table_match_scalar(degree):
+    # S7 (order 5040) and S8 lie above TABLE_CAP, so the vector ops run the
+    # PermGroup kernels; each must agree with the scalar _mul and _invert.
+    G = C.symmetric(degree)
+    assert G.np_table() is None
+    rng = np.random.default_rng(degree)
+    xs = rng.integers(0, G.order, 2000)
+    ys = rng.integers(0, G.order, 2000)
+    for y in (0, 1, int(ys[0]), G.order - 1):
+        assert G.mul_vec(xs, y).tolist() == [G._mul(int(x), y) for x in xs]
+        assert G.lmul_vec(y, xs).tolist() == [G._mul(y, int(x)) for x in xs]
+    assert G.mul_pairwise_vec(xs, ys).tolist() == [
+        G._mul(int(x), int(y)) for x, y in zip(xs, ys)
+    ]
+    assert G.inv_vec(xs).tolist() == [G._invert(int(x)) for x in xs]
+
+
 def test_pow_vec_and_inv_vec_match_scalar():
     G = C.sl23()
     xs = np.arange(G.order, dtype=np.int64)

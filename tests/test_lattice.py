@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_spec
+from conftest import corpus_groups, lattice_nonp_groups, load_spec
 from dcgroup import constructors as C
 from dcgroup.cli import realize_spec
 from dcgroup.core import PermGroup, closure_ids, prime_power
 from dcgroup.errors import OrderCapExceeded, ParentMismatch
 from dcgroup.pc import realize_pc_group
 from dcgroup.lattice import (
+    LATTICE_CAP,
     Subgroup,
     _coset_join,
     all_subgroups,
@@ -204,6 +205,33 @@ def test_coset_join_matches_closure(name):
             assert np.flatnonzero(mask).tolist() == J
             assert index == len(J) // R.order
         assert np.array_equal(r_member, before)
+
+
+def _all_pairs_maximal_subgroups(lattice) -> list:
+    """Proper subgroups that no other proper subgroup strictly contains,
+    tested against every member of the lattice."""
+    proper = [s for s in lattice if not s.is_full]
+    return [
+        s
+        for s in proper
+        if not any(s.order < t.order and t.bits & s.bits == s.bits for t in proper)
+    ]
+
+
+def test_maximal_subgroups_match_all_pairs_definition():
+    """The scan against the maximals already found gives the same members
+    in the same order, on the corpus groups up to LATTICE_CAP and the
+    lattice-nonp groups."""
+    groups = corpus_groups(LATTICE_CAP) + list(lattice_nonp_groups().values())
+    assert len(groups) >= 70
+    found = 0
+    for G in groups:
+        L = all_subgroups(G)
+        got = [(M.order, M.bits, M.gens) for M in maximal_subgroups(G, L)]
+        want = [(M.order, M.bits, M.gens) for M in _all_pairs_maximal_subgroups(L)]
+        assert got == want, G.name
+        found += len(got)
+    assert found >= 500
 
 
 def test_brute_enumerator_cap():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_pgroups
+from conftest import corpus_groups, corpus_pgroups, lattice_nonp_groups
 from dcgroup import constructors as C
 from dcgroup import structure as S
 from dcgroup.cli import realize_spec
@@ -160,6 +160,65 @@ def test_min_generators_budget():
     with pytest.raises(SearchBudgetExceeded):
         S.min_generators(G, budget=10)
     assert S.min_generators(G) == 3
+
+
+def _unpruned_min_generators(G, budget: int = S.GEN_SEARCH_BUDGET) -> int:
+    """The generator-rank search without the G/G' bound: every candidate
+    tuple, in the same order and under the same budget, is closed in G."""
+    if G.order == 1:
+        return 0
+    if S.is_pgroup(G) is not None:
+        return S.subgroup_min_generators(G, full_subgroup(G))
+    orders = G.element_orders()
+    if int(orders.max()) == G.order:
+        return 1
+    by_order = sorted(range(1, G.order), key=lambda x: (-int(orders[x]), x))
+    spent = 0
+    for k in (2, 3, 4):
+        for combo in S._tuple_stream(by_order, k):
+            spent += 1
+            if spent > budget:
+                raise SearchBudgetExceeded(
+                    f"no generating {k}-tuple found within {budget} candidate tuples"
+                )
+            if closure(G, combo).order == G.order:
+                return k
+    raise SearchBudgetExceeded(f"generating sets up to size 4 exhausted for {G.name}")
+
+
+def _outcome(search, G, **kw):
+    try:
+        return search(G, **kw)
+    except SearchBudgetExceeded as e:
+        return str(e)
+
+
+def test_min_generators_matches_unpruned_search():
+    """The G/G' bound is exact: the same int, or the budget running out at
+    the same k, on the non-p corpus groups up to 360 and the lattice-nonp
+    groups."""
+    groups = [G for G in corpus_groups(360) if S.is_pgroup(G) is None]
+    groups += lattice_nonp_groups().values()
+    assert len(groups) >= 20
+    for G in groups:
+        want = _outcome(_unpruned_min_generators, G)
+        assert _outcome(S.min_generators, G) == want, G.name
+    # abelian groups, where G/G' is G; C2 x C2 x C6 runs out at k=2 in
+    # both with a small budget
+    for G in (C.abelian([2, 2, 6]), C.abelian([6, 6])):
+        for budget in (10, S.GEN_SEARCH_BUDGET):
+            want = _outcome(_unpruned_min_generators, G, budget=budget)
+            assert _outcome(S.min_generators, G, budget=budget) == want
+
+
+def test_min_generators_d8xs4_pins():
+    # D8 x S4 has abelianization C2^3, so no pair generates it. The default
+    # budget runs out among the triples (the pinned `d: null`); a larger one
+    # finds a generating triple.
+    G = lattice_nonp_groups()["d8xs4"]
+    with pytest.raises(SearchBudgetExceeded, match="no generating 3-tuple"):
+        S.min_generators(G)
+    assert S.min_generators(G, budget=10**6) == 3
 
 
 def test_abelian_type_invariant_factors():
