@@ -36,6 +36,7 @@ from .constructors import (
 from .core import FiniteGroup, PermGroup, QuotientGroup, TableGroup, prime_power
 from .dc import (
     CLAIMS,
+    ERROR,
     FAIL,
     ClaimResult,
     GroupContext,
@@ -548,6 +549,11 @@ def _census_csv(report: dict) -> str:
 # -- entry points -----------------------------------------------------------------
 
 
+def _any_broken(claims: list[dict]) -> bool:
+    """Whether a claim failed or raised; either makes the command exit 1."""
+    return any(c["status"] in (FAIL, ERROR) for c in claims)
+
+
 def run_analyze(args) -> int:
     gid = Path(args.spec).stem
     spec = parse_group_spec(args.spec)
@@ -567,8 +573,7 @@ def run_analyze(args) -> int:
         _emit(_dumps(report), args.out)
     else:
         _emit(_write_csv([_csv_row(report)]), args.out)
-    nfail = sum(1 for c in report["claims"] if c["status"] == FAIL)
-    return 1 if nfail else 0
+    return 1 if _any_broken(report["claims"]) else 0
 
 
 def run_census_cmd(args) -> int:
@@ -582,7 +587,9 @@ def run_census_cmd(args) -> int:
         _emit(_dumps(report), args.out)
     else:
         _emit(_census_csv(report), args.out)
-    return 1 if report["summary"]["claims_failed"] else 0
+    claims = [c for g in report["groups"].values() for c in g["claims"]]
+    claims += [c for pair in report["pairs"].values() for c in pair]
+    return 1 if _any_broken(claims) else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -145,6 +145,7 @@ class FiniteGroup:
         self._table: list[int] | None = None
         self._inv: list[int] | None = None
         self._np: np.ndarray | None = None
+        self._inv_ids: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._power_map: np.ndarray | None = None
         self._abelian: bool | None = None
@@ -244,16 +245,16 @@ class FiniteGroup:
     def flat_table(self) -> list[int] | None:
         """Row-major Cayley table as a list, cached; None above TABLE_CAP.
 
-        Read off `np_table`, with the inverses: x^-1 is where row x holds
-        the identity id 0, its smallest entry. Entries refer to one shared
-        int object per id, so the list costs a pointer per entry.
+        Read off `np_table`, with the inverses from `inv_vec`. Entries refer
+        to one shared int object per id, so the list costs a pointer per
+        entry.
         """
         if self._table is None:
             arr = self.np_table()
             if arr is not None:
                 ids = np.array(range(self.order), dtype=object)
                 self._table = ids[arr].ravel().tolist()
-                self._inv = arr.argmin(axis=1).tolist()
+                self._inv = self.inv_vec(np.arange(self.order)).tolist()
         return self._table
 
     def np_table(self) -> np.ndarray | None:
@@ -270,6 +271,19 @@ class FiniteGroup:
             )
             self._np = flat.reshape(n, n)
         return self._np
+
+    def _table_by_blocks(self, rows) -> np.ndarray:
+        """Cayley table from rows(lo, hi), the products of ids lo..hi-1 by all.
+
+        Blocks hold about 2^16 entries, so a backend's bulk product needs no
+        more than a few such blocks beyond the table itself.
+        """
+        n = self.order
+        table = np.empty((n, n), dtype=np.int64)
+        step = max(1, (1 << 16) // n)
+        for lo in range(0, n, step):
+            table[lo : lo + step] = rows(lo, min(lo + step, n))
+        return table
 
     def mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
         """Right-multiply an id vector by a fixed element.
@@ -325,9 +339,16 @@ class FiniteGroup:
         return acc
 
     def inv_vec(self, xs: np.ndarray) -> np.ndarray:
-        """Elementwise inverses."""
-        if self.flat_table() is not None:
-            return np.asarray(self._inv, dtype=np.int64)[xs]
+        """Elementwise inverses.
+
+        With a Cayley table, x^-1 is where row x holds the identity id 0,
+        its smallest entry; that map is read off the table once, cached.
+        """
+        arr = self.np_table()
+        if arr is not None:
+            if self._inv_ids is None:
+                self._inv_ids = arr.argmin(axis=1)
+            return self._inv_ids[xs]
         return self._inv_vec(np.asarray(xs, dtype=np.int64))
 
     def power_map(self) -> np.ndarray:
@@ -527,23 +548,19 @@ class PermGroup(FiniteGroup):
         return self._ids_of(xs.shape, np.moveaxis(inverses, -1, 0))
 
     def np_table(self) -> np.ndarray | None:
-        """Cayley table, a block of rows at a time through `_ids_of`.
-
-        Rows are done in blocks of about 2^16 entries, so the build needs no
-        more than a few such blocks beyond the table itself.
-        """
+        """Cayley table, a block of rows at a time through `_ids_of`."""
         if self._np is None and self.order <= TABLE_CAP:
-            n = self.order
             P = self._key_index()[0]
             image_of = np.ascontiguousarray(P.T)  # image_of[i, y] = P[y][i]
-            table = np.empty((n, n), dtype=np.int64)
-            step = max(1, (1 << 16) // n)
-            for lo in range(0, n, step):
-                block = P[lo : lo + step]
-                table[lo : lo + step] = self._ids_of(
-                    (len(block), n), (image_of[block[:, i]] for i in range(self.degree))
+
+            def rows(lo: int, hi: int) -> np.ndarray:
+                block = P[lo:hi]
+                return self._ids_of(
+                    (len(block), self.order),
+                    (image_of[block[:, i]] for i in range(self.degree)),
                 )
-            self._np = table
+
+            self._np = self._table_by_blocks(rows)
         return self._np
 
     def perm(self, x: int) -> tuple[int, ...]:
@@ -596,8 +613,7 @@ class QuotientGroup(FiniteGroup):
     """Quotient G/N over coset ids, with the projection map exposed.
 
     Cosets are numbered by discovery order from the identity coset, so the
-    trivial coset N gets id 0. Products are computed through representatives,
-    never through a precomputed coset table.
+    trivial coset N gets id 0. Products are computed through representatives.
     """
 
     def __init__(self, parent: FiniteGroup, normal_ids: Sequence[int], name: str = ""):
@@ -647,6 +663,22 @@ class QuotientGroup(FiniteGroup):
         self.parent = parent
         self.reps = reps
         self._class_of = class_of
+
+    def np_table(self) -> np.ndarray | None:
+        """Cayley table, a block of rows at a time: the classes of the
+        parent's pairwise products of representatives."""
+        if self._np is None and self.order <= TABLE_CAP:
+            reps = np.asarray(self.reps, dtype=np.int64)
+
+            def rows(lo: int, hi: int) -> np.ndarray:
+                block = reps[lo:hi]
+                prods = self.parent.mul_pairwise_vec(
+                    np.repeat(block, self.order), np.tile(reps, len(block))
+                )
+                return self._class_of[prods].reshape(len(block), self.order)
+
+            self._np = self._table_by_blocks(rows)
+        return self._np
 
     def project(self, x: int) -> int:
         """Natural projection G -> G/N on element ids."""

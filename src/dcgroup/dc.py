@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import FiniteGroup, QuotientGroup, _pick_generators, prime_factors, prime_power
 from .errors import (
+    DcgroupError,
     NotPGroup,
     NotTwoGroup,
     OrderCapExceeded,
@@ -111,6 +112,7 @@ SAMPLED_PAIRS = 10_000
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skipped"
+ERROR = "error"
 
 
 # -- DS(G) --------------------------------------------------------------------
@@ -594,7 +596,12 @@ Hypothesis = tuple[Callable[["GroupContext"], object], str]
 
 def _claim(slug: str, *hypotheses: Hypothesis):
     """Register a claim: skipped with the reason of the first hypothesis
-    that does not hold, otherwise the body's (status, detail)."""
+    that does not hold, otherwise the body's (status, detail).
+
+    A body that raises anything but a DcgroupError is recorded as status
+    `error` with detail "<ExceptionType>: <message>", so one buggy claim
+    does not abort the run.
+    """
 
     def register(body):
         @wraps(body)
@@ -602,7 +609,12 @@ def _claim(slug: str, *hypotheses: Hypothesis):
             for holds, reason in hypotheses:
                 if not holds(ctx):
                     return ClaimResult(slug, SKIP, reason)
-            return ClaimResult(slug, *body(ctx))
+            try:
+                return ClaimResult(slug, *body(ctx))
+            except DcgroupError:
+                raise
+            except Exception as e:
+                return ClaimResult(slug, ERROR, f"{type(e).__name__}: {e}")
 
         CLAIMS.append((slug, run))
         return run
@@ -1062,6 +1074,8 @@ def _claim_maxclass_nonfundamental_maximals(ctx: GroupContext):
         lambda c: c.pn is not None and c.pn[0] >= 5 and c.pn[1] == 7,
         "order is not p^7 with p >= 5",
     ),
+    # the bundle describes the paper's examples, whose G' is not abelian
+    (lambda c: not c.dprime_abelian, "derived subgroup is abelian"),
 )
 def _claim_p7_witness_properties(ctx: GroupContext):
     props = ctx.witness_properties

@@ -161,8 +161,10 @@ def _subgroup(
 ) -> Subgroup:
     """The subgroup with these sorted member ids.
 
-    It carries a bitset exactly when G.order <= BITSET_CAP. Without given
-    generators, `core._pick_generators` picks them.
+    It carries a bitset exactly when G.order <= BITSET_CAP. Callers that
+    built the subgroup from known elements pass those as `gens` (closures,
+    the full group, a p-group's maximal subgroups); only without them does
+    `core._pick_generators` pick a greedy set from the members.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if gens is None:

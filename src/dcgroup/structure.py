@@ -211,13 +211,18 @@ def _commutator_with_all(G: FiniteGroup, k: int, xs: np.ndarray) -> np.ndarray:
 
 
 def center_of_subgroup(G: FiniteGroup, S: Subgroup | None = None) -> Subgroup:
-    """Elements of S commuting with every generator of S."""
+    """Elements of S commuting with every generator of S.
+
+    Each generator g is tested on the survivors of the ones before it. The
+    left product g x is read as (x^-1 g^-1)^-1, through the inverses and
+    the right product, so no left-multiplication table is built for g.
+    """
     S = _as_subgroup(G, S)
     ids = S.ids()
-    mask = np.ones(ids.size, dtype=bool)
     for g in S.gens:
-        mask &= G.mul_vec(ids, g) == G.lmul_vec(g, ids)
-    return _subgroup(G, ids[mask])
+        gx = G.inv_vec(G.mul_vec(G.inv_vec(ids), G.inv(g)))
+        ids = ids[G.mul_vec(ids, g) == gx]
+    return _subgroup(G, ids)
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -441,22 +446,27 @@ def quotient_is_cyclic(G: FiniteGroup, A: Subgroup, B: Subgroup) -> bool:
 def pgroup_maximal_subgroups(G: FiniteGroup, S: Subgroup | None = None) -> list[Subgroup]:
     """Maximal subgroups of a p-subgroup S (default: of G), in the parent's ids.
 
-    Each is the preimage of a hyperplane of S/Phi(S). The member arrays come
-    first, so the coset numbering is freed before the subgroups pick their
-    generators, which may compute the parent's element orders.
+    Each is the preimage of a hyperplane of S/Phi(S), and keeps the
+    generators its construction gives (see `_hyperplane_preimages`), so
+    none are picked from its members.
     """
     S = _as_subgroup(G, S)
-    out = [_subgroup(G, ids) for ids in _hyperplane_preimages(G, S)]
+    out = [_subgroup(G, ids, gens) for ids, gens in _hyperplane_preimages(G, S)]
     out.sort(key=Subgroup.sort_key)
     return out
 
 
-def _hyperplane_preimages(G: FiniteGroup, S: Subgroup) -> list[np.ndarray]:
-    """Sorted member ids of each hyperplane preimage of S/Phi(S).
+def _hyperplane_preimages(
+    G: FiniteGroup, S: Subgroup
+) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Sorted member ids and generators of each hyperplane preimage of S/Phi(S).
 
     Numbers the cosets of Phi(S) in S: each generator of S outside the span
-    built so far extends it by p right cosets, so coset numbers read
-    sum_i e_i p^i in a basis of S/Phi(S).
+    built so far is the next basis element b_d and extends the span by p
+    right cosets, so coset numbers read sum_i e_i p^i in the basis
+    b_0..b_{d-1} of S/Phi(S). The preimage of the kernel of a functional f
+    with its leading 1 at l is generated by Phi(S)'s generators, the b_i
+    with i < l and the b_i b_l^(-f_i) with i > l.
     """
     if S.order == 1:
         return []
@@ -468,7 +478,7 @@ def _hyperplane_preimages(G: FiniteGroup, S: Subgroup) -> list[np.ndarray]:
     coset = np.full(G.order, -1, dtype=np.int32)
     span = phi.ids()
     coset[span] = 0
-    d = 0
+    basis: list[int] = []
     for g in S.gens if not S.is_full else G.generators:
         if coset[g] >= 0:
             continue
@@ -476,18 +486,28 @@ def _hyperplane_preimages(G: FiniteGroup, S: Subgroup) -> list[np.ndarray]:
         last = span.size * p == S.order
         for e in range(1, p):
             cur = G.mul_vec(cur, g)
-            coset[cur] = nums + e * p**d
+            coset[cur] = nums + e * p ** len(basis)
             if not last:
                 cosets.append(cur)
         span = cosets[0] if last else np.concatenate(cosets)
-        d += 1
+        basis.append(g)
+    d = len(basis)
     if phi.order * p**d != S.order:
         raise NotPGroup(f"generators of an order-{S.order} subgroup miss part of it")
+    members = S.ids()
+    nums = coset[members]
     digits = np.arange(p**d)[:, None] // p ** np.arange(d) % p
-    return [
-        np.flatnonzero(np.append(digits @ np.asarray(f) % p == 0, False)[coset])
-        for f in _projective_functionals(p, d)
-    ]
+    out = []
+    for f in _projective_functionals(p, d):
+        lead = f.index(1)
+        bl = basis[lead]
+        gens = (
+            *phi.gens,
+            *basis[:lead],
+            *(G.mul(basis[i], G.power(bl, -f[i] % p)) for i in range(lead + 1, d)),
+        )
+        out.append((members[(digits @ np.asarray(f) % p == 0)[nums]], gens))
+    return out
 
 
 def _projective_functionals(p: int, d: int):

@@ -269,10 +269,14 @@ def test_analyze_abelian_derived_beyond_relabel_size(tmp_path):
     path, out = tmp_path / "c7_c7e6.json", tmp_path / "r.json"
     path.write_text(json.dumps(spec))
     rc = main(["analyze", "--spec", str(path), "--out", str(out)])
-    assert rc != 2
+    assert rc == 0
     rep = json.loads(out.read_text())
     assert rep["invariants"]["dprime_order"] == 16807
     assert rep["invariants"]["dprime_type"] == "7x7x7x7x7"
+    # the p^7 property bundle describes groups with a non-abelian G'
+    bundle = next(c for c in rep["claims"] if c["claim"] == "large-witness-property-bundle")
+    assert bundle["status"] == "skipped"
+    assert bundle["detail"] == "derived subgroup is abelian"
 
 
 def test_analyze_exit_2_on_bad_inputs(tmp_path, capsys):
@@ -458,6 +462,35 @@ def test_census_exit_1_on_claim_failure(small_corpus, tmp_path, monkeypatch):
     assert rc == 1
     rep = json.loads(out.read_text())
     assert rep["summary"]["claims_failed"] == len(SMALL_CORPUS)
+
+
+def test_claim_that_raises_is_an_error_not_an_abort(small_corpus, tmp_path, monkeypatch):
+    import dcgroup.cli as cli_module
+
+    registry = list(dc_module.CLAIMS)
+    monkeypatch.setattr(dc_module, "CLAIMS", registry)
+    dc_module._claim("always-raises")(lambda ctx: 1 // 0)
+    monkeypatch.setattr(cli_module, "CLAIMS", registry)
+    try:
+        1 // 0
+    except ZeroDivisionError as e:
+        want = {"claim": "always-raises", "status": "error",
+                "detail": f"ZeroDivisionError: {e}"}
+
+    out = tmp_path / "r.json"
+    rc = main(["analyze", "--spec", str(small_corpus / "d8.json"), "--out", str(out)])
+    assert rc == 1
+    rep = json.loads(out.read_text())
+    assert rep["claims"][-1] == want
+    assert all(c["status"] != "fail" for c in rep["claims"])
+
+    out = tmp_path / "census.json"
+    rc = main(["census", "--corpus", str(small_corpus), "--out", str(out)])
+    assert rc == 1
+    rep = json.loads(out.read_text())
+    assert sorted(rep["groups"]) == sorted(SMALL_CORPUS)
+    assert all(g["claims"][-1] == want for g in rep["groups"].values())
+    assert rep["summary"]["claims_failed"] == 0
 
 
 def test_run_census_api_matches_cli_output(small_corpus, tmp_path):

@@ -273,6 +273,26 @@ def test_quotient_by_trivial_is_relabeled_isomorphism():
             assert Q.mul(f[x], f[y]) == f[G.mul(x, y)]
 
 
+def test_quotient_block_table_matches_scalar_products():
+    """D8/Z(D8), S4/V4 and (S3 x C6)/G': the block-filled table against
+    one scalar product through representatives per entry."""
+    d8 = C.dihedral(8)
+    z = [x for x in range(8) if all(d8.mul(x, y) == d8.mul(y, x) for y in range(8))]
+    G = s4()
+    v4 = [x for x in range(G.order) if G.element_order(x) <= 2 and G.sign(x) == 1]
+    s3c6 = C.direct_product(C.symmetric(3), C.cyclic(6))
+    quotients = [
+        QuotientGroup(d8, z),
+        QuotientGroup(G, v4),
+        QuotientGroup(s3c6, derived_subgroup(s3c6).ids()),
+    ]
+    assert [Q.order for Q in quotients] == [4, 6, 12]
+    for Q in quotients:
+        n = Q.order
+        want = [[Q._mul(x, y) for y in range(n)] for x in range(n)]
+        assert Q.np_table().tolist() == want, Q.name
+
+
 def test_quotient_project_is_homomorphism():
     Q = C.generalized_quaternion(16)
     Z = [0, Q.power(Q.generators[0], 4)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +117,21 @@ def test_center_of_subgroup():
     d8 = S.normalizer(G, closure(G, [r]))
     z = S.center_of_subgroup(G, d8)
     assert z.order == 2
+
+
+def _center_by_definition(G, H) -> list[int]:
+    """Members of H that commute with every member of H, read from the table."""
+    t = G.np_table()
+    h = H.ids()
+    block = t[np.ix_(h, h)]
+    return h[(block == block.T).all(axis=1)].tolist()
+
+
+def test_center_of_subgroup_matches_definition():
+    """Every subgroup of a few small groups, table and permutation backed."""
+    for G in (C.symmetric(4), C.dihedral(16), C.extraspecial_p3(3, "p"), from_corpus("d8")):
+        for H in all_subgroups(G):
+            assert S.center_of_subgroup(G, H).ids().tolist() == _center_by_definition(G, H)
 
 
 # -- frattini, omega, agemo ---------------------------------------------------------
@@ -310,8 +326,12 @@ def test_pgroup_maximal_subgroups_of_subgroups_match_lattice():
                 tuple(emb[int(v)] for v in M.ids())
                 for M in maximal_subgroups(T, all_subgroups(T))
             )
-            got = [tuple(M.ids().tolist()) for M in S.pgroup_maximal_subgroups(G, H)]
+            maximals = S.pgroup_maximal_subgroups(G, H)
+            got = [tuple(M.ids().tolist()) for M in maximals]
             assert sorted(got) == want, (G.name, H.order)
+            # the generators each one keeps from its construction generate it
+            for M in maximals:
+                assert closure(G, M.gens).ids().tolist() == M.ids().tolist()
             checked += 1
     assert checked > 1000
 
