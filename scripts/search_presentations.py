@@ -31,7 +31,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from dcgroup.cli import realize_spec
-from dcgroup.dc import dc_2group_predicate
+from dcgroup.dc import GroupContext, dc_2group_predicate
 from dcgroup.errors import InconsistentPresentation, NotAbelian
 from dcgroup.pc import PcPresentation, check_consistency, realize_pc_group
 from dcgroup.structure import (
@@ -163,10 +163,9 @@ def search(label: str, rel_orders: tuple[int, ...], grid, profile,
 
 
 def profile_32(pres: PcPresentation) -> str:
-    G = realize_pc_group(pres)
-    d = min_generators(G)
-    cl = nilpotency_class(G)
-    dc = dc_2group_predicate(G)
+    ctx = GroupContext(realize_pc_group(pres))
+    G, d, cl = ctx.G, ctx.d, ctx.cl
+    dc = dc_2group_predicate(ctx)
     return (f"d={d} cl={cl} G'={derived_label(G)} "
             f"{'chain' if dc else 'not-chain'}")
 

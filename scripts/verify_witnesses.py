@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dcgroup import constructors as C
 from dcgroup.core import perm_from_cycles
-from dcgroup.dc import GroupContext, is_chain, is_sublattice, witness_property_check
+from dcgroup.dc import GroupContext, is_sublattice, witness_property_check
 from dcgroup.lattice import closure, meet
 from dcgroup.pc import check_consistency
 from dcgroup.structure import (
@@ -82,7 +82,7 @@ def verify_s6() -> None:
     check("subgroup lattice has 1455 members", len(ctx.lattice) == 1455)
     ds = ctx.ds
     check("derived family has 215 members", len(ds.members) == 215)
-    check("derived family is not a chain", not is_chain(ds))
+    check("derived family is not a chain", not ds.is_chain)
     verdict = is_sublattice(ds, ctx.lattice)
     check("derived family is not a sublattice", not verdict.ok)
     check("H' and K' are in the family but their meet is not",
@@ -118,7 +118,7 @@ def verify_group1(p: int) -> None:
           G.commutator(g["a2"], g["a1"]) != 0)
 
     t0 = time.monotonic()
-    props = witness_property_check(G)
+    props = witness_property_check(GroupContext(G))
     for name, ok in props.items():
         check(name, ok)
     print(f"  (property bundle took {time.monotonic() - t0:.1f}s)")
@@ -139,7 +139,7 @@ def verify_group2() -> None:
         check(f"{name} has order 5", G.element_order(g[name]) == 5)
 
     t0 = time.monotonic()
-    props = witness_property_check(G)
+    props = witness_property_check(GroupContext(G))
     for name, ok in props.items():
         check(name, ok)
     print(f"  (property bundle took {time.monotonic() - t0:.1f}s)")

@@ -45,10 +45,7 @@ from .dc import (
     GroupContext,
     dc_2group_predicate,
     dc_sufficient_conditions,
-    derived_set,
-    is_chain,
     is_dc_fast,
-    is_dc_oracle,
     is_sublattice,
     witness_property_check,
 )
@@ -104,10 +101,7 @@ __all__ = [
     "GroupContext",
     "dc_2group_predicate",
     "dc_sufficient_conditions",
-    "derived_set",
-    "is_chain",
     "is_dc_fast",
-    "is_dc_oracle",
     "is_sublattice",
     "witness_property_check",
     # cli

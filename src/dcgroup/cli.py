@@ -35,14 +35,13 @@ from .constructors import (
 )
 from .core import FiniteGroup, PermGroup, QuotientGroup, TableGroup, prime_power
 from .dc import (
-    CLAIMS,
     ERROR,
     FAIL,
     ClaimResult,
     GroupContext,
     auto_pairs,
+    census_claims,
     corpus_notes,
-    is_dc_fast,
     is_sublattice,
     pair_claims,
 )
@@ -373,16 +372,16 @@ def analyze_group(
     t0 = time.perf_counter()
     ds = ctx.ds
     t1 = time.perf_counter()
-    claims = [fn(ctx) for _, fn in CLAIMS]
+    claims = census_claims(ctx)
     t2 = time.perf_counter()
     # The lattice-free verdict runs after the claims: run before them, it
     # raised the order-7^7 witness's peak RSS by 7 MB.
-    verdict = ctx.oracle or is_dc_fast(G, lambda: ctx.witness_properties)
+    verdict = ctx.verdict
     ds_block = {"size": None, "is_chain": None, "is_sublattice": None}
     if ds is not None:
         ds_block = {
             "size": len(ds.members),
-            "is_chain": ds.chain is not None,
+            "is_chain": ds.is_chain,
             "is_sublattice": bool(is_sublattice(ds, ctx.lattice)),
         }
     if timings is not None:

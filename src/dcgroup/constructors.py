@@ -8,6 +8,7 @@ large reference p-groups are realized from power-commutator presentations.
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from math import factorial, gcd
@@ -483,32 +484,23 @@ def wreath_cyclic(m: int, n: int) -> SemidirectGroup:
 
 # -- family registry ---------------------------------------------------------
 
-FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "cyclic": ("order",),
-    "abelian": ("invariants",),
-    "dihedral": ("order",),
-    "generalized_quaternion": ("order",),
-    "semidihedral": ("order",),
-    "modular_max_cyclic": ("order",),
-    "extraspecial_p3": ("p", "exponent"),
-    "symmetric": ("degree",),
-    "alternating": ("degree",),
-    "sl23": (),
-    "wreath_cyclic": ("m", "n"),
+_BUILDERS = {
+    "cyclic": cyclic,
+    "abelian": abelian,
+    "dihedral": dihedral,
+    "generalized_quaternion": generalized_quaternion,
+    "semidihedral": semidihedral,
+    "modular_max_cyclic": modular_max_cyclic,
+    "extraspecial_p3": extraspecial_p3,
+    "symmetric": symmetric,
+    "alternating": alternating,
+    "sl23": sl23,
+    "wreath_cyclic": wreath_cyclic,
 }
 
-_BUILDERS = {
-    "cyclic": lambda p: cyclic(p["order"]),
-    "abelian": lambda p: abelian(p["invariants"]),
-    "dihedral": lambda p: dihedral(p["order"]),
-    "generalized_quaternion": lambda p: generalized_quaternion(p["order"]),
-    "semidihedral": lambda p: semidihedral(p["order"]),
-    "modular_max_cyclic": lambda p: modular_max_cyclic(p["order"]),
-    "extraspecial_p3": lambda p: extraspecial_p3(p["p"], p["exponent"]),
-    "symmetric": lambda p: symmetric(p["degree"]),
-    "alternating": lambda p: alternating(p["degree"]),
-    "sl23": lambda p: sl23(),
-    "wreath_cyclic": lambda p: wreath_cyclic(p["m"], p["n"]),
+# Each family's spec parameters: its builder's argument names.
+FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
+    name: tuple(inspect.signature(fn).parameters) for name, fn in _BUILDERS.items()
 }
 
 
@@ -528,7 +520,7 @@ def build_family(name: str, params: Mapping | None = None) -> FiniteGroup:
         if extra:
             parts.append(f"unexpected {sorted(extra)}")
         raise ParamOutOfRange(f"family {name!r}: " + ", ".join(parts))
-    return _BUILDERS[name](params)
+    return _BUILDERS[name](**params)
 
 
 # -- reference witness bundles ------------------------------------------------

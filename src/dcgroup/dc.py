@@ -1,9 +1,11 @@
 """Derived-subgroup landscape analysis.
 
-DS(G) is the set of derived subgroups of all subgroups of G. This module
-computes DS(G), decides whether it forms a chain under inclusion (groups
-where it does are called DC here), and holds the registry of structural
-claims about such groups that the census runs over a corpus (see
+DS(G) is the set of derived subgroups of all subgroups of G. A group is
+called DC here when DS(G) is a chain under inclusion. `GroupContext`
+caches one group's invariants and is the one place that builds DS(G) and
+its verdict; the lattice-free verdict (`is_dc_fast` and the tests it is
+made of) reads the same context. The module also holds the registry of
+structural claims about DC groups that the census runs over a corpus (see
 `dcgroup.cli.run_census`). The census treats a failed claim as a
 build-breaking event: every claim encodes a fact that must hold for the
 implementation and corpus to be consistent.
@@ -83,12 +85,9 @@ __all__ = [
     "EXHAUSTIVE_PAIR_CAP",
     "SAMPLED_PAIRS",
     "DerivedSet",
-    "derived_set",
-    "is_chain",
     "SublatticeVerdict",
     "is_sublattice",
     "DcVerdict",
-    "is_dc_oracle",
     "is_dc_fast",
     "dc_2group_predicate",
     "dc_sufficient_conditions",
@@ -125,8 +124,12 @@ class DerivedSet:
     parent: FiniteGroup
     members: list[Subgroup]
     witnesses: list[Subgroup]
-    chain: list[Subgroup] | None
     incomparable_witness: tuple[Subgroup, Subgroup] | None
+
+    @property
+    def is_chain(self) -> bool:
+        """True iff the members are pairwise comparable."""
+        return self.incomparable_witness is None
 
 
 def _key(s: Subgroup):
@@ -139,10 +142,10 @@ def _derived_set(
 ) -> DerivedSet:
     """DS from (H, H') pairs: deduplicate, sort, and test for a chain.
 
-    Members come out sorted by (order, membership); the chain arrangement
-    or an incomparable pair is computed eagerly. Sorting by order makes the
-    chain test local: distinct same-order members are incomparable, and for
-    ascending orders comparability is exactly inclusion in the next member.
+    Members come out sorted by (order, membership); the first incomparable
+    pair is found eagerly. Sorting by order makes the chain test local:
+    distinct same-order members are incomparable, and for ascending orders
+    comparability is exactly inclusion in the next member.
     """
     seen: dict = {}
     for H, d in pairs:
@@ -150,31 +153,10 @@ def _derived_set(
     ordered = sorted(seen.values(), key=lambda t: t[0].sort_key())
     members = [d for d, _ in ordered]
     witnesses = [h for _, h in ordered]
-    chain: list[Subgroup] | None = list(members)
-    bad: tuple[Subgroup, Subgroup] | None = None
-    for a, b in zip(members, members[1:]):
-        if not a.issubset(b):
-            chain, bad = None, (a, b)
-            break
-    return DerivedSet(G, members, witnesses, chain, bad)
-
-
-def derived_set(
-    G: FiniteGroup,
-    lattice: SubgroupLattice | None = None,
-    cap: int = LATTICE_CAP,
-) -> DerivedSet:
-    """Map the derived subgroup over every subgroup and deduplicate."""
-    if lattice is None:
-        lattice = all_subgroups(G, cap)
-    if lattice.parent is not G:
-        raise ParentMismatch("lattice belongs to a different group")
-    return _derived_set(G, ((H, derived_subgroup(G, H)) for H in lattice.subgroups))
-
-
-def is_chain(ds: DerivedSet) -> bool:
-    """True iff the members of ds are pairwise comparable."""
-    return ds.chain is not None
+    bad = next(
+        ((a, b) for a, b in zip(members, members[1:]) if not a.issubset(b)), None
+    )
+    return DerivedSet(G, members, witnesses, bad)
 
 
 @dataclass
@@ -199,7 +181,7 @@ def is_sublattice(ds: DerivedSet, lattice: SubgroupLattice) -> SublatticeVerdict
     """
     if lattice.parent is not ds.parent:
         raise ParentMismatch("lattice belongs to a different group")
-    if ds.chain is not None:
+    if ds.is_chain:
         return SublatticeVerdict(True)
     keys = {_key(m) for m in ds.members}
     for i, a in enumerate(ds.members):
@@ -228,53 +210,24 @@ class DcVerdict:
     ds_size: int | None = None
 
 
-def _oracle(G: FiniteGroup, ds: Callable[[], DerivedSet | None]) -> DcVerdict | None:
-    """The oracle verdict from DS(G), or None when ds() has no DS to give."""
-    if G.is_abelian:
-        return DcVerdict(True, "abelian-shortcut", ds_size=1)
-    d = ds()
-    if d is None:
-        return None
-    return DcVerdict(
-        d.chain is not None,
-        "oracle",
-        witness=d.incomparable_witness,
-        ds_size=len(d.members),
-    )
-
-
-def is_dc_oracle(
-    G: FiniteGroup,
-    lattice: SubgroupLattice | None = None,
-    cap: int = LATTICE_CAP,
-) -> DcVerdict:
-    """Ground-truth verdict from the full subgroup lattice.
-
-    Abelian groups short-circuit at any order: every derived subgroup is
-    trivial, so DS(G) = {1}. Everything else needs the lattice and raises
-    OrderCapExceeded when enumeration would blow the cap.
-    """
-    return _oracle(G, lambda: derived_set(G, lattice, cap))
-
-
-def dc_2group_predicate(G: FiniteGroup) -> bool:
+def dc_2group_predicate(ctx: GroupContext) -> bool:
     """Lattice-free DC test for 2-groups.
 
     True iff G' is cyclic, or G' is the rank-2 elementary abelian group and
     the nilpotency class is exactly 3. This characterization is exact, so
     False verdicts are as trustworthy as True ones.
     """
+    G = ctx.G
     if G.order == 1:
         return True
-    pn = is_pgroup(G)
-    if pn is None or pn[0] != 2:
+    if ctx.pn is None or ctx.pn[0] != 2:
         raise NotTwoGroup(f"order {G.order} is not a 2-power")
-    dp = derived_subgroup(G)
+    dp = ctx.derived
     if is_cyclic(G, dp):
         return True
-    if dp.order != 4 or not _subgroup_is_abelian(G, dp):
+    if dp.order != 4 or not ctx.dprime_abelian:
         return False
-    return abelian_type(G, dp) == [2, 2] and nilpotency_class(G) == 3
+    return abelian_type(G, dp) == [2, 2] and ctx.cl == 3
 
 
 CONDITION_CYCLIC = "cyclic-derived"
@@ -288,7 +241,7 @@ _CONDITION_METHOD = {
 }
 
 
-def dc_sufficient_conditions(G: FiniteGroup) -> set[str]:
+def dc_sufficient_conditions(ctx: GroupContext) -> set[str]:
     """Evaluate the three proven sufficient conditions on a p-group.
 
     cyclic-derived            G' is cyclic
@@ -301,45 +254,37 @@ def dc_sufficient_conditions(G: FiniteGroup) -> set[str]:
     Conditions target non-abelian groups; abelian input returns the empty
     set (the abelian shortcut is a separate, unconditional fact).
     """
+    G = ctx.G
     p, n = _require_pgroup(G)
-    if G.is_abelian:
+    if ctx.abelian:
         return set()
     out: set[str] = set()
-    dp = derived_subgroup(G)
-    if is_cyclic(G, dp):
+    if is_cyclic(G, ctx.derived):
         out.add(CONDITION_CYCLIC)
-    if min_generators(G) == 2:
-        for M in pgroup_maximal_subgroups(G):
-            if _subgroup_is_abelian(G, M):
-                out.add(CONDITION_ABELIAN_MAXIMAL)
-                break
-    if p > 2 and n >= p + 2 and nilpotency_class(G) == n - 1:
-        G1 = fundamental_subgroup(G)
-        if derived_subgroup(G, G1).order == p:
+    if ctx.d == 2 and ctx.has_abelian_maximal:
+        out.add(CONDITION_ABELIAN_MAXIMAL)
+    if p > 2 and n >= p + 2 and ctx.cl == n - 1:
+        if derived_subgroup(G, ctx.fundamental).order == p:
             out.add(CONDITION_MAXCLASS)
     return out
 
 
-def witness_property_check(
-    G: FiniteGroup, maximals: Sequence[Subgroup] | None = None
-) -> dict[str, bool]:
+def witness_property_check(ctx: GroupContext) -> dict[str, bool]:
     """Property bundle for the order-p^7 reference groups.
 
     Checks the facts the DC argument for those groups rests on: G' is
     non-abelian, the center is cyclic, G needs exactly two generators,
     exactly one maximal subgroup M0 has |M0'| = p, and every other maximal
-    subgroup has cyclic center. `maximals` are G's maximal subgroups when
-    the caller has them already.
+    subgroup has cyclic center. `GroupContext.witness_properties` caches it.
     """
+    G = ctx.G
     p, _ = _require_pgroup(G)
-    dp = derived_subgroup(G)
     out = {
-        "derived-nonabelian": not _subgroup_is_abelian(G, dp),
-        "center-cyclic": is_cyclic(G, center(G)),
-        "two-generated": min_generators(G) == 2,
+        "derived-nonabelian": not ctx.dprime_abelian,
+        "center-cyclic": is_cyclic(G, ctx.center),
+        "two-generated": ctx.d == 2,
     }
-    if maximals is None:
-        maximals = pgroup_maximal_subgroups(G)
+    maximals = ctx.maximals
     small = [M for M in maximals if derived_subgroup(G, M).order == p]
     out["unique-small-derived-maximal"] = len(small) == 1
     if len(small) == 1:
@@ -354,31 +299,25 @@ def witness_property_check(
     return out
 
 
-def is_dc_fast(
-    G: FiniteGroup, bundle: Callable[[], dict[str, bool]] | None = None
-) -> DcVerdict | None:
+def is_dc_fast(ctx: GroupContext) -> DcVerdict | None:
     """Best lattice-free verdict, or None when nothing applies.
 
     Tries, in order: the abelian shortcut, the exact 2-group criterion,
     the reference-shape property bundle (order p^7, p >= 5 only), and the
     three sufficient conditions. The bundle outranks the conditions at the
     one shape it targets so the report names the argument that certifies
-    those groups. `bundle` returns `witness_property_check(G)`, say from a
-    cache; it is called only at that shape.
+    those groups.
     """
-    if G.is_abelian:
-        return is_dc_oracle(G)
-    pn = is_pgroup(G)
-    if pn is None:
+    if ctx.abelian:
+        return ctx.oracle
+    if ctx.pn is None:
         return None
-    p, n = pn
+    p, n = ctx.pn
     if p == 2:
-        return DcVerdict(dc_2group_predicate(G), "two-group-criterion")
-    if p >= 5 and n == 7:
-        props = witness_property_check(G) if bundle is None else bundle()
-        if all(props.values()):
-            return DcVerdict(True, "properties-verified")
-    conds = dc_sufficient_conditions(G)
+        return DcVerdict(dc_2group_predicate(ctx), "two-group-criterion")
+    if p >= 5 and n == 7 and all(ctx.witness_properties.values()):
+        return DcVerdict(True, "properties-verified")
+    conds = dc_sufficient_conditions(ctx)
     for name in (CONDITION_CYCLIC, CONDITION_ABELIAN_MAXIMAL, CONDITION_MAXCLASS):
         if name in conds:
             return DcVerdict(True, _CONDITION_METHOD[name])
@@ -403,15 +342,16 @@ def _verdict(ok: bool, witness: str = "") -> tuple[str, str]:
 class GroupContext:
     """Cached invariants for one census subject.
 
-    Everything expensive is computed at most once; claims share the cache.
-    The lattice is attempted once and remembered as None when enumeration
-    exceeds the cap, so oracle-dependent claims skip uniformly.
+    Everything expensive is computed at most once; claims and the
+    lattice-free verdict share the cache. The lattice is attempted once and
+    remembered as None when enumeration exceeds the cap, so DS(G), the
+    oracle and the claims that need them skip uniformly.
     """
 
     def __init__(self, G: FiniteGroup, lattice_cap: int = LATTICE_CAP, seed: int = 2026):
         self.G = G
         self.cap = lattice_cap
-        self.rng = np.random.default_rng([seed, G.order])
+        self.seed = seed
         self._cache: dict = {}
 
     def _get(self, key, fn):
@@ -459,12 +399,36 @@ class GroupContext:
 
     @property
     def oracle(self) -> DcVerdict | None:
-        return self._get("oracle", lambda: _oracle(self.G, lambda: self.ds))
+        """The verdict from DS(G), or None when the lattice is beyond the cap.
+
+        An abelian group needs no lattice at any order: every derived
+        subgroup is trivial, so DS(G) = {1}.
+        """
+
+        def build():
+            if self.abelian:
+                return DcVerdict(True, "abelian-shortcut", ds_size=1)
+            ds = self.ds
+            if ds is None:
+                return None
+            return DcVerdict(
+                ds.is_chain,
+                "oracle",
+                witness=ds.incomparable_witness,
+                ds_size=len(ds.members),
+            )
+
+        return self._get("oracle", build)
 
     @property
     def is_dc(self) -> bool | None:
         v = self.oracle
         return None if v is None else v.is_dc
+
+    @property
+    def verdict(self) -> DcVerdict | None:
+        """The oracle's verdict, else the lattice-free one, else None."""
+        return self._get("verdict", lambda: self.oracle or is_dc_fast(self))
 
     @property
     def derived(self) -> Subgroup:
@@ -533,12 +497,13 @@ class GroupContext:
         return self._get("maximals", build)
 
     @property
+    def fundamental(self) -> Subgroup:
+        """C_G(K2/K4) of a maximal-class p-group of order at least p^4."""
+        return self._get("fundamental", lambda: fundamental_subgroup(self.G))
+
+    @property
     def witness_properties(self) -> dict[str, bool]:
-        """`witness_property_check` over the cached maximal subgroups."""
-        return self._get(
-            "witness_properties",
-            lambda: witness_property_check(self.G, self.maximals),
-        )
+        return self._get("witness_properties", lambda: witness_property_check(self))
 
     @property
     def has_abelian_maximal(self) -> bool | None:
@@ -572,8 +537,9 @@ class GroupContext:
         if n <= EXHAUSTIVE_PAIR_CAP:
             ids = np.arange(n, dtype=np.int64)
             return np.repeat(ids, n), np.tile(ids, n)
-        xs = self.rng.integers(0, n, count, dtype=np.int64)
-        ys = self.rng.integers(0, n, count, dtype=np.int64)
+        rng = self._get("rng", lambda: np.random.default_rng([self.seed, n]))
+        xs = rng.integers(0, n, count, dtype=np.int64)
+        ys = rng.integers(0, n, count, dtype=np.int64)
         return xs, ys
 
 
@@ -594,27 +560,37 @@ CLAIMS: list = []
 Hypothesis = tuple[Callable[["GroupContext"], object], str]
 
 
-def _claim(slug: str, *hypotheses: Hypothesis):
-    """Register a claim: skipped with the reason of the first hypothesis
-    that does not hold, otherwise the body's (status, detail).
+def _guarded(slug: str, check: Callable[[], tuple[str, str]]) -> ClaimResult:
+    """The claim's result from check(), which returns (status, detail).
 
-    A body that raises anything but a DcgroupError is recorded as status
+    A check that raises anything but a DcgroupError is recorded as status
     `error` with detail "<ExceptionType>: <message>", so one buggy claim
     does not abort the run.
+    """
+    try:
+        return ClaimResult(slug, *check())
+    except DcgroupError:
+        raise
+    except Exception as e:
+        return ClaimResult(slug, ERROR, f"{type(e).__name__}: {e}")
+
+
+def _claim(slug: str, *hypotheses: Hypothesis):
+    """Register a claim: skipped with the reason of the first hypothesis
+    that does not hold, otherwise the body's (status, detail). A raising
+    hypothesis or body is recorded as `_guarded` says.
     """
 
     def register(body):
         @wraps(body)
         def run(ctx: GroupContext) -> ClaimResult:
-            for holds, reason in hypotheses:
-                if not holds(ctx):
-                    return ClaimResult(slug, SKIP, reason)
-            try:
-                return ClaimResult(slug, *body(ctx))
-            except DcgroupError:
-                raise
-            except Exception as e:
-                return ClaimResult(slug, ERROR, f"{type(e).__name__}: {e}")
+            def check():
+                for holds, reason in hypotheses:
+                    if not holds(ctx):
+                        return SKIP, reason
+                return body(ctx)
+
+            return _guarded(slug, check)
 
         CLAIMS.append((slug, run))
         return run
@@ -638,7 +614,7 @@ _VERIFIED_REGULAR: Hypothesis = (lambda c: c.regular is True, "not verified regu
 @_claim(
     "chain-implies-sublattice",
     _HAS_LATTICE,
-    (lambda c: c.ds.chain is not None, "DS is not a chain"),
+    (lambda c: c.ds.is_chain, "DS is not a chain"),
 )
 def _claim_chain_implies_sublattice(ctx: GroupContext):
     v = is_sublattice(ctx.ds, ctx.lattice)
@@ -692,7 +668,7 @@ def _claim_dc_hereditary_quotients(ctx: GroupContext):
         if N.order in (1, ctx.G.order) or not is_normal(ctx.G, N):
             continue
         Q = QuotientGroup(ctx.G, [int(v) for v in N.ids()])
-        if not is_dc_oracle(Q, cap=ctx.cap).is_dc:
+        if not GroupContext(Q, ctx.cap).is_dc:
             return FAIL, f"quotient by normal subgroup of order {N.order}"
     return PASS, ""
 
@@ -822,7 +798,7 @@ def _claim_dc_derived_power_index_bound(ctx: GroupContext):
     _HAS_ORACLE,
 )
 def _claim_two_group_characterization(ctx: GroupContext):
-    pred = dc_2group_predicate(ctx.G)
+    pred = dc_2group_predicate(ctx)
     return _verdict(
         pred == ctx.is_dc, f"criterion says {pred}, oracle says {ctx.is_dc}"
     )
@@ -830,7 +806,7 @@ def _claim_two_group_characterization(ctx: GroupContext):
 
 @_claim("sufficient-conditions-sound", _NONABELIAN_P, _HAS_ORACLE)
 def _claim_sufficiency_sound(ctx: GroupContext):
-    conds = dc_sufficient_conditions(ctx.G)
+    conds = dc_sufficient_conditions(ctx)
     if not conds:
         return SKIP, "no sufficient condition fires"
     return _verdict(
@@ -1038,7 +1014,7 @@ def _claim_twogen_abelian_maximal_center(ctx: GroupContext):
     ),
 )
 def _claim_maxclass_3group_fundamental(ctx: GroupContext):
-    G1 = fundamental_subgroup(ctx.G)
+    G1 = ctx.fundamental
     if _subgroup_is_abelian(ctx.G, G1):
         return PASS, "fundamental subgroup abelian"
     return _verdict(
@@ -1055,7 +1031,7 @@ def _claim_maxclass_nonfundamental_maximals(ctx: GroupContext):
     p, n = ctx.pn
     if n < p + 2 or ctx.cl != n - 1:
         return SKIP, f"needs maximal class with n >= p+2 = {p + 2}"
-    G1 = fundamental_subgroup(ctx.G)
+    G1 = ctx.fundamental
     for M in ctx.maximals:
         if M == G1:
             continue
@@ -1083,11 +1059,8 @@ def _claim_p7_witness_properties(ctx: GroupContext):
     return _verdict(not bad, f"failed properties: {bad}")
 
 
-def census_claims(
-    G: FiniteGroup, lattice_cap: int = LATTICE_CAP, seed: int = 2026
-) -> list[ClaimResult]:
-    """Run every registered claim against one group."""
-    ctx = GroupContext(G, lattice_cap=lattice_cap, seed=seed)
+def census_claims(ctx: GroupContext) -> list[ClaimResult]:
+    """Run every registered claim against one group's context."""
     return [fn(ctx) for _, fn in CLAIMS]
 
 
@@ -1136,46 +1109,41 @@ def pair_claims(
     Direct: G x A is DC iff G is DC and A is abelian.
     Central (abelian A sharing a prime-order central element): the glued
     product is DC iff G is.
+    Each claim is recorded as `_guarded` says, so a raising one is an
+    `error` for that claim alone.
     """
     from .constructors import central_product, direct_product
 
-    out: list[ClaimResult] = []
-    try:
-        left = is_dc_oracle(G, cap=lattice_cap)
-    except OrderCapExceeded:
-        why = "left factor lattice beyond cap"
-        return [
-            ClaimResult("direct-product-dc-iff", SKIP, why),
-            ClaimResult("central-product-dc-iff", SKIP, why),
-        ]
-    want = left.is_dc and A.is_abelian
-    claim = "direct-product-dc-iff"
-    try:
-        got = is_dc_oracle(direct_product(G, A), cap=lattice_cap)
-        witness = f"product verdict {got.is_dc}, factors say {want}"
-        out.append(ClaimResult(claim, *_verdict(got.is_dc == want, witness)))
-    except OrderCapExceeded:
-        out.append(ClaimResult(claim, SKIP, "product lattice beyond cap"))
+    left = GroupContext(G, lattice_cap)
 
-    claim = "central-product-dc-iff"
-    if not A.is_abelian:
-        out.append(ClaimResult(claim, SKIP, "right factor is not abelian"))
-        return out
-    p = is_pgroup(G)[0]
-    za = _central_element_of_order(G, p)
-    zb = _central_element_of_order(A, p)
-    if za is None or zb is None:
-        why = f"no central element of order {p} on both sides"
-        out.append(ClaimResult(claim, SKIP, why))
-        return out
-    try:
-        glued = central_product(G, A, [(za, zb)])
-        got = is_dc_oracle(glued, cap=lattice_cap)
-        witness = f"glued verdict {got.is_dc}, left factor {left.is_dc}"
-        out.append(ClaimResult(claim, *_verdict(got.is_dc == left.is_dc, witness)))
-    except OrderCapExceeded:
-        out.append(ClaimResult(claim, SKIP, "product lattice beyond cap"))
-    return out
+    def direct():
+        if left.is_dc is None:
+            return SKIP, "left factor lattice beyond cap"
+        want = left.is_dc and A.is_abelian
+        got = GroupContext(direct_product(G, A), lattice_cap).is_dc
+        if got is None:
+            return SKIP, "product lattice beyond cap"
+        return _verdict(got == want, f"product verdict {got}, factors say {want}")
+
+    def central():
+        if left.is_dc is None:
+            return SKIP, "left factor lattice beyond cap"
+        if not A.is_abelian:
+            return SKIP, "right factor is not abelian"
+        p = left.pn[0]
+        za = _central_element_of_order(G, p)
+        zb = _central_element_of_order(A, p)
+        if za is None or zb is None:
+            return SKIP, f"no central element of order {p} on both sides"
+        got = GroupContext(central_product(G, A, [(za, zb)]), lattice_cap).is_dc
+        if got is None:
+            return SKIP, "product lattice beyond cap"
+        return _verdict(got == left.is_dc, f"glued verdict {got}, left factor {left.is_dc}")
+
+    return [
+        _guarded("direct-product-dc-iff", direct),
+        _guarded("central-product-dc-iff", central),
+    ]
 
 
 def _central_element_of_order(G: FiniteGroup, p: int) -> int | None:

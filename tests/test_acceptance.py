@@ -21,9 +21,6 @@ from dcgroup.core import perm_from_cycles
 from dcgroup.dc import (
     GroupContext,
     dc_2group_predicate,
-    derived_set,
-    is_chain,
-    is_dc_oracle,
     is_sublattice,
     witness_property_check,
 )
@@ -105,7 +102,7 @@ def test_c01_s6_derived_family_breaks_chain_and_sublattice(subgroup_classes):
 
     ds = ctx.ds
     assert len(ds.members) == 215
-    assert not is_chain(ds)
+    assert not ds.is_chain
     verdict = is_sublattice(ds, ctx.lattice)
     assert not verdict.ok
     # the intersection witnessed above is exactly a missing meet
@@ -121,11 +118,12 @@ def test_c01_s6_derived_family_breaks_chain_and_sublattice(subgroup_classes):
 
 def test_c02_sl23_chain_and_sylow_split():
     G = C.sl23()
-    v = is_dc_oracle(G)
+    ctx = GroupContext(G)
+    v = ctx.oracle
     assert v.is_dc and v.method == "oracle"
 
-    ds = derived_set(G)
-    assert is_chain(ds)
+    ds = ctx.ds
+    assert ds.is_chain
     assert [m.order for m in ds.members] == [1, 2, 8]
 
     split = sylow_decomposition(G, 2)
@@ -148,7 +146,8 @@ def test_c03_two_group_predicate_matches_oracle(census):
     mismatches = []
     for gid in sorted(gids):
         G = realize(gid)
-        if dc_2group_predicate(G) != is_dc_oracle(G).is_dc:
+        # separate contexts, so the criterion and the oracle share no cache
+        if dc_2group_predicate(GroupContext(G)) != GroupContext(G).is_dc:
             mismatches.append(gid)
     assert mismatches == []
 
@@ -241,7 +240,7 @@ def test_c08_order_5e7_witness_properties():
     check_consistency(G.pres)
     assert G.order == 78125
 
-    checks = witness_property_check(G)
+    checks = witness_property_check(GroupContext(G))
     assert all(checks.values()), checks
 
     assert min_generators(G) == 2
@@ -277,7 +276,7 @@ def test_c09_order_7e7_witness_properties_and_relations():
     for lower, upper in zip(chain, chain[1:]):
         assert G.commutator(gens[lower], a) == gens[upper]
 
-    checks = witness_property_check(G)
+    checks = witness_property_check(GroupContext(G))
     assert checks["derived-nonabelian"]
     assert checks["center-cyclic"]
     assert checks["two-generated"]

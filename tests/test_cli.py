@@ -454,9 +454,7 @@ def test_census_exit_1_on_claim_failure(small_corpus, tmp_path, monkeypatch):
     def doomed(ctx):
         return ClaimResult("always-fails", "fail", "forced by test")
 
-    import dcgroup.cli as cli_module
-
-    monkeypatch.setattr(cli_module, "CLAIMS", list(dc_module.CLAIMS) + [("always-fails", doomed)])
+    monkeypatch.setattr(dc_module, "CLAIMS", list(dc_module.CLAIMS) + [("always-fails", doomed)])
     out = tmp_path / "census.json"
     rc = main(["census", "--corpus", str(small_corpus), "--out", str(out)])
     assert rc == 1
@@ -465,12 +463,8 @@ def test_census_exit_1_on_claim_failure(small_corpus, tmp_path, monkeypatch):
 
 
 def test_claim_that_raises_is_an_error_not_an_abort(small_corpus, tmp_path, monkeypatch):
-    import dcgroup.cli as cli_module
-
-    registry = list(dc_module.CLAIMS)
-    monkeypatch.setattr(dc_module, "CLAIMS", registry)
+    monkeypatch.setattr(dc_module, "CLAIMS", list(dc_module.CLAIMS))
     dc_module._claim("always-raises")(lambda ctx: 1 // 0)
-    monkeypatch.setattr(cli_module, "CLAIMS", registry)
     try:
         1 // 0
     except ZeroDivisionError as e:
@@ -493,6 +487,48 @@ def test_claim_that_raises_is_an_error_not_an_abort(small_corpus, tmp_path, monk
     assert rep["summary"]["claims_failed"] == 0
 
 
+def test_hypothesis_that_raises_is_an_error_not_an_abort(small_corpus, tmp_path, monkeypatch):
+    monkeypatch.setattr(dc_module, "CLAIMS", list(dc_module.CLAIMS))
+    dc_module._claim("hypothesis-raises", (lambda ctx: 1 // 0, "never shown"))(
+        lambda ctx: ("pass", "")
+    )
+    try:
+        1 // 0
+    except ZeroDivisionError as e:
+        want = {"claim": "hypothesis-raises", "status": "error",
+                "detail": f"ZeroDivisionError: {e}"}
+
+    out = tmp_path / "census.json"
+    rc = main(["census", "--corpus", str(small_corpus), "--out", str(out)])
+    assert rc == 1
+    rep = json.loads(out.read_text())
+    assert sorted(rep["groups"]) == sorted(SMALL_CORPUS)
+    assert all(g["claims"][-1] == want for g in rep["groups"].values())
+    assert rep["summary"]["claims_failed"] == 0
+
+
+def test_pair_claim_that_raises_is_an_error_not_an_abort(small_corpus, tmp_path, monkeypatch):
+    def broken(G, p):
+        raise RuntimeError("central element lookup broke")
+
+    monkeypatch.setattr(dc_module, "_central_element_of_order", broken)
+    out = tmp_path / "census.json"
+    rc = main(["census", "--corpus", str(small_corpus), "--jobs", "1", "--out", str(out)])
+    assert rc == 1
+    rep = json.loads(out.read_text())
+    assert sorted(rep["groups"]) == sorted(SMALL_CORPUS)
+    assert rep["summary"]["claims_failed"] == 0
+    # only an abelian right factor reaches the central-element lookup
+    errored = {k for k, claims in rep["pairs"].items()
+               if any(c["status"] == "error" for c in claims)}
+    assert errored == {"d8|c2", "q8|c2"}
+    assert rep["pairs"]["d8|c2"] == [
+        {"claim": "direct-product-dc-iff", "status": "pass", "detail": ""},
+        {"claim": "central-product-dc-iff", "status": "error",
+         "detail": "RuntimeError: central element lookup broke"},
+    ]
+
+
 def test_run_census_api_matches_cli_output(small_corpus, tmp_path):
     out = tmp_path / "census.json"
     main(["census", "--corpus", str(small_corpus), "--out", str(out)])
@@ -505,7 +541,9 @@ def test_run_census_api_matches_cli_output(small_corpus, tmp_path):
 def test_census_beyond_lattice_cap_exits_0(small_corpus, tmp_path):
     # c12 and a4 lie beyond both caps: the abelian c12 keeps its shortcut
     # verdict and its lattice claims skip instead of crashing the census.
-    # At cap 4 the left pair factor d8 lies beyond it too.
+    # At cap 8 the product d8 x c2 lies beyond it, but not the glued d8 * c2;
+    # at cap 4 the left pair factor d8 lies beyond it too.
+    pair_d8_c2 = {}
     for cap in (8, 4):
         out = tmp_path / f"census{cap}.json"
         rc = main(["census", "--corpus", str(small_corpus), "--lattice-cap",
@@ -516,9 +554,11 @@ def test_census_beyond_lattice_cap_exits_0(small_corpus, tmp_path):
         assert rep["summary"]["claims_failed"] == 0
         assert rep["groups"]["c12"]["dc"] == {"is_dc": True, "method": "abelian-shortcut"}
         assert rep["groups"]["a4"]["dc"] == {"is_dc": None, "method": "undecided"}
-    assert [(c["status"], c["detail"]) for c in rep["pairs"]["d8|c2"]] == [
-        ("skipped", "left factor lattice beyond cap")
-    ] * 2
+        pair_d8_c2[cap] = [(c["status"], c["detail"]) for c in rep["pairs"]["d8|c2"]]
+    assert pair_d8_c2 == {
+        8: [("skipped", "product lattice beyond cap"), ("pass", "")],
+        4: [("skipped", "left factor lattice beyond cap")] * 2,
+    }
 
 
 @pytest.mark.parametrize("cap", [LATTICE_CAP, 8])

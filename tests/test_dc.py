@@ -18,16 +18,13 @@ from dcgroup.dc import (
     census_claims,
     dc_2group_predicate,
     dc_sufficient_conditions,
-    derived_set,
-    is_chain,
     is_dc_fast,
-    is_dc_oracle,
     is_sublattice,
     pair_claims,
     witness_property_check,
 )
 from dcgroup.errors import NotPGroup, NotTwoGroup
-from dcgroup.lattice import all_subgroups, subgroup_as_group
+from dcgroup.lattice import subgroup_as_group
 from dcgroup.structure import derived_subgroup
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -37,20 +34,40 @@ def from_corpus(gid: str):
     return realize_spec(json.loads((CORPUS / f"{gid}.json").read_text()), name=gid)
 
 
+def ds_of(G):
+    return GroupContext(G).ds
+
+
+def oracle_of(G):
+    return GroupContext(G).oracle
+
+
+def fast_of(G):
+    return is_dc_fast(GroupContext(G))
+
+
+def predicate_of(G):
+    return dc_2group_predicate(GroupContext(G))
+
+
+def conditions_of(G):
+    return dc_sufficient_conditions(GroupContext(G))
+
+
 # -- derived set ---------------------------------------------------------------------
 
 
 def test_derived_set_of_sl23_is_a_chain():
-    ds = derived_set(C.sl23())
+    ds = ds_of(C.sl23())
     assert [m.order for m in ds.members] == [1, 2, 8]
-    assert is_chain(ds)
-    assert ds.chain is not None and ds.incomparable_witness is None
+    assert ds.is_chain
+    assert ds.incomparable_witness is None
 
 
 def test_derived_set_of_s4_is_not_a_chain():
-    ds = derived_set(C.symmetric(4))
+    ds = ds_of(C.symmetric(4))
     assert len(ds.members) == 10
-    assert not is_chain(ds)
+    assert not ds.is_chain
     a, b = ds.incomparable_witness
     assert a.order == 2 and b.order == 2
     assert not a.issubset(b) and not b.issubset(a)
@@ -58,7 +75,7 @@ def test_derived_set_of_s4_is_not_a_chain():
 
 def test_derived_set_members_are_derived_subgroups():
     G = C.symmetric(4)
-    ds = derived_set(G)
+    ds = ds_of(G)
     for member, witness in zip(ds.members, ds.witnesses):
         H, embed = subgroup_as_group(witness)
         local = derived_subgroup(H)
@@ -66,20 +83,20 @@ def test_derived_set_members_are_derived_subgroups():
 
 
 def test_derived_set_trivial_for_abelian():
-    ds = derived_set(C.abelian([2, 4]))
+    ds = ds_of(C.abelian([2, 4]))
     assert len(ds.members) == 1 and ds.members[0].is_trivial
-    assert is_chain(ds)
+    assert ds.is_chain
 
 
 def test_derived_set_of_d8():
-    ds = derived_set(C.dihedral(8))
+    ds = ds_of(C.dihedral(8))
     assert [m.order for m in ds.members] == [1, 2]
-    assert is_chain(ds)
+    assert ds.is_chain
 
 
 def test_derived_set_members_unique():
     for G in (C.symmetric(4), C.dihedral(16), C.sl23()):
-        ds = derived_set(G)
+        ds = ds_of(G)
         keys = {bytes(m.ids().tolist()) for m in ds.members}
         assert len(keys) == len(ds.members)
 
@@ -88,95 +105,92 @@ def test_derived_set_members_unique():
 
 
 def test_chain_is_trivially_a_sublattice():
-    G = C.sl23()
-    L = all_subgroups(G)
-    v = is_sublattice(derived_set(G, L), L)
+    ctx = GroupContext(C.sl23())
+    v = is_sublattice(ctx.ds, ctx.lattice)
     assert bool(v) and v.ok
 
 
 def test_s4_derived_set_is_a_sublattice_without_being_a_chain():
-    G = C.symmetric(4)
-    L = all_subgroups(G)
-    ds = derived_set(G, L)
-    assert not is_chain(ds)
-    assert is_sublattice(ds, L).ok
+    ctx = GroupContext(C.symmetric(4))
+    assert not ctx.ds.is_chain
+    assert is_sublattice(ctx.ds, ctx.lattice).ok
 
 
 # -- oracle and fast verdicts -----------------------------------------------------------
 
 
 def test_oracle_verdicts():
-    assert is_dc_oracle(C.generalized_quaternion(8)).is_dc
-    assert is_dc_oracle(C.dihedral(8)).is_dc
-    assert is_dc_oracle(C.alternating(4)).is_dc
-    assert not is_dc_oracle(C.symmetric(4)).is_dc
-    assert is_dc_oracle(C.sl23()).is_dc
+    assert oracle_of(C.generalized_quaternion(8)).is_dc
+    assert oracle_of(C.dihedral(8)).is_dc
+    assert oracle_of(C.alternating(4)).is_dc
+    assert not oracle_of(C.symmetric(4)).is_dc
+    assert oracle_of(C.sl23()).is_dc
 
 
 def test_oracle_reports_method_and_witness():
-    v = is_dc_oracle(C.symmetric(4))
+    v = oracle_of(C.symmetric(4))
     assert v.method == "oracle"
     assert v.ds_size == 10
     assert v.witness is not None
 
 
 def test_two_group_predicate_known_values():
-    assert dc_2group_predicate(C.dihedral(8))
-    assert dc_2group_predicate(C.generalized_quaternion(32))
-    assert dc_2group_predicate(C.semidihedral(16))
-    assert dc_2group_predicate(C.cyclic(16))
-    assert dc_2group_predicate(from_corpus("pos32"))
-    assert not dc_2group_predicate(from_corpus("neg32"))
-    assert not dc_2group_predicate(C.direct_product(C.dihedral(8), C.dihedral(8)))
+    assert predicate_of(C.dihedral(8))
+    assert predicate_of(C.generalized_quaternion(32))
+    assert predicate_of(C.semidihedral(16))
+    assert predicate_of(C.cyclic(16))
+    assert predicate_of(from_corpus("pos32"))
+    assert not predicate_of(from_corpus("neg32"))
+    assert not predicate_of(C.direct_product(C.dihedral(8), C.dihedral(8)))
 
 
 def test_two_group_predicate_rejects_odd_groups():
     with pytest.raises(NotTwoGroup):
-        dc_2group_predicate(C.extraspecial_p3(3, "p"))
+        predicate_of(C.extraspecial_p3(3, "p"))
     with pytest.raises(NotTwoGroup):
-        dc_2group_predicate(C.symmetric(4))
+        predicate_of(C.symmetric(4))
 
 
 def test_sufficient_conditions_known_values():
-    assert dc_sufficient_conditions(C.extraspecial_p3(3, "p")) == {
+    assert conditions_of(C.extraspecial_p3(3, "p")) == {
         "cyclic-derived",
         "abelian-maximal",
     }
-    assert dc_sufficient_conditions(C.extraspecial_p3(3, "p2")) == {
+    assert conditions_of(C.extraspecial_p3(3, "p2")) == {
         "cyclic-derived",
         "abelian-maximal",
     }
-    assert dc_sufficient_conditions(from_corpus("c3wrc3")) == {"abelian-maximal"}
-    assert dc_sufficient_conditions(from_corpus("mc35a")) == {"abelian-maximal"}
-    assert dc_sufficient_conditions(from_corpus("mc35b")) == {"maximal-class-fundamental"}
-    assert dc_sufficient_conditions(C.abelian([3, 3])) == set()
+    assert conditions_of(from_corpus("c3wrc3")) == {"abelian-maximal"}
+    assert conditions_of(from_corpus("mc35a")) == {"abelian-maximal"}
+    assert conditions_of(from_corpus("mc35b")) == {"maximal-class-fundamental"}
+    assert conditions_of(C.abelian([3, 3])) == set()
 
 
 def test_sufficient_conditions_need_pgroup():
     with pytest.raises(NotPGroup):
-        dc_sufficient_conditions(C.symmetric(4))
+        conditions_of(C.symmetric(4))
 
 
 def test_fast_verdict_methods():
-    assert is_dc_fast(C.cyclic(12)).method == "abelian-shortcut"
-    assert is_dc_fast(C.dihedral(8)).method == "two-group-criterion"
-    assert is_dc_fast(from_corpus("neg32")).is_dc is False
-    assert is_dc_fast(C.extraspecial_p3(3, "p")).method == "sufficient-cyclic-derived"
-    assert is_dc_fast(from_corpus("c3wrc3")).method == "sufficient-abelian-maximal"
-    assert is_dc_fast(from_corpus("mc35b")).method == "sufficient-maximal-class"
+    assert fast_of(C.cyclic(12)).method == "abelian-shortcut"
+    assert fast_of(C.dihedral(8)).method == "two-group-criterion"
+    assert fast_of(from_corpus("neg32")).is_dc is False
+    assert fast_of(C.extraspecial_p3(3, "p")).method == "sufficient-cyclic-derived"
+    assert fast_of(from_corpus("c3wrc3")).method == "sufficient-abelian-maximal"
+    assert fast_of(from_corpus("mc35b")).method == "sufficient-maximal-class"
     # no fast argument applies to a non-nilpotent group
-    assert is_dc_fast(C.symmetric(4)) is None
+    assert fast_of(C.symmetric(4)) is None
 
 
 def test_fast_verdict_on_large_witnesses():
     b = C.witness_bundle("group2")
-    v = is_dc_fast(b.group)
+    v = fast_of(b.group)
     assert v is not None and v.is_dc and v.method == "properties-verified"
 
 
 def test_witness_property_check_group2():
     b = C.witness_bundle("group2")
-    checks = witness_property_check(b.group)
+    checks = witness_property_check(GroupContext(b.group))
     assert checks == {
         "derived-nonabelian": True,
         "center-cyclic": True,
@@ -221,26 +235,26 @@ def test_claim_registry_slugs_are_unique():
 
 def test_census_claims_zero_failures_on_reference_groups():
     for G in (C.sl23(), C.dihedral(16), C.extraspecial_p3(3, "p"), C.symmetric(4)):
-        results = census_claims(G)
+        results = census_claims(GroupContext(G))
         bad = [r for r in results if r.status == "fail"]
         assert not bad, bad
 
 
 def test_census_claims_fire_for_dc_pgroups():
-    results = census_claims(C.dihedral(16))
+    results = census_claims(GroupContext(C.dihedral(16)))
     assert sum(r.status == "pass" for r in results) >= 10
 
 
 def test_census_claims_all_skip_for_s4():
     # not nilpotent and not in the class, so every hypothesis fails
-    results = census_claims(C.symmetric(4))
+    results = census_claims(GroupContext(C.symmetric(4)))
     assert all(r.status == "skipped" for r in results)
     assert all(r.detail for r in results)
 
 
 def test_census_claims_statuses_are_deterministic():
-    a = [(r.claim, r.status) for r in census_claims(C.dihedral(16), seed=5)]
-    b = [(r.claim, r.status) for r in census_claims(C.dihedral(16), seed=5)]
+    a = [(r.claim, r.status) for r in census_claims(GroupContext(C.dihedral(16), seed=5))]
+    b = [(r.claim, r.status) for r in census_claims(GroupContext(C.dihedral(16), seed=5))]
     assert a == b
 
 
@@ -318,6 +332,14 @@ def test_group_context_sample_pairs_deterministic_above_cap():
     assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
 
 
+def test_group_context_sample_pairs_are_pinned():
+    # the context's RNG is seeded with (seed, |G|) on the first draw
+    G = C.direct_product(C.symmetric(4), C.cyclic(6))
+    xs, ys = GroupContext(G, seed=3).sample_pairs(50)
+    assert xs[:6].tolist() == [105, 19, 86, 115, 126, 54]
+    assert ys[:6].tolist() == [117, 54, 23, 20, 134, 142]
+
+
 # -- sampled whole-pipeline property -------------------------------------------------
 
 SMALL_POOL = [
@@ -334,18 +356,18 @@ SMALL_POOL = [
 @given(data=st.data())
 def test_chain_flag_matches_pairwise_comparability(data):
     G = data.draw(st.sampled_from(SMALL_POOL))
-    ds = derived_set(G)
+    ds = ds_of(G)
     members = ds.members
     brute = all(
         a.issubset(b) or b.issubset(a) for i, a in enumerate(members) for b in members[i:]
     )
-    assert is_chain(ds) == brute
+    assert ds.is_chain == brute
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_oracle_agrees_with_fast_path_when_fast_path_speaks(data):
     G = data.draw(st.sampled_from(SMALL_POOL))
-    fast = is_dc_fast(G)
+    fast = fast_of(G)
     if fast is not None:
-        assert fast.is_dc == is_dc_oracle(G).is_dc
+        assert fast.is_dc == oracle_of(G).is_dc
