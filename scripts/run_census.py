@@ -2,8 +2,8 @@
 """Run the claim census over the bundled corpus and print a summary.
 
 Thin wrapper around `dcgroup census` that defaults the corpus to the
-checked-in corpus/ directory and prints per-claim pass/fail/skip counts
-after writing the full report.
+checked-in corpus/ directory and prints per-claim pass/fail/error/skip
+counts after writing the full report, then every failed or raising claim.
 
 Usage:
     python3 scripts/run_census.py                       # JSON to census_report.json
@@ -49,16 +49,16 @@ def summarize(report_path: Path) -> None:
     s = report["summary"]
     print(f"groups: {s['groups']}  pairs: {s['pairs']}  skipped: {s['skipped']}")
     print(f"claim checks: {tally['pass']} pass, {tally['fail']} fail, "
-          f"{tally['skip']} skip")
-    width = max(len(k) for k in per_claim)
+          f"{tally['error']} error, {tally['skip']} skip")
+    width = max(map(len, per_claim), default=0)
     for claim in sorted(per_claim):
         c = per_claim[claim]
-        mark = "FAIL" if c["fail"] else "ok"
+        mark = "FAIL" if c["fail"] else "ERROR" if c["error"] else "ok"
         print(f"  {claim:<{width}}  {c['pass']:>4} pass {c['skip']:>5} skip  {mark}")
     for gid, claims in rows:
         for c in claims:
-            if c["status"] == "fail":
-                print(f"FAIL {gid} {c['claim']}: {c['detail']}")
+            if c["status"] in ("fail", "error"):
+                print(f"{c['status'].upper()} {gid} {c['claim']}: {c['detail']}")
 
 
 def main() -> int:

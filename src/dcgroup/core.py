@@ -449,7 +449,7 @@ class TableGroup(FiniteGroup):
         self._np = arr
         self.flat_table()
         if generators is None:
-            self.generators = _pick_generators(self, range(order), self.element_orders())
+            self.generators = _pick_generators(self, range(order))
 
     def _mul(self, x: int, y: int) -> int:
         return self._table[x * self.order + y]
@@ -469,7 +469,6 @@ class PermGroup(FiniteGroup):
         self,
         gen_perms: Sequence[Sequence[int]],
         name: str = "",
-        universe_cap: int = CLOSURE_UNIVERSE_CAP,
     ):
         if not gen_perms:
             raise DegreeMismatch("need at least one generator permutation")
@@ -484,7 +483,7 @@ class PermGroup(FiniteGroup):
                 raise DegreeMismatch(f"{tuple(p)} is not a permutation")
             perms.append(tuple(int(i) for i in p))
 
-        elements = _dimino(perms, degree, universe_cap)
+        elements = _dimino(perms, degree)
         index = {p: i for i, p in enumerate(elements)}
         super().__init__(
             len(elements), [index[p] for p in perms], name or f"perm<{degree}>"
@@ -576,9 +575,7 @@ class PermGroup(FiniteGroup):
         return perm_sign(self.perms[x])
 
 
-def _dimino(
-    gen_perms: list[tuple[int, ...]], degree: int, universe_cap: int
-) -> list[tuple[int, ...]]:
+def _dimino(gen_perms: list[tuple[int, ...]], degree: int) -> list[tuple[int, ...]]:
     """Dimino's algorithm: close generators incrementally, a coset at a time."""
     identity = tuple(range(degree))
     elements = [identity]
@@ -588,8 +585,10 @@ def _dimino(
         for s in subgroup:
             t = perm_mul(s, rep)
             if t not in index:
-                if len(elements) >= universe_cap:
-                    raise UniverseOverflow(f"closure exceeded {universe_cap} elements")
+                if len(elements) >= CLOSURE_UNIVERSE_CAP:
+                    raise UniverseOverflow(
+                        f"closure exceeded {CLOSURE_UNIVERSE_CAP} elements"
+                    )
                 index.add(t)
                 elements.append(t)
 
@@ -749,7 +748,7 @@ def closure_ids(G: FiniteGroup, seed: Iterable[int]) -> list[int]:
     return np.flatnonzero(_closure_mask(G, gens)).tolist()
 
 
-def _pick_generators(G: FiniteGroup, candidates, orders: np.ndarray) -> tuple[int, ...]:
+def _pick_generators(G: FiniteGroup, candidates) -> tuple[int, ...]:
     """Greedy generating set, sorted, for the subgroup the candidates generate.
 
     Candidates are taken highest element order first, ties to the smaller
@@ -758,7 +757,7 @@ def _pick_generators(G: FiniteGroup, candidates, orders: np.ndarray) -> tuple[in
     most log2 m generators.
     """
     cand = np.asarray(candidates, dtype=np.int64)
-    pool = cand[np.lexsort((cand, -orders[cand]))]
+    pool = cand[np.lexsort((cand, -G.element_orders()[cand]))]
     pool = pool[pool != 0]
     gens: list[int] = []
     while pool.size:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import wraps
+from functools import cached_property, wraps
 from math import comb
 
 import numpy as np
@@ -60,7 +60,6 @@ from .structure import (
     _subgroup_is_abelian,
     abelian_type,
     center,
-    center_of_subgroup,
     derived_length,
     derived_subgroup,
     exponent,
@@ -75,8 +74,6 @@ from .structure import (
     pgroup_maximal_subgroups,
     quotient_is_cyclic,
     quotient_exponent,
-    subgroup_exponent,
-    subgroup_min_generators,
     sylow_decomposition,
 )
 
@@ -107,6 +104,11 @@ COMMUTATOR_IMAGE_CAP = 4096
 EXHAUSTIVE_PAIR_CAP = 128
 # Random pair sample size above the exhaustive cap.
 SAMPLED_PAIRS = 10_000
+# `auto_pairs` bounds: |G| of the left factor, |G||A| of the product, and
+# the number of pairs.
+PAIR_LEFT_CAP = 64
+PAIR_PRODUCT_CAP = 128
+PAIR_LIMIT = 12
 
 PASS = "pass"
 FAIL = "fail"
@@ -290,7 +292,7 @@ def witness_property_check(ctx: GroupContext) -> dict[str, bool]:
     if len(small) == 1:
         m0 = small[0]
         out["other-maximal-centers-cyclic"] = all(
-            is_cyclic(G, center_of_subgroup(G, M))
+            is_cyclic(G, center(G, M))
             for M in maximals
             if M is not m0
         )
@@ -342,194 +344,165 @@ def _verdict(ok: bool, witness: str = "") -> tuple[str, str]:
 class GroupContext:
     """Cached invariants for one census subject.
 
-    Everything expensive is computed at most once; claims and the
-    lattice-free verdict share the cache. The lattice is attempted once and
-    remembered as None when enumeration exceeds the cap, so DS(G), the
-    oracle and the claims that need them skip uniformly.
+    Each invariant is a `cached_property`, computed on first use and at
+    most once; claims and the lattice-free verdict share them. The lattice
+    is attempted once and remembered as None when enumeration exceeds the
+    cap, so DS(G), the oracle and the claims that need them skip uniformly.
     """
 
     def __init__(self, G: FiniteGroup, lattice_cap: int = LATTICE_CAP, seed: int = 2026):
         self.G = G
         self.cap = lattice_cap
         self.seed = seed
-        self._cache: dict = {}
 
-    def _get(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def pn(self) -> tuple[int, int] | None:
-        return self._get("pn", lambda: is_pgroup(self.G))
+        return is_pgroup(self.G)
 
     @property
     def abelian(self) -> bool:
         return self.G.is_abelian
 
-    @property
+    @cached_property
     def lattice(self) -> SubgroupLattice | None:
-        def build():
-            try:
-                return all_subgroups(self.G, self.cap)
-            except OrderCapExceeded:
-                return None
+        try:
+            return all_subgroups(self.G, self.cap)
+        except OrderCapExceeded:
+            return None
 
-        return self._get("lattice", build)
-
-    @property
+    @cached_property
     def derived_pairs(self) -> list[tuple[Subgroup, Subgroup]] | None:
-        def build():
-            if self.lattice is None:
-                return None
-            return [
-                (H, derived_subgroup(self.G, H)) for H in self.lattice.subgroups
-            ]
+        if self.lattice is None:
+            return None
+        return [(H, derived_subgroup(self.G, H)) for H in self.lattice.subgroups]
 
-        return self._get("derived_pairs", build)
-
+    # A plain property over the cached `_ds`: perfbench/spans.py times DS(G)
+    # by wrapping this property's fget.
     @property
     def ds(self) -> DerivedSet | None:
-        def build():
-            if self.lattice is None:
-                return None
-            return _derived_set(self.G, self.derived_pairs)
+        return self._ds
 
-        return self._get("ds", build)
+    @cached_property
+    def _ds(self) -> DerivedSet | None:
+        if self.derived_pairs is None:
+            return None
+        return _derived_set(self.G, self.derived_pairs)
 
-    @property
+    @cached_property
     def oracle(self) -> DcVerdict | None:
         """The verdict from DS(G), or None when the lattice is beyond the cap.
 
         An abelian group needs no lattice at any order: every derived
         subgroup is trivial, so DS(G) = {1}.
         """
-
-        def build():
-            if self.abelian:
-                return DcVerdict(True, "abelian-shortcut", ds_size=1)
-            ds = self.ds
-            if ds is None:
-                return None
-            return DcVerdict(
-                ds.is_chain,
-                "oracle",
-                witness=ds.incomparable_witness,
-                ds_size=len(ds.members),
-            )
-
-        return self._get("oracle", build)
+        if self.abelian:
+            return DcVerdict(True, "abelian-shortcut", ds_size=1)
+        ds = self.ds
+        if ds is None:
+            return None
+        return DcVerdict(
+            ds.is_chain,
+            "oracle",
+            witness=ds.incomparable_witness,
+            ds_size=len(ds.members),
+        )
 
     @property
     def is_dc(self) -> bool | None:
         v = self.oracle
         return None if v is None else v.is_dc
 
-    @property
+    @cached_property
     def verdict(self) -> DcVerdict | None:
         """The oracle's verdict, else the lattice-free one, else None."""
-        return self._get("verdict", lambda: self.oracle or is_dc_fast(self))
+        return self.oracle or is_dc_fast(self)
 
-    @property
+    @cached_property
     def derived(self) -> Subgroup:
-        return self._get("derived", lambda: derived_subgroup(self.G))
+        return derived_subgroup(self.G)
 
-    @property
+    @cached_property
     def dprime_abelian(self) -> bool:
-        return self._get(
-            "dprime_abelian", lambda: _subgroup_is_abelian(self.G, self.derived)
-        )
+        return _subgroup_is_abelian(self.G, self.derived)
 
-    @property
+    @cached_property
     def dprime_rank(self) -> int | None:
-        def build():
-            if self.derived.order == 1:
-                return 0
-            try:
-                return subgroup_min_generators(self.G, self.derived)
-            except NotPGroup:
-                return None
+        """d(G'); None when G' is a proper subgroup that is not a p-group,
+        or when the generator search for a perfect G runs out of budget."""
+        try:
+            return min_generators(self.G, self.derived)
+        except (NotPGroup, SearchBudgetExceeded):
+            return None
 
-        return self._get("dprime_rank", build)
-
-    @property
+    @cached_property
     def lcs(self) -> list[Subgroup]:
-        return self._get("lcs", lambda: lower_central_series(self.G))
+        return lower_central_series(self.G)
 
     @property
     def cl(self) -> int | None:
         series = self.lcs
         return len(series) - 1 if series[-1].order == 1 else None
 
-    @property
+    @cached_property
     def dl(self) -> int | None:
-        return self._get("dl", lambda: derived_length(self.G))
+        return derived_length(self.G)
 
-    @property
+    @cached_property
     def center(self) -> Subgroup:
-        return self._get("center", lambda: center(self.G))
+        return center(self.G)
 
-    @property
+    @cached_property
     def d(self) -> int | None:
         """Minimal generator count; None when the search budget runs out."""
-
-        def build():
-            try:
-                return min_generators(self.G)
-            except SearchBudgetExceeded:
-                return None
-
-        return self._get("d", build)
-
-    @property
-    def exponent(self) -> int:
-        return self._get("exponent", lambda: exponent(self.G))
-
-    @property
-    def maximals(self) -> list[Subgroup] | None:
-        def build():
-            if self.pn is not None:
-                return pgroup_maximal_subgroups(self.G)
-            if self.lattice is not None:
-                return maximal_subgroups(self.G, self.lattice)
+        try:
+            return min_generators(self.G)
+        except SearchBudgetExceeded:
             return None
 
-        return self._get("maximals", build)
+    @cached_property
+    def exponent(self) -> int:
+        return exponent(self.G)
 
-    @property
+    @cached_property
+    def maximals(self) -> list[Subgroup] | None:
+        if self.pn is not None:
+            return pgroup_maximal_subgroups(self.G)
+        if self.lattice is not None:
+            return maximal_subgroups(self.G, self.lattice)
+        return None
+
+    @cached_property
     def fundamental(self) -> Subgroup:
         """C_G(K2/K4) of a maximal-class p-group of order at least p^4."""
-        return self._get("fundamental", lambda: fundamental_subgroup(self.G))
+        return fundamental_subgroup(self.G)
 
-    @property
+    @cached_property
     def witness_properties(self) -> dict[str, bool]:
-        return self._get("witness_properties", lambda: witness_property_check(self))
+        return witness_property_check(self)
 
-    @property
+    @cached_property
     def has_abelian_maximal(self) -> bool | None:
-        def build():
-            ms = self.maximals
-            if ms is None:
-                return None
-            return any(_subgroup_is_abelian(self.G, M) for M in ms)
+        ms = self.maximals
+        if ms is None:
+            return None
+        return any(_subgroup_is_abelian(self.G, M) for M in ms)
 
-        return self._get("has_abelian_maximal", build)
-
-    @property
+    @cached_property
     def regular(self) -> bool | None:
-        return self._get("regular", lambda: is_regular(self.G))
+        return is_regular(self.G)
 
-    @property
+    @cached_property
     def minimal_nonabelian(self) -> bool | None:
-        def build():
-            if self.abelian:
-                return False
-            ms = self.maximals
-            if ms is None:
-                return None
-            return all(_subgroup_is_abelian(self.G, M) for M in ms)
+        if self.abelian:
+            return False
+        ms = self.maximals
+        if ms is None:
+            return None
+        return all(_subgroup_is_abelian(self.G, M) for M in ms)
 
-        return self._get("minimal_nonabelian", build)
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        return np.random.default_rng([self.seed, self.G.order])
 
     def sample_pairs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """All (x, y) pairs when small, a deterministic sample otherwise."""
@@ -537,9 +510,8 @@ class GroupContext:
         if n <= EXHAUSTIVE_PAIR_CAP:
             ids = np.arange(n, dtype=np.int64)
             return np.repeat(ids, n), np.tile(ids, n)
-        rng = self._get("rng", lambda: np.random.default_rng([self.seed, n]))
-        xs = rng.integers(0, n, count, dtype=np.int64)
-        ys = rng.integers(0, n, count, dtype=np.int64)
+        xs = self._rng.integers(0, n, count, dtype=np.int64)
+        ys = self._rng.integers(0, n, count, dtype=np.int64)
         return xs, ys
 
 
@@ -726,7 +698,7 @@ def _claim_dc_gprime_center_cyclic(ctx: GroupContext):
     _HAS_ORACLE,
     _IS_DC,
     (
-        lambda c: subgroup_exponent(c.G, c.derived) == c.pn[0],
+        lambda c: exponent(c.G, c.derived) == c.pn[0],
         "derived subgroup exponent exceeds p",
     ),
 )
@@ -787,7 +759,7 @@ def _claim_dc_derived_power_index_bound(ctx: GroupContext):
     p = ctx.pn[0]
     G = ctx.G
     powered = G.p_power_vec(ctx.derived.ids())
-    span = closure(G, _pick_generators(G, powered, G.element_orders()))
+    span = closure(G, _pick_generators(G, powered))
     index = ctx.derived.order // span.order
     return _verdict(index <= p**p, f"index {index} exceeds p^p = {p**p}")
 
@@ -904,7 +876,7 @@ def _claim_twogen_metabelian_p_abelian_iff(ctx: GroupContext):
     if pa is None:
         return SKIP, f"order beyond the {REGULARITY_CAP} definitional cap"
     p = ctx.pn[0]
-    rhs = subgroup_exponent(ctx.G, ctx.derived) <= p and (ctx.cl or 0) < p
+    rhs = exponent(ctx.G, ctx.derived) <= p and (ctx.cl or 0) < p
     return _verdict(pa == rhs, f"p-abelian={pa} but exp/class side={rhs}")
 
 
@@ -1069,15 +1041,13 @@ def census_claims(ctx: GroupContext) -> list[ClaimResult]:
 
 def auto_pairs(
     entries: Sequence[tuple[str, int, bool, int | None]],
-    max_left: int = 64,
-    max_product: int = 128,
-    limit: int = 12,
 ) -> list[tuple[str, str]]:
     """Deterministic (G, A) id pairs for the product claims.
 
     Entries are (id, order, abelian, p) rows; G ranges over non-abelian
-    p-groups, A over p-groups for the same prime. Pairs come out ordered
-    by id and truncated to the limit. The product bound stays small because
+    p-groups of order at most PAIR_LEFT_CAP, A over p-groups for the same
+    prime with |G||A| <= PAIR_PRODUCT_CAP. Pairs come out ordered by id and
+    truncated to PAIR_LIMIT. The product bound stays small because
     the claims run the subgroup-lattice oracle on G x A, whose cost grows
     with the subgroup count, not the order.
     """
@@ -1085,7 +1055,7 @@ def auto_pairs(
     lefts = sorted(
         gid
         for gid, order, ab, p in entries
-        if not ab and p is not None and order <= max_left
+        if not ab and p is not None and order <= PAIR_LEFT_CAP
     )
     rights = sorted(gid for gid, _, _, p in entries if p is not None)
     out: list[tuple[str, str]] = []
@@ -1093,10 +1063,10 @@ def auto_pairs(
         for aid in rights:
             og, _, pg = info[gid]
             oa, _, pa = info[aid]
-            if pg != pa or og * oa > max_product:
+            if pg != pa or og * oa > PAIR_PRODUCT_CAP:
                 continue
             out.append((gid, aid))
-            if len(out) >= limit:
+            if len(out) >= PAIR_LIMIT:
                 return out
     return out
 

@@ -168,7 +168,7 @@ def _subgroup(
     """
     ids = np.asarray(ids, dtype=np.int64)
     if gens is None:
-        gens = _pick_generators(G, ids, G.element_orders())
+        gens = _pick_generators(G, ids)
     bits = None
     if G.order <= BITSET_CAP:
         member = np.zeros(G.order, dtype=np.uint8)
@@ -208,7 +208,6 @@ class SubgroupLattice:
     def __init__(self, parent: FiniteGroup, subgroups: list[Subgroup]):
         self.parent = parent
         self.subgroups = sorted(subgroups, key=Subgroup.sort_key)
-        self._pos = {s.bits: i for i, s in enumerate(self.subgroups)}
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -218,16 +217,6 @@ class SubgroupLattice:
 
     def __getitem__(self, i: int) -> Subgroup:
         return self.subgroups[i]
-
-    def find_bits(self, bits: int) -> Subgroup | None:
-        i = self._pos.get(bits)
-        return None if i is None else self.subgroups[i]
-
-    def index(self, S: Subgroup) -> int:
-        i = self._pos.get(S.bits)
-        if i is None:
-            raise ParentMismatch("subgroup not in lattice")
-        return i
 
     @property
     def bottom(self) -> Subgroup:
@@ -270,8 +259,7 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
     arr = G.np_table()
     every = np.arange(n)
     inv = G.inv_vec(every)
-    orders = G.element_orders()
-    order_list = orders.tolist()
+    order_list = G.element_orders().tolist()
 
     def conjugates(ids: np.ndarray) -> np.ndarray:
         """Row g holds the ids conjugated by g."""
@@ -348,7 +336,7 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
             mask[np.arange(len(reps))[:, None], reps] = True
             masks = [m.tobytes() for m in mask]
         for row in reps:
-            subs.append(_subgroup(G, row, _pick_generators(G, row, orders)))
+            subs.append(_subgroup(G, row, _pick_generators(G, row)))
         seen.update(masks)
         if ids.size < n:
             work.append((subs[-len(masks)], member, normalizer))

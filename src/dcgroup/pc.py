@@ -144,11 +144,7 @@ class PcPresentation:
         )
 
 
-def collect(
-    pres: PcPresentation,
-    word: Iterable[Sequence[int]],
-    limit: int = COLLECT_LIMIT,
-) -> tuple[int, ...]:
+def collect(pres: PcPresentation, word: Iterable[Sequence[int]]) -> tuple[int, ...]:
     """Collect a word from the left into normal-form exponents.
 
     Repeatedly fixes the leftmost violation: an exponent outside [0, o_g) is
@@ -164,8 +160,8 @@ def collect(
     k = 0
     while k < len(letters):
         steps += 1
-        if steps > limit:
-            raise CollectionLimitExceeded(f"collection exceeded {limit} steps")
+        if steps > COLLECT_LIMIT:
+            raise CollectionLimitExceeded(f"collection exceeded {COLLECT_LIMIT} steps")
         g, e = letters[k]
         if e == 0:
             del letters[k]

@@ -2,8 +2,10 @@
 
 Everything here works on a parent group and its Subgroup views without ever
 relabeling elements, so the same code path serves a 16-element table group and
-an order 7^7 collected group. Functions that genuinely need the whole subgroup
-lattice take it as an explicit argument.
+an order 7^7 collected group. A fact about a subgroup and the same fact about
+G are one function, `f(G, S=None)`: it works on S inside G, and on G itself
+when S is None. `sylow_decomposition`, which needs the whole subgroup
+lattice, takes one already built as an optional argument.
 """
 
 from __future__ import annotations
@@ -33,9 +35,12 @@ from .lattice import (
     Subgroup,
     SubgroupLattice,
     _subgroup,
+    all_subgroups,
     closure,
     full_subgroup,
     is_normal,
+    maximal_subgroups,
+    meet,
     normal_closure,
     trivial_subgroup,
 )
@@ -48,11 +53,7 @@ __all__ = [
     "derived_length",
     "lower_central_series",
     "nilpotency_class",
-    "subgroup_exponent",
-    "subgroup_min_generators",
-    "subgroup_frattini",
     "center",
-    "center_of_subgroup",
     "centralizer",
     "normalizer",
     "frattini_subgroup",
@@ -162,47 +163,6 @@ def nilpotency_class(G: FiniteGroup, S: Subgroup | None = None) -> int | None:
     return len(series) - 1
 
 
-def _lcm_of(orders: np.ndarray) -> int:
-    """Least common multiple of some element orders."""
-    return lcm(*np.unique(orders).tolist())
-
-
-def subgroup_exponent(G: FiniteGroup, S: Subgroup) -> int:
-    """Exponent of a subgroup, from parent element orders."""
-    S = _as_subgroup(G, S)
-    return _lcm_of(G.element_orders()[S.ids()])
-
-
-def subgroup_min_generators(G: FiniteGroup, S: Subgroup) -> int:
-    """Minimal generating set size of a subgroup of prime-power order.
-
-    Frattini quotient rank, with the Frattini subgroup of S computed inside
-    the parent as <S', generator p-th powers>.
-    """
-    S = _as_subgroup(G, S)
-    if S.order == 1:
-        return 0
-    pk = prime_power(S.order)
-    if pk is None:
-        raise NotPGroup(f"subgroup order {S.order} is not a prime power")
-    phi = subgroup_frattini(G, S)
-    return prime_factors(S.order // phi.order).get(pk[0], 0)
-
-
-def subgroup_frattini(G: FiniteGroup, S: Subgroup) -> Subgroup:
-    """Frattini subgroup of a prime-power-order subgroup, inside the parent."""
-    S = _as_subgroup(G, S)
-    if S.order == 1:
-        return trivial_subgroup(G)
-    p = next(iter(prime_factors(S.order)))
-    dg = derived_subgroup(G, S)
-    seed = set(dg.gens) | {G.power(g, p) for g in S.gens}
-    seed -= {0}
-    if not seed:
-        return trivial_subgroup(G)
-    return closure(G, sorted(seed))
-
-
 def _commutator_with_all(G: FiniteGroup, k: int, xs: np.ndarray) -> np.ndarray:
     """[k, x] for every x in xs, vectorized."""
     kx = G.lmul_vec(k, xs)
@@ -210,8 +170,8 @@ def _commutator_with_all(G: FiniteGroup, k: int, xs: np.ndarray) -> np.ndarray:
     return G.lmul_vec(G.inv(k), conj)
 
 
-def center_of_subgroup(G: FiniteGroup, S: Subgroup | None = None) -> Subgroup:
-    """Elements of S commuting with every generator of S.
+def center(G: FiniteGroup, S: Subgroup | None = None) -> Subgroup:
+    """Center of S (default: of G): its elements commuting with every generator.
 
     Each generator g is tested on the survivors of the ones before it. The
     left product g x is read as (x^-1 g^-1)^-1, through the inverses and
@@ -223,10 +183,6 @@ def center_of_subgroup(G: FiniteGroup, S: Subgroup | None = None) -> Subgroup:
         gx = G.inv_vec(G.mul_vec(G.inv_vec(ids), G.inv(g)))
         ids = ids[G.mul_vec(ids, g) == gx]
     return _subgroup(G, ids)
-
-
-def center(G: FiniteGroup) -> Subgroup:
-    return center_of_subgroup(G, None)
 
 
 def centralizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
@@ -273,8 +229,12 @@ def _require_pgroup(G: FiniteGroup) -> tuple[int, int]:
     return pn
 
 
-def exponent(G: FiniteGroup) -> int:
-    return _lcm_of(G.element_orders())
+def exponent(G: FiniteGroup, S: Subgroup | None = None) -> int:
+    """Exponent of S (default: of G), from parent element orders."""
+    orders = G.element_orders()
+    if S is not None:
+        orders = orders[_as_subgroup(G, S).ids()]
+    return lcm(*np.unique(orders).tolist())
 
 
 def is_cyclic(G: FiniteGroup, S: Subgroup | None = None) -> bool:
@@ -283,29 +243,30 @@ def is_cyclic(G: FiniteGroup, S: Subgroup | None = None) -> bool:
     return int(orders.max()) == S.order
 
 
-def frattini_subgroup(
-    G: FiniteGroup, lattice: SubgroupLattice | None = None
-) -> Subgroup:
-    """Frattini subgroup: intersection of the maximal subgroups.
+def frattini_subgroup(G: FiniteGroup, S: Subgroup | None = None) -> Subgroup:
+    """Frattini subgroup of S (default: of G): meet of its maximal subgroups.
 
-    For p-groups this equals the closure of the derived subgroup together
-    with generator p-th powers, which avoids any lattice work; other groups
-    need the lattice.
+    For a p-subgroup this is <S', generator p-th powers>, closed inside the
+    parent without lattice work. Any other G needs its lattice; a proper
+    subgroup that is not of prime-power order raises NotPGroup.
     """
-    if is_pgroup(G) is not None:
-        return subgroup_frattini(G, full_subgroup(G))
-    if G.order == 1:
+    S = _as_subgroup(G, S)
+    if S.order == 1:
         return trivial_subgroup(G)
-    if lattice is None:
-        from .lattice import all_subgroups
-
-        lattice = all_subgroups(G)
-    from .lattice import maximal_subgroups, meet
-
-    out = full_subgroup(G)
-    for m in maximal_subgroups(G, lattice):
-        out = meet(out, m)
-    return out
+    pk = prime_power(S.order)
+    if pk is None:
+        if not S.is_full:
+            raise NotPGroup(f"subgroup order {S.order} is not a prime power")
+        out = S
+        for m in maximal_subgroups(G, all_subgroups(G)):
+            out = meet(out, m)
+        return out
+    dg = derived_subgroup(G, S)
+    seed = set(dg.gens) | {G.power(g, pk[0]) for g in S.gens}
+    seed -= {0}
+    if not seed:
+        return trivial_subgroup(G)
+    return closure(G, sorted(seed))
 
 
 def omega(G: FiniteGroup, s: int = 1) -> Subgroup:
@@ -315,7 +276,7 @@ def omega(G: FiniteGroup, s: int = 1) -> Subgroup:
         raise ParamOutOfRange(f"omega index {s} must be >= 1")
     orders = G.element_orders()
     ids = np.nonzero(orders <= p**s)[0]
-    return closure(G, _pick_generators(G, ids, orders))
+    return closure(G, _pick_generators(G, ids))
 
 
 def agemo(G: FiniteGroup, s: int = 1) -> Subgroup:
@@ -324,23 +285,31 @@ def agemo(G: FiniteGroup, s: int = 1) -> Subgroup:
     if s < 1:
         raise ParamOutOfRange(f"agemo index {s} must be >= 1")
     powers = G.p_power_vec(np.arange(G.order, dtype=np.int64), s)
-    return closure(G, _pick_generators(G, powers, G.element_orders()))
+    return closure(G, _pick_generators(G, powers))
 
 
-def min_generators(G: FiniteGroup, budget: int = GEN_SEARCH_BUDGET) -> int:
-    """Minimal generating set size.
+def min_generators(
+    G: FiniteGroup, S: Subgroup | None = None, budget: int = GEN_SEARCH_BUDGET
+) -> int:
+    """Minimal generating set size of S (default: of G).
 
-    For p-groups this is the Frattini quotient rank. Otherwise a bounded
-    search over candidate tuples in element-order order; raises
+    For a p-subgroup this is the rank of S/Phi(S). For any other G, a
+    bounded search over candidate tuples in element-order order; raises
     SearchBudgetExceeded when an answer needs more than `budget` candidate
     tuples. Since d(G) >= d(G/G') = r, the rank of the abelianization,
     tuples of size below r are counted without being listed, and a tuple
-    whose image does not generate G/G' is counted but not closed in G.
+    whose image does not generate G/G' is counted but not closed in G. A
+    proper subgroup that is not of prime-power order raises NotPGroup.
     """
-    if G.order == 1:
+    S = _as_subgroup(G, S)
+    if S.order == 1:
         return 0
-    if is_pgroup(G) is not None:
-        return subgroup_min_generators(G, full_subgroup(G))
+    pk = prime_power(S.order)
+    if pk is not None:
+        phi = frattini_subgroup(G, S)
+        return prime_factors(S.order // phi.order).get(pk[0], 0)
+    if not S.is_full:
+        raise NotPGroup(f"subgroup order {S.order} is not a prime power")
     orders = G.element_orders()
     if int(orders.max()) == G.order:
         return 1
@@ -474,7 +443,7 @@ def _hyperplane_preimages(
     if pk is None:
         raise NotPGroup(f"subgroup order {S.order} is not a prime power")
     p = pk[0]
-    phi = subgroup_frattini(G, S)
+    phi = frattini_subgroup(G, S)
     coset = np.full(G.order, -1, dtype=np.int32)
     span = phi.ids()
     coset[span] = 0
@@ -549,8 +518,6 @@ def sylow_decomposition(
     if pv == 1:
         raise ParamOutOfRange(f"{p} is not a prime dividing |{G.name}| = {G.order}")
     if lattice is None:
-        from .lattice import all_subgroups
-
         lattice = all_subgroups(G)
     sylow = None
     for s in lattice.of_order(pv):
@@ -588,14 +555,14 @@ def _subgroup_is_abelian(G: FiniteGroup, S: Subgroup) -> bool:
 # regularity, p-abelian, maximal class
 
 
-def is_regular(G: FiniteGroup, cap: int = REGULARITY_CAP) -> bool | None:
+def is_regular(G: FiniteGroup) -> bool | None:
     """Hall regularity: (xy)^p in x^p y^p U1(<x,y>') for all x, y.
 
-    Definitional all-pairs test up to the cap; above it, class < p still
-    decides regularity, and otherwise None is returned.
+    Definitional all-pairs test up to REGULARITY_CAP; above it, class < p
+    or exponent p still decides regularity, and otherwise None is returned.
     """
     p, _ = _require_pgroup(G)
-    if G.order > cap:
+    if G.order > REGULARITY_CAP:
         cl = nilpotency_class(G)
         if cl is not None and cl < p:
             return True
@@ -626,7 +593,7 @@ def is_regular(G: FiniteGroup, cap: int = REGULARITY_CAP) -> bool | None:
             if key not in span_cache:
                 two = closure(G, [x, y])
                 dg = derived_subgroup(G, two)
-                u1 = closure(G, _pick_generators(G, G.p_power_vec(dg.ids()), G.element_orders()))
+                u1 = closure(G, _pick_generators(G, G.p_power_vec(dg.ids())))
                 span_cache[key] = u1.ids()
             target = G.mul(G.inv(base), lhs)
             if not bool(np.isin(target, span_cache[key]).item()):
@@ -634,12 +601,12 @@ def is_regular(G: FiniteGroup, cap: int = REGULARITY_CAP) -> bool | None:
     return True
 
 
-def is_p_abelian(G: FiniteGroup, cap: int = REGULARITY_CAP) -> bool | None:
-    """Whether (xy)^p = x^p y^p identically; None above the cap."""
+def is_p_abelian(G: FiniteGroup) -> bool | None:
+    """Whether (xy)^p = x^p y^p identically; None above REGULARITY_CAP."""
     p, _ = _require_pgroup(G)
     if G.is_abelian or exponent(G) == p:
         return True
-    if G.order > cap:
+    if G.order > REGULARITY_CAP:
         return None
     xs = np.arange(G.order, dtype=np.int64)
     pows = G.power_map()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -14,6 +15,15 @@ from dcgroup.pc import PcPresentation
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
+
+
+def load_script(name: str):
+    """Import scripts/<name>.py as a module."""
+    path = REPO / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_spec(gid: str) -> dict:

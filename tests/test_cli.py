@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_script
 import dcgroup.dc as dc_module
 from dcgroup.cli import (
     CSV_COLUMNS,
@@ -485,6 +486,32 @@ def test_claim_that_raises_is_an_error_not_an_abort(small_corpus, tmp_path, monk
     assert sorted(rep["groups"]) == sorted(SMALL_CORPUS)
     assert all(g["claims"][-1] == want for g in rep["groups"].values())
     assert rep["summary"]["claims_failed"] == 0
+
+
+def test_run_census_summary_shows_error_claims(tmp_path, capsys):
+    summarize = load_script("run_census").summarize
+    report = {
+        "summary": {"groups": 1, "pairs": 1, "skipped": 0},
+        "groups": {"x": {"claims": [
+            {"claim": "c-ok", "status": "pass", "detail": ""},
+            {"claim": "c-raises", "status": "error", "detail": "ZeroDivisionError: boom"},
+        ]}},
+        "pairs": {"x|y": [{"claim": "c-fails", "status": "fail", "detail": "witness"}]},
+    }
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(report))
+    summarize(path)
+    out = capsys.readouterr().out.splitlines()
+    assert "claim checks: 1 pass, 1 fail, 1 error, 0 skip" in out
+    marks = {line.split()[0]: line.split()[-1] for line in out if line.startswith("  ")}
+    assert marks == {"c-fails": "FAIL", "c-ok": "ok", "c-raises": "ERROR"}
+    assert "ERROR x c-raises: ZeroDivisionError: boom" in out
+    assert "FAIL x|y c-fails: witness" in out
+
+    # an empty corpus gives a report with no claims at all
+    path.write_text(json.dumps({**report, "groups": {}, "pairs": {}}))
+    summarize(path)
+    assert "claim checks: 0 pass, 0 fail, 0 error, 0 skip" in capsys.readouterr().out
 
 
 def test_hypothesis_that_raises_is_an_error_not_an_abort(small_corpus, tmp_path, monkeypatch):

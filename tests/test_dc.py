@@ -281,8 +281,8 @@ def test_auto_pairs_bounds_and_determinism():
         ("d", 3, True, 3),
         ("e", 129, False, None),
     ]
-    picked = auto_pairs(entries, max_left=64, max_product=128, limit=12)
-    assert picked == auto_pairs(entries, max_left=64, max_product=128, limit=12)
+    picked = auto_pairs(entries)
+    assert picked == auto_pairs(entries)
     assert len(picked) <= 12
     orders = {gid: o for gid, o, _, _ in entries}
     for left, right in picked:

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_groups, lattice_nonp_groups, load_spec
+from conftest import corpus_groups, lattice_nonp_groups, load_script, load_spec
 from dcgroup import constructors as C
 from dcgroup.cli import realize_spec
 from dcgroup.core import PermGroup, closure_ids, prime_power
@@ -147,18 +144,10 @@ def test_lattice_is_closed_under_conjugation(name, classes, subgroup_classes):
     assert subgroup_classes(G, all_subgroups(G)) == classes
 
 
-def _script(name: str):
-    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_brute_enumerator_matches_lattice_on_order_32_grid():
     # Most subgroups of a 2-group are normal, so each class is one subgroup
     # and the normalizer orbits on atoms are as large as they get.
-    search = _script("search_presentations")
+    search = load_script("search_presentations")
     points = 0
     for k, (powers, comms) in enumerate(search.grid_32()):
         pres = search.consistent((2,) * 5, powers, comms)
@@ -179,7 +168,7 @@ LATTICE_FINGERPRINT = "fc702c783c818466a26d3dba7d1097ce337842037617a74a6b0c3ec46
 
 
 def test_lattice_fingerprint_is_pinned():
-    assert _script("lattice_fingerprint").fingerprint() == LATTICE_FINGERPRINT
+    assert load_script("lattice_fingerprint").fingerprint() == LATTICE_FINGERPRINT
 
 
 @pytest.mark.parametrize("name", ["s4", "d8xc2", "he3", "sl23", "a5", "pos32"])

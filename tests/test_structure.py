@@ -115,7 +115,7 @@ def test_center_of_subgroup():
     G = C.symmetric(4)
     r = G.id_of((1, 2, 3, 0))
     d8 = S.normalizer(G, closure(G, [r]))
-    z = S.center_of_subgroup(G, d8)
+    z = S.center(G, d8)
     assert z.order == 2
 
 
@@ -131,7 +131,7 @@ def test_center_of_subgroup_matches_definition():
     """Every subgroup of a few small groups, table and permutation backed."""
     for G in (C.symmetric(4), C.dihedral(16), C.extraspecial_p3(3, "p"), from_corpus("d8")):
         for H in all_subgroups(G):
-            assert S.center_of_subgroup(G, H).ids().tolist() == _center_by_definition(G, H)
+            assert S.center(G, H).ids().tolist() == _center_by_definition(G, H)
 
 
 # -- frattini, omega, agemo ---------------------------------------------------------
@@ -141,6 +141,23 @@ def test_frattini_subgroup():
     assert S.frattini_subgroup(C.dihedral(8)).order == 2
     assert S.frattini_subgroup(C.cyclic(12)).order == 2
     assert S.frattini_subgroup(C.extraspecial_p3(3, "p")).order == 3
+
+
+def test_frattini_of_the_whole_group_as_a_subgroup():
+    # G itself passed as S takes the lattice path when G is not a p-group
+    for G, order in ((C.symmetric(3), 1), (C.cyclic(6), 1), (C.cyclic(12), 2)):
+        phi = S.frattini_subgroup(G, full_subgroup(G))
+        assert phi == S.frattini_subgroup(G)
+        assert phi.order == order
+
+
+def test_proper_non_p_subgroup_raises_not_pgroup():
+    G = C.symmetric(4)
+    s3 = next(H for H in all_subgroups(G) if H.order == 6)
+    with pytest.raises(NotPGroup):
+        S.frattini_subgroup(G, s3)
+    with pytest.raises(NotPGroup):
+        S.min_generators(G, s3)
 
 
 def test_omega_and_agemo():
@@ -184,7 +201,7 @@ def _unpruned_min_generators(G, budget: int = S.GEN_SEARCH_BUDGET) -> int:
     if G.order == 1:
         return 0
     if S.is_pgroup(G) is not None:
-        return S.subgroup_min_generators(G, full_subgroup(G))
+        return S.min_generators(G, full_subgroup(G))
     orders = G.element_orders()
     if int(orders.max()) == G.order:
         return 1
@@ -263,6 +280,11 @@ def test_exponent():
     assert S.exponent(C.generalized_quaternion(8)) == 4
     assert S.exponent(C.extraspecial_p3(3, "p")) == 3
     assert S.exponent(C.extraspecial_p3(3, "p2")) == 9
+    # proper subgroups of S4, by order: A4 has exponent 6, D8 has 4
+    G = C.symmetric(4)
+    by_order = {H.order: H for H in all_subgroups(G) if H.order in (8, 12)}
+    assert S.exponent(G, by_order[12]) == 6
+    assert S.exponent(G, by_order[8]) == 4
 
 
 def test_is_cyclic_and_is_pgroup():
