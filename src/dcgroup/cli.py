@@ -21,6 +21,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -473,7 +474,8 @@ def run_census(
     Spec files that fail to parse or realize are recorded under "skipped"
     and do not abort the run. Each other spec is realized once up front to
     choose the product pairs; the groups and then the pairs run as tasks of
-    one worker pool. The report is independent of the job count.
+    one worker pool. The report is independent of the job count. A worker
+    that dies takes the pool down, and raises DcgroupError with no report.
     """
     corpus = Path(corpus_dir)
     if not corpus.is_dir():
@@ -501,12 +503,15 @@ def run_census(
         for gid, aid in auto_pairs(entries)
     ]
     if jobs > 1 and len(group_work) + len(pair_work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # Executor.map submits every task at once, so the pairs queue
-            # behind the groups and start as soon as a worker is free.
-            rows = pool.map(_census_one, group_work)
-            pair_rows = pool.map(_census_pair, pair_work)
-            results, pairs = dict(rows), dict(pair_rows)
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                # Executor.map submits every task at once, so the pairs queue
+                # behind the groups and start as soon as a worker is free.
+                rows = pool.map(_census_one, group_work)
+                pair_rows = pool.map(_census_pair, pair_work)
+                results, pairs = dict(rows), dict(pair_rows)
+        except BrokenProcessPool as e:
+            raise DcgroupError(f"a census worker died: {e}") from e
     else:
         results = dict(map(_census_one, group_work))
         pairs = dict(map(_census_pair, pair_work))

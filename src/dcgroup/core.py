@@ -622,11 +622,9 @@ class QuotientGroup(FiniteGroup):
         member = np.zeros(parent.order, dtype=bool)
         member[n_ids] = True
         n_arr = np.array(n_ids, dtype=np.int64)
-        # N^g = g^-1 (N g) for each generator g, a vector at a time; the
-        # pairwise product caches no per-element left-multiplication table.
+        # N^g = g^-1 (N g) for each generator g, a vector at a time
         for g in parent.generators:
-            left = np.full(len(n_arr), parent.inv(g), dtype=np.int64)
-            conj = parent.mul_pairwise_vec(left, parent.mul_vec(n_arr, g))
+            conj = parent.lmul_vec(parent.inv(g), parent.mul_vec(n_arr, g))
             if not member[conj].all():
                 raise NotNormal(
                     f"subgroup of order {len(n_ids)} is not normal in {parent.name}"

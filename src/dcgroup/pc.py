@@ -9,9 +9,9 @@ the realized group to be a finite p-group of order prod(o_i).
 
 Elements are encoded as mixed-radix integers: the normal form
 g_0^{e_0} g_1^{e_1} ... g_{n-1}^{e_{n-1}} has id  sum e_i * s_{i+1}  where
-s_i = o_i * o_{i+1} * ... * o_{n-1}. Multiplication is realized through
-per-generator right-translation tables built once by a conjugation sweep, so
-a product costs a handful of array lookups instead of a symbolic collection.
+s_i = o_i * o_{i+1} * ... * o_{n-1}. Multiplication is realized through one
+step table per generator, built once by a conjugation sweep, so a product
+costs a handful of array lookups instead of a symbolic collection.
 """
 
 from __future__ import annotations
@@ -279,7 +279,9 @@ class PcGroup(FiniteGroup):
     or (a+d-p)*t + L_j phi_j^d(r''). So the step table of g_j stacks 2p
     blocks over U_{j+1}: block d holds d*t + phi_j^d, block p + d holds
     (d-p)*t + L_j phi_j^d, and x * g_j^d adds one entry to x - r''. A
-    product x * y takes one gather per digit of y.
+    product x * y takes one gather per digit of y; block d = 1 is x * g_j.
+    A left product y x is read as (x^-1 y^-1)^-1, through the inverse table
+    and one right product, so it builds no table of size |G|.
 
     Tables are built deepest generator first; phi_j is filled by dynamic
     programming over ids ordered by their deepest nonzero digit, from the
@@ -305,8 +307,6 @@ class PcGroup(FiniteGroup):
             order, [sizes[j + 1] for j in range(n)], name or f"pc<{order}>"
         )
         self._steps: list[np.ndarray | None] = [None] * n
-        self._tloc: list[np.ndarray | None] = [None] * n
-        self._left_cache: dict[int, np.ndarray] = {}
         self._inv_arr: np.ndarray | None = None
         for j in range(n - 1, -1, -1):
             self._build_tables(j)
@@ -331,11 +331,6 @@ class PcGroup(FiniteGroup):
         pw = (xs // szt % p + d) // p * p
         return xs - low + self._steps[i][(d + pw) * szt + low]
 
-    def _tstep_vec(self, i: int, xs: np.ndarray) -> np.ndarray:
-        """xs * g_i, one gather through the right translation T[i] of U_i."""
-        r = xs % self.sizes[i]
-        return xs - r + self._tloc[i][r]
-
     def _mul_into_tail(self, xs: np.ndarray, c: int, top: int) -> np.ndarray:
         """Vector right-product xs * c where all ids live in U_top."""
         s = self.sizes
@@ -358,7 +353,7 @@ class PcGroup(FiniteGroup):
         phi = self._digit_fill(j + 1, 0, by_conjugate)
         uj = self._word_element(self.pres.powers.get(j, ()))
         if uj:
-            u_left = self._digit_fill(j + 1, uj, lambda m: partial(self._tstep_vec, m))
+            u_left = self._digit_fill(j + 1, uj, lambda m: partial(self._step, m, d=1))
         else:
             u_left = np.arange(szt, dtype=ID32)
         steps = np.empty((2, p, szt), dtype=ID32)
@@ -370,12 +365,6 @@ class PcGroup(FiniteGroup):
         steps[0] += shift[:, None]
         steps[1] += (shift - p * szt)[:, None]
         self._steps[j] = steps.ravel()
-        # (g_j^e z) g_j = g_j^(e+1) phi[z], and g_j^p = u_j
-        tj = np.empty(self.sizes[j], dtype=ID32)
-        for e in range(p - 1):
-            tj[e * szt : (e + 1) * szt] = (e + 1) * szt + phi
-        tj[(p - 1) * szt :] = u_left[phi]
-        self._tloc[j] = tj
 
     def _digit_fill(
         self, top: int, start: int | np.ndarray, step, dtype=ID32
@@ -420,21 +409,14 @@ class PcGroup(FiniteGroup):
             def by_inverse(m: int):
                 gm = self.sizes[m + 1]
                 gm_inv = self.power(gm, self.element_order(gm) - 1)
-                return self.left_mul_table(gm_inv, cache=False).__getitem__
+                return self.left_mul_table(gm_inv).__getitem__
 
             self._inv_arr = self._digit_fill(0, 0, by_inverse, np.int64)
         return self._inv_arr
 
-    def left_mul_table(self, c: int, cache: bool = True) -> np.ndarray:
+    def left_mul_table(self, c: int) -> np.ndarray:
         """Array L with L[x] = c * x: L[y * g_m] = L[y] * g_m, as int32."""
-        if c in self._left_cache:
-            return self._left_cache[c]
-        left = self._digit_fill(0, c, lambda m: partial(self._tstep_vec, m))
-        if cache:
-            if len(self._left_cache) >= 16:
-                self._left_cache.clear()
-            self._left_cache[c] = left
-        return left
+        return self._digit_fill(0, c, lambda m: partial(self._step, m, d=1))
 
     # -- vector kernels, for groups beyond TABLE_CAP ----------------------
     # They step in int32 and return int64 ids.
@@ -443,7 +425,8 @@ class PcGroup(FiniteGroup):
         return self._mul_into_tail(xs.astype(ID32), y, 0).astype(np.int64)
 
     def _lmul_vec(self, y: int, xs: np.ndarray) -> np.ndarray:
-        return self.left_mul_table(y)[xs].astype(np.int64)
+        inv = self._inverse_table()
+        return inv[self._mul_vec(inv[xs], int(inv[y]))]
 
     def _mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         out, ys = xs.astype(ID32), ys.astype(ID32)
@@ -463,7 +446,7 @@ class PcGroup(FiniteGroup):
         if self._np is None and self.order <= TABLE_CAP:
 
             def by_row(m: int):
-                gen_row = self.left_mul_table(self.sizes[m + 1], cache=False)
+                gen_row = self.left_mul_table(self.sizes[m + 1])
                 return lambda rows: rows[:, gen_row]
 
             ids = np.arange(self.order, dtype=np.int64)
@@ -492,6 +475,6 @@ class PcGroup(FiniteGroup):
 
 
 def realize_pc_group(pres: PcPresentation, name: str = "") -> PcGroup:
-    """Check consistency, then build the translation-table realization."""
+    """Check consistency, then build the step-table realization."""
     check_consistency(pres)
     return PcGroup(pres, name=name)

@@ -164,35 +164,28 @@ def nilpotency_class(G: FiniteGroup, S: Subgroup | None = None) -> int | None:
 
 
 def _commutator_with_all(G: FiniteGroup, k: int, xs: np.ndarray) -> np.ndarray:
-    """[k, x] for every x in xs, vectorized."""
-    kx = G.lmul_vec(k, xs)
-    conj = G.mul_pairwise_vec(G.inv_vec(xs), kx)
-    return G.lmul_vec(G.inv(k), conj)
+    """[x, k] = x^-1 k^-1 x k for every x in xs, by right products only."""
+    xk = G.mul_pairwise_vec(G.mul_vec(G.inv_vec(xs), G.inv(k)), xs)
+    return G.mul_vec(xk, k)
+
+
+def _commuting(G: FiniteGroup, ids: np.ndarray, gens: tuple[int, ...]) -> Subgroup:
+    """The ids commuting with every g in gens; each g tests the survivors."""
+    for g in gens:
+        ids = ids[G.mul_vec(ids, g) == G.lmul_vec(g, ids)]
+    return _subgroup(G, ids)
 
 
 def center(G: FiniteGroup, S: Subgroup | None = None) -> Subgroup:
-    """Center of S (default: of G): its elements commuting with every generator.
-
-    Each generator g is tested on the survivors of the ones before it. The
-    left product g x is read as (x^-1 g^-1)^-1, through the inverses and
-    the right product, so no left-multiplication table is built for g.
-    """
+    """Center of S (default: of G): its elements commuting with every generator."""
     S = _as_subgroup(G, S)
-    ids = S.ids()
-    for g in S.gens:
-        gx = G.inv_vec(G.mul_vec(G.inv_vec(ids), G.inv(g)))
-        ids = ids[G.mul_vec(ids, g) == gx]
-    return _subgroup(G, ids)
+    return _commuting(G, S.ids(), S.gens)
 
 
 def centralizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
     """Elements of G commuting with every generator of S."""
     S = _as_subgroup(G, S)
-    ids = np.arange(G.order, dtype=np.int64)
-    mask = np.ones(G.order, dtype=bool)
-    for g in S.gens:
-        mask &= G.mul_vec(ids, g) == G.lmul_vec(g, ids)
-    return _subgroup(G, ids[mask])
+    return _commuting(G, np.arange(G.order, dtype=np.int64), S.gens)
 
 
 def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:

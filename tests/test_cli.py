@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 from conftest import load_script
+import dcgroup.cli as cli_module
 import dcgroup.dc as dc_module
 from dcgroup.cli import (
     CSV_COLUMNS,
+    _census_one,
     main,
     parse_group_spec,
     realize_spec,
@@ -461,6 +463,30 @@ def test_census_exit_1_on_claim_failure(small_corpus, tmp_path, monkeypatch):
     assert rc == 1
     rep = json.loads(out.read_text())
     assert rep["summary"]["claims_failed"] == len(SMALL_CORPUS)
+
+
+def _dies_on_q8(args):
+    """A census worker body that kills its process on q8."""
+    if args[0] == "q8":
+        os._exit(3)
+    return _census_one(args)
+
+
+def test_census_worker_death_is_an_error_not_a_claim_failure(
+    tmp_path, monkeypatch, capsys
+):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for gid in ("c2", "d8", "q8"):
+        shutil.copy(CORPUS / f"{gid}.json", corpus / f"{gid}.json")
+    # run_census hands the pool whatever cli._census_one is at call time
+    monkeypatch.setattr(cli_module, "_census_one", _dies_on_q8)
+    out = tmp_path / "census.json"
+    rc = main(["census", "--corpus", str(corpus), "--jobs", "2", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("dcgroup: error: a census worker died")
+    assert not out.exists()
 
 
 def test_claim_that_raises_is_an_error_not_an_abort(small_corpus, tmp_path, monkeypatch):

@@ -295,7 +295,7 @@ def test_digit_step_kernels_match_collection(which):
     for k in range(0, len(xs), 8):
         got = G.lmul_vec(int(xs[k]), ys[k : k + 1])
         assert got.dtype == np.int64 and got[0] == want[k]
-    # the cached left tables are int32; lmul_vec widens them
+    # left tables are int32; lmul_vec returns int64
     assert G.left_mul_table(int(xs[0])).dtype == np.int32
 
 
@@ -306,7 +306,7 @@ def test_table_rows_are_left_tables(which):
         G = realize_spec(load_spec(which))
     else:
         G = realize_pc_group(d8_pres() if which == "d8" else he3_pres())
-    rows = np.stack([G.left_mul_table(x, cache=False) for x in range(G.order)])
+    rows = np.stack([G.left_mul_table(x) for x in range(G.order)])
     assert np.array_equal(G.np_table(), rows)
 
 

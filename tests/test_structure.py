@@ -134,6 +134,39 @@ def test_center_of_subgroup_matches_definition():
             assert S.center(G, H).ids().tolist() == _center_by_definition(G, H)
 
 
+def test_centers_without_a_cayley_table():
+    """center, centralizer and fundamental_subgroup beyond TABLE_CAP, where
+    every left product goes through the pc kernel, against scalar products."""
+    G = from_corpus("group2")
+    assert G.np_table() is None
+    rng = np.random.default_rng(17)
+
+    def commutes(x: int, gens) -> bool:
+        return all(G.mul(x, g) == G.mul(g, x) for g in gens)
+
+    def check(gens, universe: np.ndarray, C) -> None:
+        # C: the members of universe commuting with every generator
+        assert all(commutes(x, gens) for x in C.ids().tolist())
+        outside = universe[~np.isin(universe, C.ids())]
+        size = min(200, outside.size)
+        for x in rng.choice(outside, size=size, replace=False).tolist():
+            assert not commutes(x, gens)
+
+    for M in S.pgroup_maximal_subgroups(G):
+        check(M.gens, M.ids(), S.center(G, M))
+    everything = np.arange(G.order, dtype=np.int64)
+    for g in rng.integers(1, G.order, 3).tolist():
+        H = closure(G, [g])
+        check(H.gens, everything, S.centralizer(G, H))
+    series = S.lower_central_series(G)
+    k2, k4 = series[1], series[3]
+    k4_ids = set(k4.ids().tolist())
+    fund = set(S.fundamental_subgroup(G).ids().tolist())
+    for x in rng.integers(0, G.order, 300).tolist():
+        want = all(G.commutator(k, x) in k4_ids for k in k2.gens)
+        assert (x in fund) == want
+
+
 # -- frattini, omega, agemo ---------------------------------------------------------
 
 
