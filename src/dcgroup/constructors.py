@@ -22,6 +22,7 @@ from .core import (
     PermGroup,
     QuotientGroup,
     TableGroup,
+    _closure,
     closure_ids,
     perm_from_cycles,
     prime_power,
@@ -311,15 +312,12 @@ class DirectProductGroup(FiniteGroup):
         a, b = divmod(x, nb)
         return self.left._invert(a) * nb + self.right._invert(b)
 
-    def np_table(self) -> np.ndarray | None:
-        """The factors' tables combined; each factor is no larger than A x B."""
-        if self._np is None and self.order <= TABLE_CAP:
-            ta = self.left.np_table()
-            tb = self.right.np_table()
-            nb = self.right.order
-            combined = ta[:, None, :, None] * nb + tb[None, :, None, :]
-            self._np = np.ascontiguousarray(combined.reshape(self.order, self.order))
-        return self._np
+    def _mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        nb = self.right.order
+        a1, b1 = divmod(xs, nb)
+        a2, b2 = divmod(ys, nb)
+        a = self.left.mul_pairwise_vec(a1, a2)
+        return a * nb + self.right.mul_pairwise_vec(b1, b2)
 
 
 def direct_product(left: FiniteGroup, right: FiniteGroup, name: str = "") -> DirectProductGroup:
@@ -334,9 +332,9 @@ class SemidirectGroup(FiniteGroup):
     Each array is checked to be an automorphism (exhaustively when N has a
     multiplication table, else on generator times element products, which
     pins down the same condition since generators reach every element).
-    The full action map is then closed over H by right-multiplication BFS;
-    any clash between two words for the same element means the arrays do
-    not define a homomorphism H -> Aut(N).
+    The full action map is then filled over H in the order `core._closure`
+    finds its elements; any clash between two words for the same element
+    means the arrays do not define a homomorphism H -> Aut(N).
     """
 
     def __init__(
@@ -374,15 +372,14 @@ class SemidirectGroup(FiniteGroup):
 
         phi = np.full((top.order, nn), -1, dtype=np.int64)
         phi[0] = ids
-        queue = [0]
-        while queue:
-            h = queue.pop(0)
+        # each h after the first is an earlier one times a generator, so
+        # phi[h] is set before it is read
+        for h in _closure(top, top.generators)[1]:
             for arr, g in zip(arrs, top.generators):
-                h2 = top.mul(h, g)
+                h2 = top.mul(int(h), g)
                 cand = phi[h][arr]
                 if phi[h2][0] < 0:
                     phi[h2] = cand
-                    queue.append(h2)
                 elif not np.array_equal(phi[h2], cand):
                     raise ActionNotHomomorphic(
                         f"action disagrees with a relation of H at element {h2}"
@@ -410,6 +407,13 @@ class SemidirectGroup(FiniteGroup):
         n, h = divmod(x, nt)
         hi = self.top._invert(h)
         return int(self.phi[hi, self.normal._invert(n)]) * nt + hi
+
+    def _mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        nt = self.top.order
+        n1, h1 = divmod(xs, nt)
+        n2, h2 = divmod(ys, nt)
+        n = self.normal.mul_pairwise_vec(n1, self.phi[h1, n2])
+        return n * nt + self.top.mul_pairwise_vec(h1, h2)
 
 
 def semidirect_product(

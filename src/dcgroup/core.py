@@ -15,7 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +47,11 @@ __all__ = [
 # Cayley tables are materialized only for groups up to this order; larger
 # groups multiply through their backend representation.
 TABLE_CAP = 4096
+
+# Bulk products (Cayley table rows, the power map, coset blocks) are taken
+# about this many at a time, so a kernel's temporaries stay small beside
+# the array they fill.
+BLOCK = 1 << 14
 
 # Permutation groups act on at most this many points.
 PERM_DEGREE_CAP = 16
@@ -149,6 +154,8 @@ class FiniteGroup:
         self._orders: np.ndarray | None = None
         self._power_map: np.ndarray | None = None
         self._abelian: bool | None = None
+        # the lower central series as (ids, gens) pairs, kept by `structure`
+        self._lcs: list[tuple[np.ndarray, tuple[int, ...]]] | None = None
 
     # -- backend interface ---------------------------------------------
 
@@ -159,13 +166,15 @@ class FiniteGroup:
         raise NotImplementedError
 
     # Vector kernels, called by the vector ops below only when the group has
-    # no Cayley table; a backend with a faster bulk product overrides them.
+    # no Cayley table, and `_mul_pairwise_vec` by `np_table` to build one. A
+    # backend with a bulk product overrides `_mul_pairwise_vec`, and the
+    # right and left products by one element follow from it.
 
     def _mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
-        return np.array([self._mul(int(x), y) for x in xs], dtype=np.int64)
+        return self._mul_pairwise_vec(xs, np.full(len(xs), y, dtype=np.int64))
 
     def _lmul_vec(self, y: int, xs: np.ndarray) -> np.ndarray:
-        return np.array([self._mul(y, int(x)) for x in xs], dtype=np.int64)
+        return self._mul_pairwise_vec(np.full(len(xs), y, dtype=np.int64), xs)
 
     def _mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return np.array(
@@ -260,30 +269,20 @@ class FiniteGroup:
     def np_table(self) -> np.ndarray | None:
         """Cayley table as a cached 2d array; None above TABLE_CAP.
 
-        Backends with a bulk product override this; here every entry is one
-        scalar product.
+        Filled from the backend's `_mul_pairwise_vec`, a block of rows of
+        about BLOCK products at a time.
         """
         if self._np is None and self.order <= TABLE_CAP:
             n = self.order
-            mul = self._mul
-            flat = np.fromiter(
-                (mul(x, y) for x in range(n) for y in range(n)), np.int64, n * n
-            )
-            self._np = flat.reshape(n, n)
+            ids = np.arange(n, dtype=np.int64)
+            table = np.empty((n, n), dtype=np.int64)
+            step = max(1, BLOCK // n)
+            for lo in range(0, n, step):
+                xs = ids[lo : lo + step]
+                prods = self._mul_pairwise_vec(np.repeat(xs, n), np.tile(ids, len(xs)))
+                table[lo : lo + step] = prods.reshape(len(xs), n)
+            self._np = table
         return self._np
-
-    def _table_by_blocks(self, rows) -> np.ndarray:
-        """Cayley table from rows(lo, hi), the products of ids lo..hi-1 by all.
-
-        Blocks hold about 2^16 entries, so a backend's bulk product needs no
-        more than a few such blocks beyond the table itself.
-        """
-        n = self.order
-        table = np.empty((n, n), dtype=np.int64)
-        step = max(1, (1 << 16) // n)
-        for lo in range(0, n, step):
-            table[lo : lo + step] = rows(lo, min(lo + step, n))
-        return table
 
     def mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
         """Right-multiply an id vector by a fixed element.
@@ -354,14 +353,18 @@ class FiniteGroup:
     def power_map(self) -> np.ndarray:
         """P with P[x] = x^p for a group of order p^n, cached.
 
-        Stored as `ID32`. Raises NotPGroup for other orders.
+        Filled BLOCK ids at a time and stored as `ID32`. Raises NotPGroup
+        for other orders.
         """
         if self._power_map is None:
             pn = prime_power(self.order)
             if pn is None:
                 raise NotPGroup(f"{self.name} has order {self.order}, not a prime power")
-            ids = np.arange(self.order, dtype=np.int64)
-            self._power_map = self.pow_vec(ids, pn[0]).astype(ID32)
+            n = self.order
+            P = np.empty(n, dtype=ID32)
+            for lo in range(0, n, BLOCK):
+                P[lo : lo + BLOCK] = self.pow_vec(np.arange(lo, min(lo + BLOCK, n)), pn[0])
+            self._power_map = P
         return self._power_map
 
     def p_power_vec(self, xs: np.ndarray, s: int = 1) -> np.ndarray:
@@ -546,22 +549,6 @@ class PermGroup(FiniteGroup):
         inverses = np.argsort(self._key_index()[0][xs], axis=-1)
         return self._ids_of(xs.shape, np.moveaxis(inverses, -1, 0))
 
-    def np_table(self) -> np.ndarray | None:
-        """Cayley table, a block of rows at a time through `_ids_of`."""
-        if self._np is None and self.order <= TABLE_CAP:
-            P = self._key_index()[0]
-            image_of = np.ascontiguousarray(P.T)  # image_of[i, y] = P[y][i]
-
-            def rows(lo: int, hi: int) -> np.ndarray:
-                block = P[lo:hi]
-                return self._ids_of(
-                    (len(block), self.order),
-                    (image_of[block[:, i]] for i in range(self.degree)),
-                )
-
-            self._np = self._table_by_blocks(rows)
-        return self._np
-
     def perm(self, x: int) -> tuple[int, ...]:
         return self.perms[self.check_id(x)]
 
@@ -611,8 +598,9 @@ def _dimino(gen_perms: list[tuple[int, ...]], degree: int) -> list[tuple[int, ..
 class QuotientGroup(FiniteGroup):
     """Quotient G/N over coset ids, with the projection map exposed.
 
-    Cosets are numbered by discovery order from the identity coset, so the
-    trivial coset N gets id 0. Products are computed through representatives.
+    Cosets are numbered in the order `_grow` finds them from the identity
+    coset, so the trivial coset N gets id 0. Products are computed through
+    representatives.
     """
 
     def __init__(self, parent: FiniteGroup, normal_ids: Sequence[int], name: str = ""):
@@ -630,27 +618,11 @@ class QuotientGroup(FiniteGroup):
                     f"subgroup of order {len(n_ids)} is not normal in {parent.name}"
                 )
 
-        class_of = np.full(parent.order, -1, dtype=np.int64)
-        reps: list[int] = []
-
-        def absorb(rep: int) -> int:
-            cid = len(reps)
-            reps.append(rep)
-            coset = n_arr if rep == 0 else parent.mul_vec(n_arr, rep)
-            class_of[coset] = cid
-            return cid
-
-        absorb(0)
-        queue = [0]
-        while queue:
-            rep = queue.pop(0)
-            for g in parent.generators:
-                t = parent.mul(rep, g)
-                if class_of[t] < 0:
-                    absorb(int(t))
-                    queue.append(int(t))
-        if int((class_of < 0).sum()):
-            raise NotNormal("cosets do not partition the parent group")
+        # the cosets N t, numbered in the order `_grow` finds them
+        reps = np.asarray(_grow(parent, member, n_arr, parent.generators)[1])
+        class_of = np.empty(parent.order, dtype=np.int64)
+        for lo, cosets in _right_cosets(parent, n_arr, reps):
+            class_of[cosets] = np.arange(lo, lo + len(cosets))[:, None]
 
         super().__init__(
             len(reps),
@@ -661,21 +633,10 @@ class QuotientGroup(FiniteGroup):
         self.reps = reps
         self._class_of = class_of
 
-    def np_table(self) -> np.ndarray | None:
-        """Cayley table, a block of rows at a time: the classes of the
-        parent's pairwise products of representatives."""
-        if self._np is None and self.order <= TABLE_CAP:
-            reps = np.asarray(self.reps, dtype=np.int64)
-
-            def rows(lo: int, hi: int) -> np.ndarray:
-                block = reps[lo:hi]
-                prods = self.parent.mul_pairwise_vec(
-                    np.repeat(block, self.order), np.tile(reps, len(block))
-                )
-                return self._class_of[prods].reshape(len(block), self.order)
-
-            self._np = self._table_by_blocks(rows)
-        return self._np
+    def _mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The classes of the parent's pairwise products of representatives."""
+        prods = self.parent.mul_pairwise_vec(self.reps[xs], self.reps[ys])
+        return self._class_of[prods]
 
     def project(self, x: int) -> int:
         """Natural projection G -> G/N on element ids."""
@@ -683,67 +644,102 @@ class QuotientGroup(FiniteGroup):
         return int(self._class_of[x])
 
     def _mul(self, x: int, y: int) -> int:
-        return int(self._class_of[self.parent.mul(self.reps[x], self.reps[y])])
+        rx, ry = int(self.reps[x]), int(self.reps[y])
+        return int(self._class_of[self.parent.mul(rx, ry)])
 
     def _invert(self, x: int) -> int:
-        return int(self._class_of[self.parent.inv(self.reps[x])])
+        return int(self._class_of[self.parent.inv(int(self.reps[x]))])
 
 
-def _orbit_closure(table: list[int], n: int, seed: Sequence[int]):
-    """Right-multiplication orbit of the identity under the seed."""
-    member = bytearray(n)
-    member[0] = 1
-    elems = [0]
-    for g in seed:
-        if not member[g]:
-            member[g] = 1
-            elems.append(g)
-    i = 0
-    while i < len(elems):
-        row = elems[i] * n
-        i += 1
-        for g in seed:
-            t = table[row + g]
-            if not member[t]:
-                member[t] = 1
-                elems.append(t)
-    return member, elems
+def _right_cosets(
+    G: FiniteGroup, base_ids: np.ndarray, reps: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The right cosets B t of the reps t, about BLOCK ids at a time.
+
+    Yields (lo, block) with block[i] the coset B reps[lo + i].
+    """
+    m = base_ids.size
+    step = max(1, BLOCK // m)
+    for lo in range(0, reps.size, step):
+        ts = reps[lo : lo + step]
+        prods = G.mul_pairwise_vec(np.tile(base_ids, ts.size), np.repeat(ts, m))
+        yield lo, prods.reshape(ts.size, m)
 
 
-def _frontier_closure(G: FiniteGroup, seed: Sequence[int]) -> np.ndarray:
-    """Right-multiplication orbit of the identity, a frontier at a time."""
-    member = np.zeros(G.order, dtype=bool)
-    member[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    while frontier.size:
-        new = []
-        for g in seed:
-            t = G.mul_vec(frontier, g)
-            fresh = t[~member[t]]
-            if fresh.size:
-                fresh = np.unique(fresh)
-                member[fresh] = True
-                new.append(fresh)
-        frontier = np.concatenate(new) if new else np.empty(0, dtype=np.int64)
-    return member
+def _grow(
+    G: FiniteGroup, member: np.ndarray, base_ids: np.ndarray, gens: Sequence[int]
+) -> tuple[np.ndarray, Sequence[int]]:
+    """Member mask of J = <B, gens> and representatives of its cosets of B.
 
+    B is a subgroup given by its member mask and its ids, and gens must
+    generate a subgroup containing B (say, by including generators of B).
+    J is grown as a union of right cosets B t: each representative t is
+    multiplied by every generator, and a product u outside the union adds
+    its whole coset B u and is its representative. The union is then
+    closed under right multiplication by gens, so it is J, and the
+    representatives, the identity first, number |J:B|. The input mask is
+    left unchanged.
 
-def _closure_mask(G: FiniteGroup, seed: Sequence[int]) -> np.ndarray:
-    """Boolean membership mask of <seed>: a table orbit, else frontiers."""
+    With a Cayley table the representatives are walked one at a time over
+    `flat_table`; without one, a frontier at a time. Right multiplication by
+    one g permutes the right cosets of B, so each product of the frontier
+    by g outside the union starts a new coset of its own. With B = 1 both
+    walks are the orbit of the identity.
+    """
+    whole = base_ids.size > 1
     table = G.flat_table()
     if table is not None:
-        return np.asarray(_orbit_closure(table, G.order, seed)[0]).view(bool)
-    return _frontier_closure(G, seed)
+        n, arr = G.order, G.np_table()
+        marks = bytearray(member)
+        mask = np.frombuffer(marks, dtype=np.bool_)
+        reps = [0]
+        for t in reps:  # reps grows while it is walked
+            row = t * n
+            for g in gens:
+                u = table[row + g]
+                if not marks[u]:
+                    if whole:
+                        mask[arr[:, u][base_ids]] = True
+                    else:
+                        marks[u] = 1
+                    reps.append(u)
+        return mask, reps
+    mask = np.array(member, dtype=np.bool_)
+    frontier = np.zeros(1, dtype=np.int64)
+    found = [frontier]
+    while frontier.size:
+        new = [frontier[:0]]
+        for g in gens:
+            t = G.mul_vec(frontier, g)
+            fresh = t[~mask[t]]
+            mask[fresh] = True
+            if whole:
+                for _, cosets in _right_cosets(G, base_ids, fresh):
+                    mask[cosets] = True
+            new.append(fresh)
+        frontier = np.concatenate(new)
+        found.append(frontier)
+    return mask, np.concatenate(found)
+
+
+def _closure(G: FiniteGroup, gens: Sequence[int]) -> tuple[np.ndarray, Sequence[int]]:
+    """Member mask of <gens> and its members in the order found: `_grow`
+    from the trivial subgroup. Each member after the identity is an earlier
+    one times a generator."""
+    one = np.zeros(G.order, dtype=np.bool_)
+    one[0] = True
+    return _grow(G, one, np.zeros(1, dtype=np.int64), gens)
 
 
 def closure_ids(G: FiniteGroup, seed: Iterable[int]) -> list[int]:
     """Subgroup generated by seed ids, as a sorted id list.
 
-    Orbit algorithm under right multiplication by the seed; inverses are not
-    needed because the group is finite.
+    The orbit of the identity under right multiplication by the seed
+    (`_grow` from B = 1); inverses are not needed because the group is
+    finite.
     """
     gens = sorted({G.check_id(int(s)) for s in seed} - {0})
-    return np.flatnonzero(_closure_mask(G, gens)).tolist()
+    return np.flatnonzero(_closure(G, gens)[0]).tolist()
 
 
 def _pick_generators(G: FiniteGroup, candidates) -> tuple[int, ...]:
@@ -760,5 +756,5 @@ def _pick_generators(G: FiniteGroup, candidates) -> tuple[int, ...]:
     gens: list[int] = []
     while pool.size:
         gens.append(int(pool[0]))
-        pool = pool[~_closure_mask(G, gens)[pool]]
+        pool = pool[~_closure(G, gens)[0][pool]]
     return tuple(sorted(gens))

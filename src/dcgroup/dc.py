@@ -345,7 +345,8 @@ class GroupContext:
     """Cached invariants for one census subject.
 
     Each invariant is a `cached_property`, computed on first use and at
-    most once; claims and the lattice-free verdict share them. The lattice
+    most once, except `lcs`, which reads the series `structure` keeps on
+    G; claims and the lattice-free verdict share them. The lattice
     is attempted once and remembered as None when enumeration exceeds the
     cap, so DS(G), the oracle and the claims that need them skip uniformly.
     """
@@ -434,7 +435,7 @@ class GroupContext:
         except (NotPGroup, SearchBudgetExceeded):
             return None
 
-    @cached_property
+    @property
     def lcs(self) -> list[Subgroup]:
         return lower_central_series(self.G)
 

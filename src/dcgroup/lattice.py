@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     FiniteGroup,
     TableGroup,
+    _grow,
     _pick_generators,
     closure_ids,
     prime_factors,
@@ -190,12 +191,10 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
 # closure
 
 
-def closure(G: FiniteGroup, seed: Iterable[int], gens: Sequence[int] | None = None) -> Subgroup:
-    """Subgroup generated by the seed ids; its generators default to the seed."""
-    seed = [int(s) for s in seed]
-    if gens is None:
-        gens = sorted(set(seed) - {0})
-    return _subgroup(G, closure_ids(G, seed), gens)
+def closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
+    """Subgroup generated by the seed ids, with the seed as its generators."""
+    gens = sorted({int(s) for s in seed} - {0})
+    return _subgroup(G, closure_ids(G, gens), gens)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +238,9 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
     the atoms outside R. A join never seen before brings in its whole class
     by conjugation and joins the work list with its normalizer, read off the
     same conjugation gather. A join grows from R by whole right cosets of
-    R (`_coset_join`), which also counts its index over R. Atoms inside a
-    join of prime index over R are skipped for R, since R is maximal in
-    that join and their join with R is that one.
+    R (`core._grow`), whose coset representatives count its index over R.
+    Atoms inside a join of prime index over R are skipped for R, since R is
+    maximal in that join and their join with R is that one.
 
     This reaches every class. A subgroup H > 1 is the join of its zuppos, so
     H = K v A for a proper subgroup K of H and a zuppo A of H outside K. If
@@ -344,6 +343,7 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
     joined: set[int] = set()
     while work:
         R, r_member, normalizer = work.pop()
+        r_ids = R.ids()
         r_normal = normalizer.size == n
         if r_normal:
             orbit_reps = g_reps
@@ -357,8 +357,8 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
             if covered[a] or union in joined:
                 continue
             joined.add(union)
-            j_member, index = _coset_join(G, R, r_member, atom_gens[a])
-            if index in primes:
+            j_member, reps = _grow(G, r_member, r_ids, R.gens + (atom_gens[a],))
+            if len(reps) in primes:
                 covered |= j_member[atom_gen_ids]
             if j_member.tobytes() not in seen:
                 # a join of two normal subgroups is normal
@@ -366,34 +366,6 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
                 add_class(np.flatnonzero(j_member), j_member, normal)
 
     return SubgroupLattice(G, subs)
-
-
-def _coset_join(
-    G: FiniteGroup, R: Subgroup, r_member: np.ndarray, a: int
-) -> tuple[np.ndarray, int]:
-    """Member mask of J = R v <a> and the index |J:R|, for G with a table.
-
-    J is built as a union of right cosets R t. Each representative t is
-    multiplied by the generators of R and by a; a product u outside the
-    union adds its whole coset R u in one gather. The union is then closed
-    under right multiplication by the generators of J, so it is J, and the
-    representatives number |J:R|.
-    """
-    n = G.order
-    table, arr = G.flat_table(), G.np_table()
-    r_ids = R.ids()
-    seed = R.gens + (a,)
-    member = bytearray(r_member)
-    mask = np.frombuffer(member, dtype=np.bool_)
-    reps = [0]
-    for t in reps:  # reps grows while it is walked
-        row = t * n
-        for g in seed:
-            u = table[row + g]
-            if not member[u]:
-                mask[arr[:, u][r_ids]] = True
-                reps.append(u)
-    return mask, len(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -443,23 +415,22 @@ def normal_closure(
 
     Conjugators default to the generators of G, giving the normal closure in
     G; passing the generators of a subgroup H <= G containing the seed gives
-    the normal closure in H instead.
+    the normal closure in H instead. Each round grows the last round's
+    closure by the conjugates, outside it, of the generators that round
+    added; the conjugates of older generators are inside it already.
     """
     gens = sorted({G.check_id(int(s)) for s in seed} - {0})
     conj = list(G.generators if under is None else under)
-    if not gens:
-        return trivial_subgroup(G)
-    while True:
-        sub = closure(G, gens, gens=tuple(gens))
-        new = []
-        for g in conj:
-            for s in gens:
-                c = G.conjugate(s, g)
-                if not sub.contains(c):
-                    new.append(c)
-        if not new:
-            return sub
-        gens = sorted(set(gens) | set(new))
+    member = np.zeros(G.order, dtype=np.bool_)
+    member[0] = True
+    ids, new = np.zeros(1, dtype=np.int64), gens
+    while new:
+        member = _grow(G, member, ids, gens)[0]
+        ids = np.flatnonzero(member)
+        conjugates = {G.conjugate(s, g) for g in conj for s in new}
+        new = [c for c in conjugates if not member[c]]
+        gens = sorted(gens + new)
+    return _subgroup(G, ids, gens)
 
 
 def is_normal(G: FiniteGroup, S: Subgroup) -> bool:

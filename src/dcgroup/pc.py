@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ID32, TABLE_CAP, FiniteGroup, prime_power
+from .core import ID32, FiniteGroup, prime_power
 from .errors import (
     BadPresentation,
     CollectionLimitExceeded,
@@ -288,7 +288,8 @@ class PcGroup(FiniteGroup):
     tables of the deeper generators.
 
     Like every backend, a group of order up to TABLE_CAP multiplies through
-    its Cayley table; the digit-step vector kernels serve larger ones.
+    its Cayley table, filled from the pairwise digit-step kernel; the
+    digit-step vector kernels serve larger ones.
     """
 
     def __init__(self, pres: PcPresentation, name: str = ""):
@@ -327,9 +328,20 @@ class PcGroup(FiniteGroup):
         else 0, and block d + pw of the step table reads the U_{i+1} part.
         """
         p, szt = self.pres.prime, self.sizes[i + 1]
-        low = xs % szt
-        pw = (xs // szt % p + d) // p * p
-        return xs - low + self._steps[i][(d + pw) * szt + low]
+        # Remainders as x - (x // m) * m, since numpy's floor division by a
+        # scalar is several times faster than its `%` on int32; the step
+        # table index a is built in place, so fewer temporaries the size of
+        # xs are alive at once.
+        a = xs // szt
+        low = xs - a * szt
+        a -= a // p * p  # the digit of g_i in x
+        a += d
+        a //= p  # 1 when a + d wraps past p, so pw = a * p
+        a *= p
+        a += d
+        a *= szt
+        a += low
+        return xs - low + self._steps[i][a]
 
     def _mul_into_tail(self, xs: np.ndarray, c: int, top: int) -> np.ndarray:
         """Vector right-product xs * c where all ids live in U_top."""
@@ -366,20 +378,18 @@ class PcGroup(FiniteGroup):
         steps[1] += (shift - p * szt)[:, None]
         self._steps[j] = steps.ravel()
 
-    def _digit_fill(
-        self, top: int, start: int | np.ndarray, step, dtype=ID32
-    ) -> np.ndarray:
+    def _digit_fill(self, top: int, start: int, step, dtype=ID32) -> np.ndarray:
         """Array f over the ids of U_top, f[0] = start, f[y * g_m] = step(m)(f[y]).
 
         Deepest-digit recursion: an id z whose deepest nonzero digit is that
         of g_m is y * g_m, for y the id one lower in that digit. Filling
         generator by generator, each digit value in turn, finds f[y] set.
         step(m) is called once per generator and returns a map on a block
-        of entries. An entry is an id, or a row when start is a vector.
+        of ids.
         """
         s = self.sizes
         o = self.pres.rel_orders
-        out = np.zeros((s[top], *np.shape(start)), dtype=dtype)
+        out = np.zeros(s[top], dtype=dtype)
         out[0] = start
         for m in range(top, self.pres.ngens):
             apply = step(m)
@@ -418,7 +428,7 @@ class PcGroup(FiniteGroup):
         """Array L with L[x] = c * x: L[y * g_m] = L[y] * g_m, as int32."""
         return self._digit_fill(0, c, lambda m: partial(self._step, m, d=1))
 
-    # -- vector kernels, for groups beyond TABLE_CAP ----------------------
+    # -- vector kernels, for groups beyond TABLE_CAP and table blocks ------
     # They step in int32 and return int64 ids.
 
     def _mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
@@ -431,27 +441,13 @@ class PcGroup(FiniteGroup):
     def _mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         out, ys = xs.astype(ID32), ys.astype(ID32)
         for i in range(self.pres.ngens):
-            out = self._step(i, out, ys // self.sizes[i + 1] % self.pres.prime)
+            d = ys // self.sizes[i + 1]  # the digit of g_i, as ys < s_i
+            ys -= d * self.sizes[i + 1]
+            out = self._step(i, out, d)
         return out.astype(np.int64)
 
     def _inv_vec(self, xs: np.ndarray) -> np.ndarray:
         return self._inverse_table()[xs]
-
-    def np_table(self) -> np.ndarray | None:
-        """Cayley table, row x the left table of x, filled by row gathers.
-
-        Row(y * g_m) = row(y)[row(g_m)], so after one left table per
-        generator each row is a gather of the row one digit lower.
-        """
-        if self._np is None and self.order <= TABLE_CAP:
-
-            def by_row(m: int):
-                gen_row = self.left_mul_table(self.sizes[m + 1])
-                return lambda rows: rows[:, gen_row]
-
-            ids = np.arange(self.order, dtype=np.int64)
-            self._np = self._digit_fill(0, ids, by_row, np.int64)
-        return self._np
 
     def digits(self, x: int) -> tuple[int, ...]:
         """Normal-form exponent vector of an id."""

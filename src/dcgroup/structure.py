@@ -138,9 +138,20 @@ def derived_length(G: FiniteGroup, S: Subgroup | None = None) -> int | None:
 def lower_central_series(G: FiniteGroup, S: Subgroup | None = None) -> list[Subgroup]:
     """Lower central series of S (default: of G itself), inside the parent.
 
-    K_1 = S, K_{i+1} = [K_i, S], stopping when it stabilizes.
+    K_1 = S, K_{i+1} = [K_i, S], stopping when it stabilizes. G's own
+    series is built once and kept on G as (ids, gens) pairs: a Subgroup
+    refers to G, and G holding one would leave G to the cycle collector
+    instead of freeing it with its last reference.
     """
-    S = _as_subgroup(G, S)
+    if S is not None:
+        return _central_series(G, _as_subgroup(G, S))
+    if G._lcs is None:
+        G._lcs = [(K.ids(), K.gens) for K in _central_series(G, full_subgroup(G))]
+    return [_subgroup(G, ids, gens) for ids, gens in G._lcs]
+
+
+def _central_series(G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
+    """The lower central series of S, built term by term."""
     cur = S
     series = [cur]
     while cur.order > 1:

@@ -27,7 +27,7 @@ from dcgroup.core import (
 )
 from dcgroup.errors import DegreeMismatch, InvalidId, NotNormal, NotPGroup
 from dcgroup.pc import realize_pc_group
-from dcgroup.structure import derived_subgroup
+from dcgroup.structure import center, derived_subgroup
 
 # Frozen Cayley table of S3 on ids 0..5 (0 = identity).
 S3_TABLE = [
@@ -177,6 +177,12 @@ def test_flat_table_round_trip():
     assert H.flat_table() == t
 
 
+def _s4_mod_v4() -> QuotientGroup:
+    G = s4()
+    v4 = [x for x in range(G.order) if G.element_order(x) <= 2 and G.sign(x) == 1]
+    return QuotientGroup(G, v4)
+
+
 @pytest.mark.parametrize(
     "G",
     [
@@ -191,8 +197,11 @@ def test_flat_table_round_trip():
         ),
         C.direct_product(C.symmetric(3), C.cyclic(4)),
         realize_spec(load_spec("pos32")),
+        _s4_mod_v4(),
+        realize_spec(load_spec("c3wrc3")),
+        realize_spec(load_spec("d8cq8")),
     ],
-    ids=["s4", "degree16", "s3xc4", "pc32"],
+    ids=["s4", "degree16", "s3xc4", "pc32", "s4/v4", "c3wrc3", "d8cq8"],
 )
 def test_bulk_table_matches_scalar_products(G):
     n = G.order
@@ -200,6 +209,22 @@ def test_bulk_table_matches_scalar_products(G):
     assert G.np_table().tolist() == want
     assert G.flat_table() == [v for row in want for v in row]
     assert G._inv == [G._invert(x) for x in range(n)]
+
+
+def test_quotient_kernel_above_table_cap_matches_scalar_products():
+    """G/Z(G) for the corpus group2 has order 5^6, so it has no table and
+    multiplies through the classes of its parent's products."""
+    G = realize_spec(load_spec("group2"))
+    Q = QuotientGroup(G, center(G).ids())
+    assert Q.order == 5**6 > TABLE_CAP and Q.np_table() is None
+    rng = np.random.default_rng(5)
+    xs = rng.integers(0, Q.order, 400)
+    ys = rng.integers(0, Q.order, 400)
+    want = [Q._mul(int(x), int(y)) for x, y in zip(xs, ys)]
+    assert Q.mul_pairwise_vec(xs, ys).tolist() == want
+    y = int(ys[0])
+    assert Q.mul_vec(xs, y).tolist() == [Q._mul(int(x), y) for x in xs]
+    assert Q.lmul_vec(y, xs).tolist() == [Q._mul(y, int(x)) for x in xs]
 
 
 # -- QuotientGroup ---------------------------------------------------------------

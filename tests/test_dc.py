@@ -224,6 +224,26 @@ def test_group2_analysis_builds_maximals_and_bundle_once(monkeypatch):
     assert bundle == [{"claim": "large-witness-property-bundle", "status": "pass", "detail": ""}]
 
 
+def test_group2_analysis_builds_its_lower_central_series_once(monkeypatch):
+    """`GroupContext.lcs`, `is_regular` (through `nilpotency_class`) and
+    `fundamental_subgroup` all read G's series; it is built once."""
+    import dcgroup.structure as structure
+
+    builds = []
+    build = structure._central_series
+
+    def counted(G, S):
+        builds.append(S.order)
+        return build(G, S)
+
+    monkeypatch.setattr(structure, "_central_series", counted)
+    G = from_corpus("group2")
+    row = analyze_group(G, {"kind": "test"})
+    assert builds.count(G.order) == 1
+    assert row["invariants"]["cl"] == 6
+    assert structure.nilpotency_class(G) == 6 and builds.count(G.order) == 1
+
+
 # -- claims ------------------------------------------------------------------------
 
 

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from conftest import corpus_groups, lattice_nonp_groups, load_script, load_spec
 from dcgroup import constructors as C
 from dcgroup.cli import realize_spec
-from dcgroup.core import PermGroup, closure_ids, prime_power
+from dcgroup.core import _grow, perm_from_cycles, prime_power
 from dcgroup.errors import OrderCapExceeded, ParentMismatch
 from dcgroup.pc import realize_pc_group
 from dcgroup.lattice import (
     LATTICE_CAP,
     Subgroup,
-    _coset_join,
     all_subgroups,
     closure,
     full_subgroup,
@@ -29,7 +28,7 @@ from dcgroup.lattice import (
     subgroups_brute,
     trivial_subgroup,
 )
-from dcgroup.structure import centralizer
+from dcgroup.structure import center, centralizer, lower_central_series
 
 # Frozen subgroup counts and maximal-subgroup order multisets.
 LATTICE_FACTS = {
@@ -171,9 +170,37 @@ def test_lattice_fingerprint_is_pinned():
     assert load_script("lattice_fingerprint").fingerprint() == LATTICE_FINGERPRINT
 
 
+def _plain_orbit(G, gens) -> list[int]:
+    """<gens> as sorted ids: the orbit of the identity under scalar G.mul."""
+    seen, todo = {0}, [0]
+    for x in todo:
+        for g in gens:
+            y = G.mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return sorted(seen)
+
+
+def _check_grow(G, B, a) -> None:
+    """_grow from B by a against the plain orbit of B's generators and a."""
+    member = np.zeros(G.order, dtype=np.bool_)
+    member[B.ids()] = True
+    before = member.copy()
+    mask, reps = _grow(G, member, B.ids(), B.gens + (a,))
+    J = _plain_orbit(G, B.gens + (a,))
+    assert np.flatnonzero(mask).tolist() == J
+    assert len(reps) == len(J) // B.order and reps[0] == 0
+    # the representatives lie in J, each in a right coset B t of its own
+    cosets = {frozenset(G.mul(b, int(t)) for b in B.ids().tolist()) for t in reps}
+    assert len(cosets) == len(reps) and set(map(int, reps)) <= set(J)
+    assert np.array_equal(member, before)
+
+
 @pytest.mark.parametrize("name", ["s4", "d8xc2", "he3", "sl23", "a5", "pos32"])
 def test_coset_join_matches_closure(name):
-    """R v <a> by right cosets of R, for every member R and zuppo generator a."""
+    """R v <a> by right cosets of R over the Cayley table, for every member
+    R and zuppo generator a, against a plain orbit over G.mul."""
     if name == "pos32":
         G = realize_spec(load_spec("pos32"))
     elif name == "a5":
@@ -184,16 +211,49 @@ def test_coset_join_matches_closure(name):
     zuppos = [
         S.gens[0] for S in lattice if len(S.gens) == 1 and prime_power(S.order)
     ]
+    assert G.flat_table() is not None
     for R in lattice:
-        r_member = np.zeros(G.order, dtype=np.bool_)
-        r_member[R.ids()] = True
-        before = r_member.copy()
         for a in zuppos:
-            mask, index = _coset_join(G, R, r_member, a)
-            J = closure_ids(G, R.gens + (a,))
-            assert np.flatnonzero(mask).tolist() == J
-            assert index == len(J) // R.order
-        assert np.array_equal(r_member, before)
+            _check_grow(G, R, a)
+
+
+def _s8_cases():
+    G = C.symmetric(8)
+
+    def p(*cycles):
+        return G.id_of(perm_from_cycles(8, cycles))
+
+    pairs = [
+        ([p((0, 1, 2, 3))], p((0, 1))),  # C4 in S4
+        ([p((0, 1, 2)), p((0, 1))], p((3, 4, 5, 6, 7))),  # S3 in S3 x C5
+        ([p((0, 1), (2, 3)), p((0, 2), (1, 3))], p((0, 1, 2))),  # V4 in A4
+        ([p((0, 1, 2)), p((0, 1), (2, 3))], p((3, 4))),  # A4 in S5
+        ([p((0, 1, 2, 3, 4, 5, 6, 7))], p((0, 1))),  # C8 in S8
+    ]
+    return G, [(closure(G, gens), a) for gens, a in pairs]
+
+
+def _group2_cases():
+    G = C.witness_bundle("group2").group
+    series = lower_central_series(G)
+    # the terms of order 125, 25 and 5 of the lower central series, each by
+    # the generators of the term above it, and Z(G) by each generator of G,
+    # which spans an abelian group of order at most 5 times the exponent
+    cases = [
+        (series[i + 1], a) for i in (2, 3, 4) for a in series[i].gens
+    ]
+    Z = center(G)
+    return G, cases + [(Z, g) for g in G.generators]
+
+
+@pytest.mark.parametrize("build", [_s8_cases, _group2_cases], ids=["s8", "group2"])
+def test_grow_without_a_table_matches_plain_orbit(build):
+    """The frontier walk of _grow from B > 1 on groups beyond TABLE_CAP."""
+    G, cases = build()
+    assert G.np_table() is None
+    assert all(B.order > 1 for B, _ in cases)
+    for B, a in cases:
+        _check_grow(G, B, a)
 
 
 def _all_pairs_maximal_subgroups(lattice) -> list:
