@@ -274,9 +274,7 @@ def realize_spec(spec: dict, name: str = "") -> FiniteGroup:
     if kind == "perm_gens":
         return PermGroup(spec["gens"], name=name)
     if kind == "cayley":
-        table = spec["table"]
-        flat = [v for row in table for v in row]
-        return TableGroup(flat, len(table), name=name)
+        return TableGroup(spec["table"], len(spec["table"]), name=name)
     if kind == "pc":
         orders = tuple(spec["orders"])
         powers = {

@@ -2,14 +2,17 @@
 
 Every constructor fixes an element id layout up front (documented per
 builder), so identical parameters reproduce identical Cayley behavior
-bit for bit. Families come out as table or permutation groups; the two
-large reference p-groups are realized from power-commutator presentations.
+bit for bit. The abelian, metacyclic and extraspecial families are
+`FormulaGroup`s, given by their product formula on id vectors, from which
+`FiniteGroup.np_table` fills their Cayley tables; the symmetric and
+alternating families and SL(2,3) are permutation groups; the two large
+reference p-groups are realized from power-commutator presentations.
 """
 
 from __future__ import annotations
 
 import inspect
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from math import factorial, gcd
 
@@ -21,7 +24,6 @@ from .core import (
     FiniteGroup,
     PermGroup,
     QuotientGroup,
-    TableGroup,
     _closure,
     closure_ids,
     perm_from_cycles,
@@ -69,19 +71,36 @@ def _require(cond: bool, msg: str) -> None:
         raise ParamOutOfRange(msg)
 
 
-# -- abelian building blocks -------------------------------------------------
+# -- formula families ---------------------------------------------------------
 
 
-def cyclic(order: int) -> TableGroup:
+class FormulaGroup(FiniteGroup):
+    """A family group given by its product formula on id vectors.
+
+    The formula is the group's `_mul_pairwise_vec`: `np_table` fills the
+    Cayley table from it, and every other product reads that table.
+    """
+
+    def __init__(
+        self,
+        order: int,
+        generators: Sequence[int],
+        name: str,
+        formula: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ):
+        _require(order <= TABLE_CAP, f"order {order} exceeds {TABLE_CAP}")
+        super().__init__(order, generators, name)
+        self._mul_pairwise_vec = formula
+
+
+def cyclic(order: int) -> FormulaGroup:
     """C_n with id i standing for the i-th power of the generator."""
     _require(1 <= order <= TABLE_CAP, f"cyclic order {order} outside 1..{TABLE_CAP}")
     n = order
-    ids = np.arange(n, dtype=np.int64)
-    table = (ids[:, None] + ids[None, :]) % n
-    return TableGroup(table.ravel().tolist(), n, [1 % n], name=f"C{n}")
+    return FormulaGroup(n, [1 % n], f"C{n}", lambda xs, ys: (xs + ys) % n)
 
 
-def abelian(invariants: Sequence[int]) -> TableGroup:
+def abelian(invariants: Sequence[int]) -> FormulaGroup:
     """Direct sum of cyclic groups; ids are mixed-radix digit strings.
 
     Factors of size 1 are dropped. Digit i of an id (most significant first)
@@ -90,51 +109,46 @@ def abelian(invariants: Sequence[int]) -> TableGroup:
     invs = [int(d) for d in invariants if int(d) != 1]
     for d in invs:
         _require(d >= 1, f"invariant {d} must be positive")
-    order = 1
-    for d in invs:
-        order *= d
-    _require(order <= TABLE_CAP, f"abelian order {order} exceeds {TABLE_CAP}")
-    if not invs:
-        return TableGroup([0], 1, [0], name="C1")
     place = [0] * len(invs)
     acc = 1
     for i in range(len(invs) - 1, -1, -1):
         place[i] = acc
         acc *= invs[i]
-    ids = np.arange(order, dtype=np.int64)
-    table = np.zeros((order, order), dtype=np.int64)
-    for i, d in enumerate(invs):
-        digit = (ids // place[i]) % d
-        table += ((digit[:, None] + digit[None, :]) % d) * place[i]
-    name = "x".join(f"C{d}" for d in invs)
-    return TableGroup(table.ravel().tolist(), order, place, name=name)
+    _require(acc <= TABLE_CAP, f"abelian order {acc} exceeds {TABLE_CAP}")
+
+    def formula(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(xs)
+        for w, d in zip(place, invs):
+            out += (xs // w + ys // w) % d * w
+        return out
+
+    name = "x".join(f"C{d}" for d in invs) or "C1"
+    return FormulaGroup(acc, place or [0], name, formula)
 
 
-# -- split metacyclic groups (dihedral / semidihedral / modular) -------------
+# -- metacyclic groups (dihedral / quaternion / semidihedral / modular) --------
 
 
-def _split_metacyclic(m: int, r: int, t: int, name: str) -> TableGroup:
-    """<a, b | a^m, b^r, b a b^-1 = a^t> with id layout e*m + i for a^i b^e."""
+def _metacyclic(m: int, r: int, t: int, s: int, name: str) -> FormulaGroup:
+    """<a, b | a^m, b^r = a^s, b a b^-1 = a^t> with id layout e*m + i for a^i b^e."""
     _require(pow(t, r, m) == 1, f"action power t^r = {pow(t, r, m)} != 1 mod {m}")
     _require(gcd(t, m) == 1, f"action multiplier {t} not invertible mod {m}")
-    order = m * r
-    _require(order <= TABLE_CAP, f"order {order} exceeds {TABLE_CAP}")
-    i_idx = np.arange(m, dtype=np.int64)
-    e_idx = np.arange(r, dtype=np.int64)
-    tpow = np.array([pow(t, int(e), m) for e in range(r)], dtype=np.int64)
-    # (i1, e1) * (i2, e2) = (i1 + t^e1 * i2 mod m, e1 + e2 mod r)
-    i_all = np.tile(i_idx, r)
-    e_all = np.repeat(e_idx, m)
-    prod_i = (i_all[:, None] + tpow[e_all][:, None] * i_all[None, :]) % m
-    prod_e = (e_all[:, None] + e_all[None, :]) % r
-    table = prod_e * m + prod_i
+    tpow = np.array([pow(t, e, m) for e in range(r)], dtype=np.int64)
+
+    # (i1, e1) * (i2, e2) = (i1 + t^e1 * i2 + s [e1 + e2 >= r] mod m, e1 + e2 mod r)
+    def formula(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        e1, i1 = np.divmod(xs, m)
+        e2, i2 = np.divmod(ys, m)
+        e = e1 + e2
+        return e % r * m + (i1 + tpow[e1] * i2 + s * (e >= r)) % m
+
     gens = [1] if m > 1 else []
     if r > 1:
         gens.append(m)
-    return TableGroup(table.ravel().tolist(), order, gens or [0], name=name)
+    return FormulaGroup(m * r, gens or [0], name, formula)
 
 
-def dihedral(order: int) -> TableGroup:
+def dihedral(order: int) -> FormulaGroup:
     """D_n of order n = 2m: rotations a^i at ids 0..m-1, reflections above."""
     _require(order >= 2 and order % 2 == 0, f"dihedral order {order} must be even")
     m = order // 2
@@ -146,10 +160,10 @@ def dihedral(order: int) -> TableGroup:
         g = abelian([2, 2])
         g.name = "D4"
         return g
-    return _split_metacyclic(m, 2, m - 1, name=f"D{order}")
+    return _metacyclic(m, 2, m - 1, 0, name=f"D{order}")
 
 
-def generalized_quaternion(order: int) -> TableGroup:
+def generalized_quaternion(order: int) -> FormulaGroup:
     """Q_{2^k}: <a, b | a^{2^{k-1}}, b^2 = a^{2^{k-2}}, b a b^-1 = a^-1>.
 
     Ids: a^i at 0..m-1 and a^i b at m..2m-1, where m = order/2.
@@ -160,22 +174,10 @@ def generalized_quaternion(order: int) -> TableGroup:
         f"generalized quaternion order {order} must be a 2-power >= 8",
     )
     m = order // 2
-    half = m // 2
-    i_idx = np.arange(m, dtype=np.int64)
-    # e = 0 block rows: (i1, 0) * (i2, e2) = (i1 + i2, e2)
-    # e = 1 block rows: (i1, 1) * (i2, 0) = (i1 - i2, 1)
-    #                   (i1, 1) * (i2, 1) = (i1 - i2 + m/2, 0)
-    table = np.zeros((order, order), dtype=np.int64)
-    add = (i_idx[:, None] + i_idx[None, :]) % m
-    sub = (i_idx[:, None] - i_idx[None, :]) % m
-    table[:m, :m] = add
-    table[:m, m:] = add + m
-    table[m:, :m] = sub + m
-    table[m:, m:] = (sub + half) % m
-    return TableGroup(table.ravel().tolist(), order, [1, m], name=f"Q{order}")
+    return _metacyclic(m, 2, m - 1, m // 2, name=f"Q{order}")
 
 
-def semidihedral(order: int) -> TableGroup:
+def semidihedral(order: int) -> FormulaGroup:
     """SD_{2^k}, k >= 4: maximal cyclic subgroup twisted by t = 2^{k-2} - 1."""
     pk = prime_power(order)
     _require(
@@ -183,20 +185,20 @@ def semidihedral(order: int) -> TableGroup:
         f"semidihedral order {order} must be a 2-power >= 16",
     )
     m = order // 2
-    return _split_metacyclic(m, 2, m // 2 - 1, name=f"SD{order}")
+    return _metacyclic(m, 2, m // 2 - 1, 0, name=f"SD{order}")
 
 
-def modular_max_cyclic(order: int) -> TableGroup:
+def modular_max_cyclic(order: int) -> FormulaGroup:
     """M_{p^k}, k >= 3: maximal cyclic subgroup twisted by t = p^{k-2} + 1."""
     pk = prime_power(order)
     _require(pk is not None and pk[1] >= 3, f"order {order} must be p^k, k >= 3")
     p, k = pk
     _require((p, k) != (2, 3), "order 8 has no modular group distinct from D8")
     m = order // p
-    return _split_metacyclic(m, p, m // p + 1, name=f"M{order}")
+    return _metacyclic(m, p, m // p + 1, 0, name=f"M{order}")
 
 
-def extraspecial_p3(p: int, exponent: str) -> TableGroup:
+def extraspecial_p3(p: int, exponent: str) -> FormulaGroup:
     """The two extraspecial groups of order p^3 for odd p.
 
     exponent "p" gives the unitriangular 3x3 group over the p-element field,
@@ -208,17 +210,16 @@ def extraspecial_p3(p: int, exponent: str) -> TableGroup:
     if kind == "p2":
         return modular_max_cyclic(p**3)
     _require(kind == "p", f"exponent {exponent!r} must be 'p' or 'p2'")
-    order = p**3
-    _require(order <= TABLE_CAP, f"order {order} exceeds {TABLE_CAP}")
-    ids = np.arange(order, dtype=np.int64)
-    a = ids // (p * p)
-    b = (ids // p) % p
-    c = ids % p
-    aa = (a[:, None] + a[None, :]) % p
-    bb = (b[:, None] + b[None, :]) % p
-    cc = (c[:, None] + c[None, :] + a[:, None] * b[None, :]) % p
-    table = aa * (p * p) + bb * p + cc
-    return TableGroup(table.ravel().tolist(), order, [p * p, p], name=f"He{p}")
+
+    # (a1, b1, c1) * (a2, b2, c2) = (a1 + a2, b1 + b2, c1 + c2 + a1 b2)
+    def formula(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        ab1, c1 = np.divmod(xs, p)
+        ab2, c2 = np.divmod(ys, p)
+        a1, b1 = np.divmod(ab1, p)
+        a2, b2 = np.divmod(ab2, p)
+        return ((a1 + a2) % p * p + (b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
+
+    return FormulaGroup(p**3, [p * p, p], f"He{p}", formula)
 
 
 # -- permutation families ----------------------------------------------------
@@ -329,9 +330,9 @@ class SemidirectGroup(FiniteGroup):
 
     The action is given per top generator as a permutation array over N's
     ids; array i sends x to the conjugate of x by the i-th generator of H.
-    Each array is checked to be an automorphism (exhaustively when N has a
-    multiplication table, else on generator times element products, which
-    pins down the same condition since generators reach every element).
+    Each array is checked to be an automorphism on the products g x of a
+    generator g of N by every element x, which pins down the whole
+    condition since the generators reach every element.
     The full action map is then filled over H in the order `core._closure`
     finds its elements; any clash between two words for the same element
     means the arrays do not define a homomorphism H -> Aut(N).
@@ -356,18 +357,13 @@ class SemidirectGroup(FiniteGroup):
             arr = np.asarray(list(raw), dtype=np.int64)
             if arr.shape != (nn,) or not np.array_equal(np.sort(arr), ids):
                 raise NotAutomorphism(f"action array {k} is not a permutation of N")
-            table = normal.np_table()
-            if table is not None:
-                if not np.array_equal(arr[table], table[np.ix_(arr, arr)]):
-                    raise NotAutomorphism(f"action array {k} breaks multiplication")
-            else:
-                for g in normal.generators:
-                    lhs = arr[normal.lmul_vec(g, ids)]
-                    rhs = normal.lmul_vec(int(arr[g]), arr)
-                    if not np.array_equal(lhs, rhs):
-                        raise NotAutomorphism(
-                            f"action array {k} breaks multiplication at generator {g}"
-                        )
+            for g in normal.generators:
+                lhs = arr[normal.lmul_vec(g, ids)]
+                rhs = normal.lmul_vec(int(arr[g]), arr)
+                if not np.array_equal(lhs, rhs):
+                    raise NotAutomorphism(
+                        f"action array {k} breaks multiplication at generator {g}"
+                    )
             arrs.append(arr)
 
         phi = np.full((top.order, nn), -1, dtype=np.int64)

@@ -147,9 +147,8 @@ class FiniteGroup:
         self.order = int(order)
         self.generators = tuple(int(g) for g in generators)
         self.name = name or type(self).__name__
-        self._table: list[int] | None = None
-        self._inv: list[int] | None = None
         self._np: np.ndarray | None = None
+        self._flat: memoryview | None = None
         self._inv_ids: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._power_map: np.ndarray | None = None
@@ -159,11 +158,21 @@ class FiniteGroup:
 
     # -- backend interface ---------------------------------------------
 
+    # The scalar kernels read the Cayley table; a backend that can multiply
+    # without one overrides them.
+
     def _mul(self, x: int, y: int) -> int:
-        raise NotImplementedError
+        return self.flat_table()[x * self.order + y]
 
     def _invert(self, x: int) -> int:
-        raise NotImplementedError
+        return int(self.inv_vec(x))
+
+    def _keep_table(self, table: np.ndarray) -> None:
+        """Keep the Cayley table, its flat view and its inverse array, the
+        column where each row holds the identity id 0 (its smallest entry)."""
+        self._np = table
+        self._flat = table.reshape(-1).data
+        self._inv_ids = table.argmin(axis=1)
 
     # Vector kernels, called by the vector ops below only when the group has
     # no Cayley table, and `_mul_pairwise_vec` by `np_table` to build one. A
@@ -194,15 +203,16 @@ class FiniteGroup:
     def mul(self, x: int, y: int) -> int:
         if not (0 <= x < self.order and 0 <= y < self.order):
             raise InvalidId(f"ids ({x}, {y}) outside [0, {self.order}) in {self.name}")
-        t = self._table
+        t = self._flat
         if t is not None:
             return t[x * self.order + y]
         return self._mul(x, y)
 
     def inv(self, x: int) -> int:
         self.check_id(x)
-        if self._inv is not None:
-            return self._inv[x]
+        inv_ids = self._inv_ids
+        if inv_ids is not None:
+            return inv_ids.item(x)
         return self._invert(x)
 
     def power(self, x: int, k: int) -> int:
@@ -251,20 +261,14 @@ class FiniteGroup:
 
     # -- bulk helpers ------------------------------------------------------
 
-    def flat_table(self) -> list[int] | None:
-        """Row-major Cayley table as a list, cached; None above TABLE_CAP.
+    def flat_table(self) -> memoryview | None:
+        """Row-major Cayley table as a flat memoryview of `np_table`, cached;
+        None above TABLE_CAP.
 
-        Read off `np_table`, with the inverses from `inv_vec`. Entries refer
-        to one shared int object per id, so the list costs a pointer per
-        entry.
+        It shares the table's memory, and indexing it gives Python ints.
         """
-        if self._table is None:
-            arr = self.np_table()
-            if arr is not None:
-                ids = np.array(range(self.order), dtype=object)
-                self._table = ids[arr].ravel().tolist()
-                self._inv = self.inv_vec(np.arange(self.order)).tolist()
-        return self._table
+        self.np_table()
+        return self._flat
 
     def np_table(self) -> np.ndarray | None:
         """Cayley table as a cached 2d array; None above TABLE_CAP.
@@ -281,7 +285,7 @@ class FiniteGroup:
                 xs = ids[lo : lo + step]
                 prods = self._mul_pairwise_vec(np.repeat(xs, n), np.tile(ids, len(xs)))
                 table[lo : lo + step] = prods.reshape(len(xs), n)
-            self._np = table
+            self._keep_table(table)
         return self._np
 
     def mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
@@ -338,15 +342,9 @@ class FiniteGroup:
         return acc
 
     def inv_vec(self, xs: np.ndarray) -> np.ndarray:
-        """Elementwise inverses.
-
-        With a Cayley table, x^-1 is where row x holds the identity id 0,
-        its smallest entry; that map is read off the table once, cached.
-        """
-        arr = self.np_table()
-        if arr is not None:
-            if self._inv_ids is None:
-                self._inv_ids = arr.argmin(axis=1)
+        """Elementwise inverses, read off the inverse array kept with the
+        Cayley table when the group has one."""
+        if self.np_table() is not None:
             return self._inv_ids[xs]
         return self._inv_vec(np.asarray(xs, dtype=np.int64))
 
@@ -423,7 +421,7 @@ class FiniteGroup:
 
 
 class TableGroup(FiniteGroup):
-    """Group given by an explicit row-major Cayley table.
+    """Group given by an explicit Cayley table, as rows or row-major flat.
 
     The table must have id 0 as its identity and every row and column a
     permutation of the ids; then each element's powers return to 0, which
@@ -432,15 +430,16 @@ class TableGroup(FiniteGroup):
 
     def __init__(
         self,
-        table: Sequence[int],
+        table: Sequence,
         order: int,
         generators: Sequence[int] | None = None,
         name: str = "",
     ):
-        if len(table) != order * order:
-            raise InvalidId(f"table length {len(table)} != {order}^2")
+        arr = np.asarray(table, dtype=np.int64)
+        if arr.size != order * order:
+            raise InvalidId(f"table of {arr.size} entries != {order}^2")
         super().__init__(order, generators or (), name)
-        arr = np.asarray(table, dtype=np.int64).reshape(order, order)
+        arr = arr.reshape(order, order)
         if not (arr == 0).any(axis=1).all():
             raise InvalidId("every row of a Cayley table must hold the identity id 0")
         ids = np.arange(order)
@@ -449,16 +448,9 @@ class TableGroup(FiniteGroup):
         rows_ok = (np.sort(arr, axis=1) == ids).all()
         if not (rows_ok and (np.sort(arr, axis=0).T == ids).all()):
             raise InvalidId("every row and column of a Cayley table must permute the ids")
-        self._np = arr
-        self.flat_table()
+        self._keep_table(arr)
         if generators is None:
             self.generators = _pick_generators(self, range(order))
-
-    def _mul(self, x: int, y: int) -> int:
-        return self._table[x * self.order + y]
-
-    def _invert(self, x: int) -> int:
-        return self._inv[x]
 
 
 class PermGroup(FiniteGroup):

@@ -624,8 +624,11 @@ def _claim_dc_sylow_split(ctx: GroupContext):
 def _claim_dc_hereditary_subgroups(ctx: GroupContext):
     pairs = ctx.derived_pairs
     for H in ctx.lattice.subgroups:
-        # DS(H) = {S' : S <= H}; every S <= H is already in the lattice.
-        sub = [(S, d) for S, d in pairs if S.issubset(H)]
+        # DS(H) = {S' : S <= H}; every S <= H is already in the lattice, and
+        # every member has a bitset, as a lattice needs a Cayley table and
+        # TABLE_CAP < BITSET_CAP.
+        outside = ~H.bits
+        sub = [(S, d) for S, d in pairs if not S.bits & outside]
         bad = _derived_set(ctx.G, sub).incomparable_witness
         if bad is not None:
             return FAIL, (

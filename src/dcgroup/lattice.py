@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
+    TABLE_CAP,
     FiniteGroup,
     TableGroup,
     _grow,
@@ -450,7 +451,7 @@ def subgroup_as_group(S: Subgroup) -> tuple[TableGroup, list[int]]:
     G = S.parent
     ids = [int(v) for v in S.ids()]
     k = len(ids)
-    if k > 4096:
+    if k > TABLE_CAP:
         raise OrderCapExceeded(f"subgroup of order {k} too large to relabel")
     local = {v: i for i, v in enumerate(ids)}
     table = [local[G.mul(x, y)] for x in ids for y in ids]

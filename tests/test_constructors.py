@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from dcgroup import constructors as C
 from dcgroup import structure as S
+from dcgroup.core import closure_ids
 from dcgroup.errors import (
     ActionNotHomomorphic,
     NotAutomorphism,
@@ -32,6 +35,11 @@ TABLE_HASHES = {
     "c12": "1a12f02fd836acfd",
     "c2wrc4": "a5afc41974463bc0",
     "d8xq8": "f6fc1b170d840432",
+    "c2xc3xc4": "0368d231856ae886",
+    "d12": "54ef2d2255de7de2",
+    "q16": "1866d285bd773a47",
+    "he5": "fbae522c88b45aaf",
+    "m81": "c29710473e5b51d9",
 }
 
 HASH_BUILDERS = {
@@ -47,6 +55,11 @@ HASH_BUILDERS = {
     "c12": lambda: C.cyclic(12),
     "c2wrc4": lambda: C.wreath_cyclic(2, 4),
     "d8xq8": lambda: C.direct_product(C.dihedral(8), C.generalized_quaternion(8)),
+    "c2xc3xc4": lambda: C.abelian([2, 3, 4]),
+    "d12": lambda: C.dihedral(12),
+    "q16": lambda: C.generalized_quaternion(16),
+    "he5": lambda: C.extraspecial_p3(5, "p"),
+    "m81": lambda: C.modular_max_cyclic(81),
 }
 
 
@@ -115,6 +128,35 @@ def test_builders_are_deterministic():
     for key, build in HASH_BUILDERS.items():
         assert table_hash(build()) == TABLE_HASHES[key], key
         assert table_hash(build()) == TABLE_HASHES[key], key
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: C.cyclic(4096),
+        lambda: C.abelian([64, 64]),
+        lambda: C.dihedral(2048),
+        lambda: C.extraspecial_p3(13, "p"),
+    ],
+    ids=["c4096", "c64xc64", "d2048", "he13"],
+)
+def test_family_table_memory_at_table_cap(build):
+    """A family group near TABLE_CAP holds one Cayley table: building it,
+    its flat table, its inverses and a closure peak at about the table's
+    own bytes (tracemalloc sees numpy's buffers), and `flat_table` is a
+    view of `np_table`."""
+    tracemalloc.start()
+    try:
+        G = build()
+        n = G.order
+        G.flat_table()
+        G.inv_vec(np.arange(n))
+        closure_ids(G, [G.generators[-1]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
+    assert np.shares_memory(np.asarray(G.flat_table()), G.np_table())
 
 
 # -- direct products -----------------------------------------------------------------

@@ -207,8 +207,8 @@ def test_bulk_table_matches_scalar_products(G):
     n = G.order
     want = [[G._mul(x, y) for y in range(n)] for x in range(n)]
     assert G.np_table().tolist() == want
-    assert G.flat_table() == [v for row in want for v in row]
-    assert G._inv == [G._invert(x) for x in range(n)]
+    assert list(G.flat_table()) == [v for row in want for v in row]
+    assert G.inv_vec(np.arange(n)).tolist() == [G._invert(x) for x in range(n)]
 
 
 def test_quotient_kernel_above_table_cap_matches_scalar_products():
