@@ -10,7 +10,9 @@ materialize the full lattice.
 method): its atoms are the zuppos, the cyclic subgroups of prime-power
 order, and it joins one representative per conjugacy class with one atom
 per orbit of the representative's normalizer, bringing in each new class
-whole by conjugation.
+whole by conjugation. It joins only where a new subgroup can appear: an
+atom that normalizes the representative and extends it by a prime index,
+or, inside the solvable residual, an atom that does not normalize it.
 """
 
 from __future__ import annotations
@@ -235,19 +237,36 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
 
     The atoms are the zuppos. Their classes are the G-orbits of zuppos, and
     one atom per orbit starts the work list of class representatives. Each
-    representative R is joined with one atom from each orbit of N_G(R) on
-    the atoms outside R. A join never seen before brings in its whole class
-    by conjugation and joins the work list with its normalizer, read off the
-    same conjugation gather. A join grows from R by whole right cosets of
-    R (`core._grow`), whose coset representatives count its index over R.
-    Atoms inside a join of prime index over R are skipped for R, since R is
-    maximal in that join and their join with R is that one.
+    representative R is joined with one atom <z> from each orbit of N_G(R)
+    on the atoms outside R, in exactly two cases:
 
-    This reaches every class. A subgroup H > 1 is the join of its zuppos, so
-    H = K v A for a proper subgroup K of H and a zuppo A of H outside K. If
-    K = R^g, then H^(g^-1) = R v A^(g^-1), and for n in N_G(R),
-    R v A^n = (R v A)^n: joining R with its orbit representative of A^(g^-1)
-    gives a conjugate of H. By induction on |H| every class is reached.
+    (a) z normalizes R and z^p lies in R, p the prime of <z>: the join
+        R<z> has index p over R;
+    (b) z does not normalize R, and R and <z> both lie in D, the last term
+        of G's derived series (the solvable residual; 1 for a p-group).
+
+    A join never seen before brings in its whole class by conjugation and
+    joins the work list with its normalizer, read off the same conjugation
+    gather. A join grows from R by whole right cosets of R (`core._grow`),
+    whose coset representatives count its index over R. Atoms inside a join
+    of prime index over R are skipped for R, since R is maximal in that join
+    and their join with R is that one.
+
+    This reaches every class. If K = R^g, then for an atom A,
+    (K v A)^(g^-1) = R v A^(g^-1), and for n in N_G(R), R v A^n = (R v A)^n;
+    both cases are properties of the pair (R, A) that conjugation keeps, D
+    being normal. So it is enough that every subgroup H > 1 that is not an
+    atom is K v A for a proper subgroup K > 1 of H and a zuppo A of H outside
+    K, with (K, A) in case (a) or (b); by induction on |H| every class is
+    then reached.
+
+    - If H is not perfect, it has a normal subgroup K of prime index p. Take
+      the p-part z of any element of H outside K. Then z lies outside K,
+      A = <z> is a zuppo, z normalizes K, z^p lies in K and H = K<z>: case
+      (a). (K = 1 only if H = <z> is an atom.)
+    - If H is perfect, then H <= D. Take K maximal in H and a zuppo A of H
+      outside K, so H = K v A. A cannot normalize K, since then K would be
+      normal in H with H/K cyclic: case (b).
 
     Every member's generators are those `core._pick_generators` gives for
     its ids; for an atom that is its least generator.
@@ -265,64 +284,93 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
         """Row g holds the ids conjugated by g."""
         return arr[arr[inv[:, None], ids], every[:, None]]
 
-    # zuppos, each with its least generator; atom_at[x] = <x>. Smaller atoms
-    # come first, as their joins are the likelier prime-index covers below.
+    # zuppos, each with its least generator z and z^p; atom_at[x] = <x>.
+    # Smaller atoms come first, as their joins are the likelier prime-index
+    # covers below.
     prime_of = {
         m: next(iter(f)) for m in set(order_list) if len(f := prime_factors(m)) == 1
     }
     atom_at = [-1] * n
     atoms: list[Subgroup] = []
     atom_masks: list[bytearray] = []
+    atom_pows: list[int] = []
     for x in sorted(range(1, n), key=order_list.__getitem__):
         p = prime_of.get(order_list[x])
         if p is None or atom_at[x] >= 0:
             continue
         mask = bytearray(n)
         mask[0] = 1
-        elems, bits, y = [0], 1, x
+        elems, bits, y, power = [0], 1, x, 0
         for k in range(1, order_list[x]):
             mask[y] = 1
             elems.append(y)
             bits |= 1 << y
             if k % p:
                 atom_at[y] = len(atoms)
+            elif k == p:
+                power = y
             y = table[y * n + x]
         atoms.append(Subgroup(G, bits, (x,), sorted(elems)))
         atom_masks.append(mask)
+        atom_pows.append(power)
     atom_gens = [A.gens[0] for A in atoms]
     atom_gen_ids = np.asarray(atom_gens, dtype=np.int64)
+    atom_pow_ids = np.asarray(atom_pows, dtype=np.int64)
     atom_ids = np.arange(len(atoms))
     # moved[g, a] = the atom a^g; an orbit's least atom represents it
     moved = np.asarray(atom_at, dtype=np.int64)[conjugates(atom_gen_ids)]
     g_reps = moved.min(axis=0) == atom_ids
     atom_normal = (moved == atom_ids).all(axis=0).tolist()
     primes = set(prime_factors(n))
+    residual = 1  # D as a bitset
+    if len(primes) > 1:
+        from .structure import derived_series  # structure imports this module
+
+        residual = derived_series(G)[-1].bits
+    atom_in_residual = np.array(
+        [A.bits & ~residual == 0 for A in atoms], dtype=np.bool_
+    )
 
     subs = [trivial_subgroup(G), *atoms]
     seen = {bytes(m) for m in atom_masks}  # member masks of the subgroups in subs
     seen.add(bytes(every == 0))
-    # work items (R, R's member mask, N_G(R)); an atom's normalizer fixes it
-    work = [
-        (
-            A,
-            np.frombuffer(atom_masks[a], dtype=np.bool_),
-            np.flatnonzero(moved[:, a] == a),
+    # work items (R, R's member mask, whether R is normal, the atoms to join)
+    work: list[tuple[Subgroup, np.ndarray, bool, list[int]]] = []
+
+    def enqueue(R: Subgroup, member: np.ndarray, stays: np.ndarray | None) -> None:
+        """Put R on the work list with the atoms it is joined with.
+
+        stays[g] tells whether g normalizes R; None means R is normal.
+        """
+        if stays is None:
+            orbit_reps, normalizes = g_reps, True
+        else:
+            orbit_reps = moved[stays].min(axis=0) == atom_ids
+            normalizes = stays[atom_gen_ids]
+        # case (a) for the atoms that normalize R, case (b) for the others
+        in_residual = R.bits & ~residual == 0
+        cases = np.where(
+            normalizes, member[atom_pow_ids], in_residual & atom_in_residual
         )
-        for a, A in enumerate(atoms)
-        if g_reps[a]
-    ]
+        todo = orbit_reps & cases & ~member[atom_gen_ids]
+        work.append((R, member, stays is None, np.flatnonzero(todo).tolist()))
+
+    for a in np.flatnonzero(g_reps).tolist():  # g normalizes <z> when it fixes it
+        stays = None if atom_normal[a] else moved[:, a] == a
+        enqueue(atoms[a], np.frombuffer(atom_masks[a], dtype=np.bool_), stays)
 
     def add_class(ids: np.ndarray, member: np.ndarray, normal: bool) -> None:
         """Record the class of the subgroup with these ids as one work item.
 
         A subgroup already known to be normal skips the conjugation gather.
         """
-        if normal:
-            normalizer = every
-        else:
+        stays = None
+        if not normal:
             rows = conjugates(ids)
-            normalizer = np.flatnonzero(member[rows].all(axis=1))
-        if normalizer.size == n:
+            stays = member[rows].all(axis=1)
+            if stays.all():
+                stays = None
+        if stays is None:
             reps, masks = [ids], [member.tobytes()]
         else:
             rows.sort(axis=1)
@@ -339,21 +387,15 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
             subs.append(_subgroup(G, row, _pick_generators(G, row)))
         seen.update(masks)
         if ids.size < n:
-            work.append((subs[-len(masks)], member, normalizer))
+            enqueue(subs[-len(masks)], member, stays)
 
     joined: set[int] = set()
     while work:
-        R, r_member, normalizer = work.pop()
+        R, r_member, r_normal, todo = work.pop()
         r_ids = R.ids()
-        r_normal = normalizer.size == n
-        if r_normal:
-            orbit_reps = g_reps
-        else:
-            orbit_reps = moved[normalizer].min(axis=0) == atom_ids
-        fresh = orbit_reps & ~r_member[atom_gen_ids]
         # atoms inside a join of prime index over R: their join is that one
         covered = np.zeros(len(atoms), dtype=np.bool_)
-        for a in np.flatnonzero(fresh).tolist():
+        for a in todo:
             union = R.bits | atoms[a].bits
             if covered[a] or union in joined:
                 continue
@@ -446,18 +488,20 @@ def subgroup_as_group(S: Subgroup) -> tuple[TableGroup, list[int]]:
     """Relabel a subgroup as a standalone group.
 
     Returns the table group plus the embedding list: local id -> parent id.
-    Local id 0 is the identity because parent id 0 sorts first.
+    Local id 0 is the identity because parent id 0 sorts first. The table
+    is one pairwise product over all k^2 pairs of members, each product
+    relabelled by its place among the sorted ids.
     """
     G = S.parent
-    ids = [int(v) for v in S.ids()]
-    k = len(ids)
+    ids = S.ids()
+    k = ids.size
     if k > TABLE_CAP:
         raise OrderCapExceeded(f"subgroup of order {k} too large to relabel")
-    local = {v: i for i, v in enumerate(ids)}
-    table = [local[G.mul(x, y)] for x in ids for y in ids]
-    gens = [local[g] for g in S.gens] if S.gens else None
+    pairs = np.repeat(ids, k), np.tile(ids, k)
+    table = np.searchsorted(ids, G.mul_pairwise_vec(*pairs))
+    gens = np.searchsorted(ids, S.gens).tolist() if S.gens else None
     H = TableGroup(table, k, generators=gens, name=f"{G.name}|sub{k}")
-    return H, ids
+    return H, ids.tolist()
 
 
 def subgroups_brute(G: FiniteGroup, cap: int = 48) -> list[Subgroup]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import corpus_groups, lattice_nonp_groups, load_script, load_spec
 from dcgroup import constructors as C
+from dcgroup import lattice as lattice_module
 from dcgroup.cli import realize_spec
-from dcgroup.core import _grow, perm_from_cycles, prime_power
+from dcgroup.core import PermGroup, TableGroup, _grow, perm_from_cycles, prime_power
 from dcgroup.errors import OrderCapExceeded, ParentMismatch
 from dcgroup.pc import realize_pc_group
 from dcgroup.lattice import (
@@ -158,6 +161,103 @@ def test_brute_enumerator_matches_lattice_on_order_32_grid():
         brute = {s.ids().tobytes() for s in subgroups_brute(G)}
         assert fast == brute, f"grid point {k}"
     assert points == 109
+
+
+# -- perfect subgroups --------------------------------------------------------------
+# A perfect subgroup is reached only by a join inside the solvable residual D,
+# the last term of G's derived series. Besides the corpus A5 and S5 of the
+# lattice fingerprint, these groups have D > 1. Counts by order were computed
+# with the unfiltered join loop.
+
+
+def _psl27():
+    return PermGroup([[1, 2, 3, 4, 5, 6, 0], [1, 0, 4, 3, 2, 5, 6]], name="psl27")
+
+
+def _sl25():
+    """SL(2,5) as a table group of 2x2 matrices over F5."""
+
+    def mul(a, b):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(2)) % 5 for j in range(2))
+            for i in range(2)
+        )
+
+    gens = [((1, 1), (0, 1)), ((0, 4), (1, 0))]
+    elems = [((1, 0), (0, 1))]
+    index = {elems[0]: 0}
+    for x in elems:  # elems grows while it is walked
+        for g in gens:
+            y = mul(x, g)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    table = [index[mul(x, y)] for x in elems for y in elems]
+    return TableGroup(table, len(elems), [index[g] for g in gens], name="sl25")
+
+
+def test_lattice_of_a5_matches_brute_enumerator():
+    # D = G: every join of two non-normalizing atoms is a case (b) join
+    G = C.alternating(5)
+    fast = [s.ids().tobytes() for s in all_subgroups(G)]
+    brute = [s.ids().tobytes() for s in subgroups_brute(G, cap=60)]
+    assert fast == brute
+
+
+@pytest.mark.parametrize(
+    "build, total, by_order",
+    [
+        (
+            _psl27,
+            179,
+            {1: 1, 2: 21, 3: 28, 4: 35, 6: 28, 7: 8, 8: 21, 12: 14, 21: 8, 24: 14, 168: 1},
+        ),
+        (
+            _sl25,
+            76,
+            {1: 1, 2: 1, 3: 10, 4: 15, 5: 6, 6: 10, 8: 5, 10: 6, 12: 10, 20: 6, 24: 5, 120: 1},
+        ),
+    ],
+    ids=["psl27", "sl25"],
+)
+def test_lattice_counts_of_perfect_groups(build, total, by_order):
+    G = build()
+    L = all_subgroups(G)
+    assert len(L) == total
+    assert Counter(s.order for s in L) == by_order
+
+
+def test_lattice_counts_with_a_proper_perfect_residual():
+    # D = A5 x 1 < A5 x S3: the perfect subgroups lie in D, the others not
+    G = C.direct_product(C.alternating(5), C.symmetric(3))
+    by_order = Counter(s.order for s in all_subgroups(G))
+    assert sum(by_order.values()) == 628
+    assert by_order[60] == 7 and by_order[120] == 3
+
+
+@pytest.mark.parametrize(
+    "name, unfiltered_joins",
+    [("d8xs4", 4395), ("c4sdc4|c2x2x2", 26583)],
+)
+def test_lattice_joins_only_where_a_new_subgroup_can_appear(
+    name, unfiltered_joins, monkeypatch
+):
+    """`_grow` calls of one lattice, bounded by a third of what joining every
+    atom orbit outside each representative took."""
+    if name == "d8xs4":
+        G = lattice_nonp_groups()["d8xs4"]
+    else:
+        left, right = (realize_spec(load_spec(g), name=g) for g in name.split("|"))
+        G = C.direct_product(left, right)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _grow(*args)
+
+    monkeypatch.setattr(lattice_module, "_grow", counted)
+    all_subgroups(G)
+    assert len(calls) <= unfiltered_joins // 3
 
 
 # sha256 over (order, bitset, generators) of every member of every lattice
