@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""One sha256 over the subgroup lattices of three fixed sets of groups.
+"""Two sha256 digests over the subgroup lattices of three fixed sets of groups.
 
-The digest covers (order, bitset, generators) of every member of every
+The full digest covers (order, bitset, generators) of every member of every
 lattice, in the lattice's canonical order, so two commits that print the
-same digest build the same lattices member for member. The sets:
+same full digest build the same lattices member for member, generators
+included. The member-set digest covers (order, bitset) only, so two commits
+that print the same one find the same subgroups, whatever generators they
+keep. The sets:
 
-  corpus  the corpus groups of order <= LATTICE_CAP, s6 left out (its
-          lattice alone takes longer than the rest together)
+  corpus  the corpus groups of order <= LATTICE_CAP
   grid    the consistent grid points of scripts/search_presentations.py
   pairs   the direct and central products the census builds for its
           product-pair claims
@@ -33,8 +35,6 @@ from dcgroup.core import prime_power
 from dcgroup.dc import _central_element_of_order, auto_pairs
 from dcgroup.lattice import LATTICE_CAP, all_subgroups
 from dcgroup.pc import realize_pc_group
-
-SKIP = {"s6"}
 
 
 def corpus_groups() -> dict:
@@ -75,45 +75,51 @@ def pair_groups(groups: dict) -> list:
     return out
 
 
-def digest(groups) -> tuple[str, int]:
-    """(sha256, members) over the lattices of the groups, in their order."""
-    h = hashlib.sha256()
+def digest(groups) -> tuple[str, str, int]:
+    """(full sha256, member-set sha256, members) over the lattices of the
+    groups, in their order."""
+    full, sets = hashlib.sha256(), hashlib.sha256()
     members = 0
     for G in groups:
         lattice = all_subgroups(G)
-        h.update(f"group {G.order} {len(lattice)}\n".encode())
+        head = f"group {G.order} {len(lattice)}\n".encode()
+        full.update(head)
+        sets.update(head)
         for S in lattice:
-            h.update(f"{S.order} {S.bits:x} {S.gens}\n".encode())
+            key = f"{S.order} {S.bits:x}"
+            full.update(f"{key} {S.gens}\n".encode())
+            sets.update(f"{key}\n".encode())
         members += len(lattice)
-    return h.hexdigest(), members
+    return full.hexdigest(), sets.hexdigest(), members
 
 
-def fingerprint(verbose: bool = False) -> str:
-    """sha256 over the digests of the three sets; verbose prints each set."""
+def fingerprint(verbose: bool = False) -> tuple[str, str]:
+    """(full, member-set) sha256, each over that digest of the three sets;
+    verbose prints each set."""
     corpus = corpus_groups()
     sets = {
-        "corpus": [
-            G for gid, G in corpus.items()
-            if gid not in SKIP and G.order <= LATTICE_CAP
-        ],
+        "corpus": [G for G in corpus.values() if G.order <= LATTICE_CAP],
         "grid": grid_groups(),
         "pairs": [P for P in pair_groups(corpus) if P.order <= LATTICE_CAP],
     }
-    digests = []
+    fulls, member_sets = [], []
     for name, groups in sets.items():
         t = time.perf_counter()
-        sha, members = digest(groups)
-        digests.append(sha)
+        full, member_set, members = digest(groups)
+        fulls.append(full)
+        member_sets.append(member_set)
         if verbose:
             print(f"{name:6} {len(groups):4} lattices {members:6} members "
-                  f"{time.perf_counter() - t:6.2f}s  {sha}")
-    return hashlib.sha256("".join(digests).encode()).hexdigest()
+                  f"{time.perf_counter() - t:6.2f}s  {full}  {member_set}")
+    return tuple(
+        hashlib.sha256("".join(d).encode()).hexdigest() for d in (fulls, member_sets)
+    )
 
 
 def main() -> int:
     t0 = time.perf_counter()
-    total = fingerprint(verbose=True)
-    print(f"all    {time.perf_counter() - t0:.2f}s  {total}")
+    full, member_set = fingerprint(verbose=True)
+    print(f"all    {time.perf_counter() - t0:.2f}s  {full}  {member_set}")
     return 0
 
 

@@ -34,7 +34,15 @@ from .constructors import (
     central_product,
     direct_product,
 )
-from .core import FiniteGroup, PermGroup, QuotientGroup, TableGroup, prime_power
+from .core import (
+    FiniteGroup,
+    PermGroup,
+    QuotientGroup,
+    TableGroup,
+    _pick_generators,
+    closure_ids,
+    prime_power,
+)
 from .dc import (
     ERROR,
     FAIL,
@@ -304,7 +312,14 @@ def realize_spec(spec: dict, name: str = "") -> FiniteGroup:
             name=name,
         )
     if kind == "quotient_of":
-        return QuotientGroup(realize_spec(spec["group"]), spec["normal"], name=name)
+        G = realize_spec(spec["group"])
+        ids = sorted(G.check_id(x) for x in spec["normal"])
+        what = f"quotient_of: normal ids {spec['normal']}"
+        if len(set(ids)) < len(ids):
+            raise SchemaViolation(f"{what} repeat an id")
+        if closure_ids(G, _pick_generators(G, ids)) != ids:
+            raise SchemaViolation(f"{what} are not a subgroup of {G.name}")
+        return QuotientGroup(G, ids, name=name)
     raise SchemaViolation(f"unhandled kind {kind!r}")
 
 

@@ -596,7 +596,7 @@ class QuotientGroup(FiniteGroup):
     """
 
     def __init__(self, parent: FiniteGroup, normal_ids: Sequence[int], name: str = ""):
-        n_ids = sorted(int(v) for v in normal_ids)
+        n_ids = sorted(parent.check_id(int(v)) for v in normal_ids)
         if not n_ids or n_ids[0] != 0:
             raise NotNormal("normal subgroup must contain the identity")
         member = np.zeros(parent.order, dtype=bool)

@@ -9,10 +9,12 @@ materialize the full lattice.
 ``all_subgroups`` computes the full lattice by cyclic extension (Neubüser's
 method): its atoms are the zuppos, the cyclic subgroups of prime-power
 order, and it joins one representative per conjugacy class with one atom
-per orbit of the representative's normalizer, bringing in each new class
-whole by conjugation. It joins only where a new subgroup can appear: an
-atom that normalizes the representative and extends it by a prime index,
-or, inside the solvable residual, an atom that does not normalize it.
+per orbit of the representative's normalizer. It joins only where a new
+subgroup can appear: an atom that normalizes the representative and
+extends it by a prime index, or, inside the solvable residual, an atom
+that does not normalize it. A new join keeps the generators it was built
+from, and brings in its class as one conjugate per right coset of its
+normalizer, which those generators give.
 """
 
 from __future__ import annotations
@@ -160,6 +162,11 @@ def _ids_to_bits(ids: Iterable[int]) -> int:
     return b
 
 
+def _mask_bits(member: np.ndarray) -> int:
+    """The bitset of a boolean member mask over the parent's ids."""
+    return int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
+
+
 def _subgroup(
     G: FiniteGroup, ids: Sequence[int] | np.ndarray, gens: Sequence[int] | None = None
 ) -> Subgroup:
@@ -167,18 +174,18 @@ def _subgroup(
 
     It carries a bitset exactly when G.order <= BITSET_CAP. Callers that
     built the subgroup from known elements pass those as `gens` (closures,
-    the full group, a p-group's maximal subgroups); only without them does
-    `core._pick_generators` pick a greedy set from the members.
+    the full group, lattice members, a p-group's maximal subgroups); only
+    without them does `core._pick_generators` pick a greedy set from the
+    members.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if gens is None:
         gens = _pick_generators(G, ids)
     bits = None
     if G.order <= BITSET_CAP:
-        member = np.zeros(G.order, dtype=np.uint8)
-        member[ids] = 1
-        packed = np.packbits(member, bitorder="little")
-        bits = int.from_bytes(packed.tobytes(), "little")
+        member = np.zeros(G.order, dtype=np.bool_)
+        member[ids] = True
+        bits = _mask_bits(member)
     return Subgroup(G, bits, gens, ids=ids)
 
 
@@ -245,12 +252,20 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
     (b) z does not normalize R, and R and <z> both lie in D, the last term
         of G's derived series (the solvable residual; 1 for a p-group).
 
-    A join never seen before brings in its whole class by conjugation and
-    joins the work list with its normalizer, read off the same conjugation
-    gather. A join grows from R by whole right cosets of R (`core._grow`),
-    whose coset representatives count its index over R. Atoms inside a join
-    of prime index over R are skipped for R, since R is maximal in that join
+    A join grows from R by whole right cosets of R (`core._grow`), whose
+    coset representatives count its index over R. Atoms inside a join of
+    prime index over R are skipped for R, since R is maximal in that join
     and their join with R is that one.
+
+    A join J = R v <z> never seen before keeps the generators it was built
+    from, R's and then z. Its normalizer N is read off them: g normalizes J
+    exactly when their conjugates by g lie in J, one gather of n rows by as
+    many columns as J has generators. Since J^s = J^t exactly when
+    Ns = Nt, J's class is J^t for one t in each right coset of N, which
+    `core._grow` from N by G's generators gives, each J^t with J's
+    generators conjugated by t. The identity comes first, so J itself
+    represents its class on the work list. Member sets are keyed by their
+    bitsets: G needs a Cayley table, so n <= TABLE_CAP < BITSET_CAP.
 
     This reaches every class. If K = R^g, then for an atom A,
     (K v A)^(g^-1) = R v A^(g^-1), and for n in N_G(R), R v A^n = (R v A)^n;
@@ -268,21 +283,25 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
       outside K, so H = K v A. A cannot normalize K, since then K would be
       normal in H with H/K cyclic: case (b).
 
-    Every member's generators are those `core._pick_generators` gives for
-    its ids; for an atom that is its least generator.
+    An atom's generator is its least one, and every other member carries
+    the generators of the join its class came from, conjugated.
     """
     if G.order > cap:
         raise OrderCapExceeded(f"|{G.name}| = {G.order} exceeds lattice cap {cap}")
     n = G.order
     table = G.flat_table()
+    if table is None:
+        raise OrderCapExceeded(
+            f"|{G.name}| = {n} exceeds the Cayley table cap {TABLE_CAP}"
+        )
     arr = G.np_table()
     every = np.arange(n)
     inv = G.inv_vec(every)
     order_list = G.element_orders().tolist()
 
-    def conjugates(ids: np.ndarray) -> np.ndarray:
-        """Row g holds the ids conjugated by g."""
-        return arr[arr[inv[:, None], ids], every[:, None]]
+    def conjugates(ids: np.ndarray, by: np.ndarray = every) -> np.ndarray:
+        """Row i holds the ids conjugated by by[i]."""
+        return arr[arr[inv[by, None], ids], by[:, None]]
 
     # zuppos, each with its least generator z and z^p; atom_at[x] = <x>.
     # Smaller atoms come first, as their joins are the likelier prime-index
@@ -332,8 +351,7 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
     )
 
     subs = [trivial_subgroup(G), *atoms]
-    seen = {bytes(m) for m in atom_masks}  # member masks of the subgroups in subs
-    seen.add(bytes(every == 0))
+    seen = {S.bits for S in subs}
     # work items (R, R's member mask, whether R is normal, the atoms to join)
     work: list[tuple[Subgroup, np.ndarray, bool, list[int]]] = []
 
@@ -359,35 +377,29 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
         stays = None if atom_normal[a] else moved[:, a] == a
         enqueue(atoms[a], np.frombuffer(atom_masks[a], dtype=np.bool_), stays)
 
-    def add_class(ids: np.ndarray, member: np.ndarray, normal: bool) -> None:
-        """Record the class of the subgroup with these ids as one work item.
+    def add_class(J: Subgroup, member: np.ndarray, normal: bool) -> None:
+        """Record the class of J, a new join with its member mask, and put J
+        on the work list.
 
         A subgroup already known to be normal skips the conjugation gather.
         """
+        gen_ids = np.asarray(J.gens)
         stays = None
         if not normal:
-            rows = conjugates(ids)
-            stays = member[rows].all(axis=1)
+            stays = member[conjugates(gen_ids)].all(axis=1)
             if stays.all():
                 stays = None
-        if stays is None:
-            reps, masks = [ids], [member.tobytes()]
-        else:
-            rows.sort(axis=1)
-            width = rows.shape[1] * rows.itemsize
-            blob = rows.tobytes()
-            first = {}
-            for g in range(n):
-                first.setdefault(blob[g * width : (g + 1) * width], g)
-            reps = rows[list(first.values())]
-            mask = np.zeros((len(reps), n), dtype=np.bool_)
-            mask[np.arange(len(reps))[:, None], reps] = True
-            masks = [m.tobytes() for m in mask]
-        for row in reps:
-            subs.append(_subgroup(G, row, _pick_generators(G, row)))
-        seen.update(masks)
-        if ids.size < n:
-            enqueue(subs[-len(masks)], member, stays)
+        members = [J]
+        if stays is not None:
+            ts = _grow(G, stays, np.flatnonzero(stays), G.generators)[1]
+            ts = np.asarray(ts[1:])
+            rows = np.sort(conjugates(J.ids(), ts), axis=1)
+            conj_gens = conjugates(gen_ids, ts).tolist()
+            members += [_subgroup(G, row, g) for row, g in zip(rows, conj_gens)]
+        subs.extend(members)
+        seen.update(K.bits for K in members)
+        if J.order < n:
+            enqueue(J, member, stays)
 
     joined: set[int] = set()
     while work:
@@ -400,13 +412,15 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
             if covered[a] or union in joined:
                 continue
             joined.add(union)
-            j_member, reps = _grow(G, r_member, r_ids, R.gens + (atom_gens[a],))
+            gens = R.gens + (atom_gens[a],)
+            j_member, reps = _grow(G, r_member, r_ids, gens)
             if len(reps) in primes:
                 covered |= j_member[atom_gen_ids]
-            if j_member.tobytes() not in seen:
+            bits = _mask_bits(j_member)
+            if bits not in seen:
+                J = Subgroup(G, bits, gens, np.flatnonzero(j_member))
                 # a join of two normal subgroups is normal
-                normal = r_normal and atom_normal[a]
-                add_class(np.flatnonzero(j_member), j_member, normal)
+                add_class(J, j_member, r_normal and atom_normal[a])
 
     return SubgroupLattice(G, subs)
 

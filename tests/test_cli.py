@@ -302,6 +302,27 @@ def test_analyze_exit_2_on_non_group_table(tmp_path, capsys, table):
     assert "Cayley table" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "normal, message",
+    [
+        ([0, 9], "id 9 outside [0, 4)"),
+        ([0, 1], "not a subgroup"),
+        ([0, 2, 2], "repeat an id"),
+    ],
+    ids=["id-outside-group", "not-a-subgroup", "repeated-id"],
+)
+def test_analyze_exit_2_on_bad_quotient_ids(tmp_path, capsys, normal, message):
+    spec = tmp_path / "quotient.json"
+    spec.write_text(json.dumps({
+        "kind": "quotient_of",
+        "group": {"kind": "family", "name": "cyclic", "order": 4},
+        "normal": normal,
+    }))
+    assert main(["analyze", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
 def test_census_skips_non_group_table(tmp_path):
     # In a child process with a timeout, so a table that loops fails here
     # instead of hanging the suite.

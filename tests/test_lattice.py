@@ -14,6 +14,7 @@ from dcgroup import constructors as C
 from dcgroup import lattice as lattice_module
 from dcgroup.cli import realize_spec
 from dcgroup.core import PermGroup, TableGroup, _grow, perm_from_cycles, prime_power
+from dcgroup.dc import GroupContext
 from dcgroup.errors import OrderCapExceeded, ParentMismatch
 from dcgroup.pc import realize_pc_group
 from dcgroup.lattice import (
@@ -121,8 +122,15 @@ def test_lattice_is_sorted_and_bounded():
 
 
 def test_all_subgroups_respects_order_cap():
-    with pytest.raises(OrderCapExceeded):
-        all_subgroups(C.symmetric(4), cap=23)
+    cases = [
+        (C.symmetric(4), 23),
+        # order 8192, under the cap but beyond TABLE_CAP: no Cayley table
+        (C.direct_product(C.dihedral(8), C.cyclic(1024)), 10**6),
+    ]
+    for G, cap in cases:
+        with pytest.raises(OrderCapExceeded):
+            all_subgroups(G, cap=cap)
+        assert GroupContext(G, lattice_cap=cap).lattice is None
 
 
 def test_lattice_of_order_matches_lagrange():
@@ -260,14 +268,19 @@ def test_lattice_joins_only_where_a_new_subgroup_can_appear(
     assert len(calls) <= unfiltered_joins // 3
 
 
-# sha256 over (order, bitset, generators) of every member of every lattice
-# in the three sets of scripts/lattice_fingerprint.py; a change to the
-# lattice code must build the same lattices, member for member.
-LATTICE_FINGERPRINT = "fc702c783c818466a26d3dba7d1097ce337842037617a74a6b0c3ec4609618f6"
+# sha256 over (order, bitset) of every member of every lattice in the three
+# sets of scripts/lattice_fingerprint.py; a change to the lattice code must
+# find the same subgroups, member for member.
+MEMBER_SET_FINGERPRINT = "34926715e8e5a7ffe283ddd239da4224895f9226995c9f2a474218dddc0573e0"
+# the same over (order, bitset, generators): it moves only when the
+# generators the members keep change.
+LATTICE_FINGERPRINT = "28d0657b1704491a93bc10f8c82fa8824377f536608faefeacd0156a1be3a6c9"
 
 
 def test_lattice_fingerprint_is_pinned():
-    assert load_script("lattice_fingerprint").fingerprint() == LATTICE_FINGERPRINT
+    full, member_set = load_script("lattice_fingerprint").fingerprint()
+    assert member_set == MEMBER_SET_FINGERPRINT
+    assert full == LATTICE_FINGERPRINT
 
 
 def _plain_orbit(G, gens) -> list[int]:
@@ -313,6 +326,7 @@ def test_coset_join_matches_closure(name):
     ]
     assert G.flat_table() is not None
     for R in lattice:
+        assert _plain_orbit(G, R.gens) == R.ids().tolist()
         for a in zuppos:
             _check_grow(G, R, a)
 
