@@ -630,24 +630,31 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--spec", required=True, help="path to a group spec JSON file")
     a.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-identical reruns)")
-    a.set_defaults(fn=run_analyze)
 
     c = sub.add_parser("census", parents=[common],
                        help="run the claim census over a corpus directory")
     c.add_argument("--corpus", required=True, help="directory of spec JSON files")
     c.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    c.set_defaults(fn=run_census_cmd)
     return ap
 
 
+# the parser, built on the first `main` call and reused by later ones
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    # looked up by name on each call, so rebinding `run_analyze` or
+    # `run_census_cmd` on this module (as a tracer does) takes effect
+    run = run_analyze if args.command == "analyze" else run_census_cmd
     try:
-        return args.fn(args)
+        return run(args)
     except DcgroupError as e:
         print(f"dcgroup: error: {e}", file=sys.stderr)
         return 2

@@ -153,6 +153,8 @@ class FiniteGroup:
         self._orders: np.ndarray | None = None
         self._power_map: np.ndarray | None = None
         self._abelian: bool | None = None
+        # 0..order-1, read-only, kept by `lattice.full_subgroup`
+        self._all_ids: np.ndarray | None = None
         # the lower central series as (ids, gens) pairs, kept by `structure`
         self._lcs: list[tuple[np.ndarray, tuple[int, ...]]] | None = None
 

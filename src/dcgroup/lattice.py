@@ -194,7 +194,16 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return _subgroup(G, np.arange(G.order), G.generators)
+    """G as a subgroup of itself, on one read-only id range kept on G.
+
+    Every call shares that range, and a write through its `ids()` raises.
+    G keeps the array, not a Subgroup, for the reason the
+    `structure.lower_central_series` docstring gives.
+    """
+    if G._all_ids is None:
+        G._all_ids = np.arange(G.order, dtype=np.int64)
+        G._all_ids.flags.writeable = False
+    return _subgroup(G, G._all_ids, G.generators)
 
 
 # ---------------------------------------------------------------------------

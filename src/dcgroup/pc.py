@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ID32, FiniteGroup, prime_power
+from .core import BLOCK, ID32, FiniteGroup, prime_power
 from .errors import (
     BadPresentation,
     CollectionLimitExceeded,
@@ -149,8 +149,9 @@ def collect(pres: PcPresentation, word: Iterable[Sequence[int]]) -> tuple[int, .
 
     Repeatedly fixes the leftmost violation: an exponent outside [0, o_g) is
     reduced through the power rule, equal neighbours merge, and an out-of-order
-    pair g^e h (g > h) rewrites to h (g w)^e with w = [g, h]. Purely symbolic;
-    used as the independent reference for the table-based realization.
+    pair g^e h^f (g > h) rewrites to h (g w)^e h^(f-1) with w = [g, h], once
+    h^f is itself reduced. Exponents may be negative. Purely symbolic; used
+    as the independent reference for the table-based realization.
     """
     o = pres.rel_orders
     pws = pres.powers
@@ -191,6 +192,9 @@ def collect(pres: PcPresentation, word: Iterable[Sequence[int]]) -> tuple[int, .
                 del letters[k + 1]
                 continue
             if h < g:
+                if not 0 <= f < o[h]:
+                    k += 1  # reduce h^f first: each swap leaves h^(f-1)
+                    continue
                 w = cms.get((g, h), ())
                 repl = [[h, 1]]
                 for _ in range(e):
@@ -281,7 +285,8 @@ class PcGroup(FiniteGroup):
     (d-p)*t + L_j phi_j^d, and x * g_j^d adds one entry to x - r''. A
     product x * y takes one gather per digit of y; block d = 1 is x * g_j.
     A left product y x is read as (x^-1 y^-1)^-1, through the inverse table
-    and one right product, so it builds no table of size |G|.
+    (int32 too, filled once) and one right product, so it builds no table
+    of size |G| per y.
 
     Tables are built deepest generator first; phi_j is filled by dynamic
     programming over ids ordered by their deepest nonzero digit, from the
@@ -289,7 +294,8 @@ class PcGroup(FiniteGroup):
 
     Like every backend, a group of order up to TABLE_CAP multiplies through
     its Cayley table, filled from the pairwise digit-step kernel; the
-    digit-step vector kernels serve larger ones.
+    digit-step vector kernels serve larger ones, BLOCK ids at a time, so
+    their temporaries stay small beside an id vector of length |G|.
     """
 
     def __init__(self, pres: PcPresentation, name: str = ""):
@@ -378,7 +384,7 @@ class PcGroup(FiniteGroup):
         steps[1] += (shift - p * szt)[:, None]
         self._steps[j] = steps.ravel()
 
-    def _digit_fill(self, top: int, start: int, step, dtype=ID32) -> np.ndarray:
+    def _digit_fill(self, top: int, start: int, step) -> np.ndarray:
         """Array f over the ids of U_top, f[0] = start, f[y * g_m] = step(m)(f[y]).
 
         Deepest-digit recursion: an id z whose deepest nonzero digit is that
@@ -389,7 +395,7 @@ class PcGroup(FiniteGroup):
         """
         s = self.sizes
         o = self.pres.rel_orders
-        out = np.zeros(s[top], dtype=dtype)
+        out = np.zeros(s[top], dtype=ID32)
         out[0] = start
         for m in range(top, self.pres.ngens):
             apply = step(m)
@@ -413,7 +419,7 @@ class PcGroup(FiniteGroup):
         return int(self._inverse_table()[x])
 
     def _inverse_table(self) -> np.ndarray:
-        """Array I with I[x] = x^-1: I[y * g_m] = g_m^-1 * I[y]."""
+        """Array I with I[x] = x^-1: I[y * g_m] = g_m^-1 * I[y], as int32."""
         if self._inv_arr is None:
 
             def by_inverse(m: int):
@@ -421,7 +427,7 @@ class PcGroup(FiniteGroup):
                 gm_inv = self.power(gm, self.element_order(gm) - 1)
                 return self.left_mul_table(gm_inv).__getitem__
 
-            self._inv_arr = self._digit_fill(0, 0, by_inverse, np.int64)
+            self._inv_arr = self._digit_fill(0, 0, by_inverse)
         return self._inv_arr
 
     def left_mul_table(self, c: int) -> np.ndarray:
@@ -429,25 +435,29 @@ class PcGroup(FiniteGroup):
         return self._digit_fill(0, c, lambda m: partial(self._step, m, d=1))
 
     # -- vector kernels, for groups beyond TABLE_CAP and table blocks ------
-    # They step in int32 and return int64 ids.
+    # They step in int32, BLOCK ids at a time, and return int64 ids.
 
     def _mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
-        return self._mul_into_tail(xs.astype(ID32), y, 0).astype(np.int64)
+        return _blockwise(lambda b: self._mul_into_tail(b.astype(ID32), y, 0), xs)
 
     def _lmul_vec(self, y: int, xs: np.ndarray) -> np.ndarray:
         inv = self._inverse_table()
-        return inv[self._mul_vec(inv[xs], int(inv[y]))]
+        iy = int(inv[y])
+        return _blockwise(lambda b: inv[self._mul_into_tail(inv[b], iy, 0)], xs)
 
     def _mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        out, ys = xs.astype(ID32), ys.astype(ID32)
-        for i in range(self.pres.ngens):
-            d = ys // self.sizes[i + 1]  # the digit of g_i, as ys < s_i
-            ys -= d * self.sizes[i + 1]
-            out = self._step(i, out, d)
-        return out.astype(np.int64)
+        def block(out: np.ndarray, ys: np.ndarray) -> np.ndarray:
+            out, ys = out.astype(ID32), ys.astype(ID32)
+            for i in range(self.pres.ngens):
+                d = ys // self.sizes[i + 1]  # the digit of g_i, as ys < s_i
+                ys -= d * self.sizes[i + 1]
+                out = self._step(i, out, d)
+            return out
+
+        return _blockwise(block, xs, ys)
 
     def _inv_vec(self, xs: np.ndarray) -> np.ndarray:
-        return self._inverse_table()[xs]
+        return self._inverse_table()[xs].astype(np.int64)
 
     def digits(self, x: int) -> tuple[int, ...]:
         """Normal-form exponent vector of an id."""
@@ -468,6 +478,16 @@ class PcGroup(FiniteGroup):
                 raise BadPresentation(f"exponent {e} out of range for g{i}")
             x += e * self.sizes[i + 1]
         return x
+
+
+def _blockwise(kernel, *arrays: np.ndarray) -> np.ndarray:
+    """kernel(*blocks) over slices of at most BLOCK ids of the arrays, one
+    slice at a time, into one int64 array; a kernel's int32 temporaries
+    then stay BLOCK long, whatever the arrays' length."""
+    out = np.empty(len(arrays[0]), dtype=np.int64)
+    for lo in range(0, out.size, BLOCK):
+        out[lo : lo + BLOCK] = kernel(*(a[lo : lo + BLOCK] for a in arrays))
+    return out
 
 
 def realize_pc_group(pres: PcPresentation, name: str = "") -> PcGroup:

@@ -16,6 +16,7 @@ from math import comb, lcm
 import numpy as np
 
 from .core import (
+    BLOCK,
     FiniteGroup,
     QuotientGroup,
     _pick_generators,
@@ -181,10 +182,19 @@ def _commutator_with_all(G: FiniteGroup, k: int, xs: np.ndarray) -> np.ndarray:
 
 
 def _commuting(G: FiniteGroup, ids: np.ndarray, gens: tuple[int, ...]) -> Subgroup:
-    """The ids commuting with every g in gens; each g tests the survivors."""
-    for g in gens:
-        ids = ids[G.mul_vec(ids, g) == G.lmul_vec(g, ids)]
-    return _subgroup(G, ids)
+    """The sorted ids commuting with every g in gens.
+
+    Tested BLOCK ids at a time, each g on the survivors of the ones before
+    it, so the products stay small beside the ids; the survivors of the
+    blocks, concatenated, are sorted as the ids are.
+    """
+    kept = []
+    for lo in range(0, ids.size, BLOCK):
+        xs = ids[lo : lo + BLOCK]
+        for g in gens:
+            xs = xs[G.mul_vec(xs, g) == G.lmul_vec(g, xs)]
+        kept.append(xs)
+    return _subgroup(G, np.concatenate(kept))
 
 
 def center(G: FiniteGroup, S: Subgroup | None = None) -> Subgroup:
@@ -196,7 +206,7 @@ def center(G: FiniteGroup, S: Subgroup | None = None) -> Subgroup:
 def centralizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
     """Elements of G commuting with every generator of S."""
     S = _as_subgroup(G, S)
-    return _commuting(G, np.arange(G.order, dtype=np.int64), S.gens)
+    return _commuting(G, full_subgroup(G).ids(), S.gens)
 
 
 def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
@@ -234,10 +244,16 @@ def _require_pgroup(G: FiniteGroup) -> tuple[int, int]:
 
 
 def exponent(G: FiniteGroup, S: Subgroup | None = None) -> int:
-    """Exponent of S (default: of G), from parent element orders."""
+    """Exponent of S (default: of G), from parent element orders.
+
+    In a p-group every order is a power of p, so the exponent is the
+    largest; other groups take the lcm of the distinct orders.
+    """
     orders = G.element_orders()
     if S is not None:
         orders = orders[_as_subgroup(G, S).ids()]
+    if is_pgroup(G):
+        return int(orders.max())
     return lcm(*np.unique(orders).tolist())
 
 

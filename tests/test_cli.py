@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -372,6 +373,25 @@ def test_help_exits_0(capsys):
     assert "analyze" in capsys.readouterr().out
 
 
+def test_main_calls_the_command_bound_at_call_time(tmp_path, monkeypatch):
+    """`main` builds its parser once, but reads `run_analyze` off the module
+    on each call, so a wrapper bound there later (as a tracer binds one)
+    sees every call."""
+    calls = []
+    real = cli_module.run_analyze
+
+    def wrapped(args):
+        calls.append(args.spec)
+        return real(args)
+
+    spec = str(CORPUS / "q8.json")
+    assert main(["analyze", "--spec", spec, "--out", str(tmp_path / "a.json")]) == 0
+    monkeypatch.setattr(cli_module, "run_analyze", wrapped)
+    for k in range(2):
+        assert main(["analyze", "--spec", spec, "--out", str(tmp_path / f"{k}.json")]) == 0
+    assert calls == [spec, spec]
+
+
 # -- census -------------------------------------------------------------------------
 
 SMALL_CORPUS = ("c2", "c12", "d8", "q8", "s3cayley", "a4")
@@ -647,6 +667,22 @@ def test_analyze_report_matches_census_row(small_corpus, tmp_path, cap):
         assert rep.pop("tool") == census["tool"]
         assert rep.pop("group_id") == gid
         assert rep == census["groups"][gid], gid
+
+
+def test_order_7_7_census_row_memory():
+    """The order-7^7 census row (corpus group1p7, no Cayley table) peaks
+    at a bounded multiple of one int64 id vector of |G| entries:
+    tracemalloc sees numpy's buffers. The tables the row keeps are about
+    5x; the rest is temporaries, which the pc kernels and the center test
+    keep BLOCK ids long. Unblocked, the row peaked at 10.5x."""
+    spec = parse_group_spec(CORPUS / "group1p7.json")
+    tracemalloc.start()
+    try:
+        _census_one(("group1p7", spec, LATTICE_CAP, cli_module.DEFAULT_SEED))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0 * 8 * 7**7
 
 
 def test_run_census_roundup(tmp_path):

@@ -100,6 +100,31 @@ def test_collect_applies_power_rules():
     assert collect(q8_pres(), [(0, 1)] * 4) == (0, 0, 0)
 
 
+def test_collect_reduces_negative_right_neighbour_first():
+    # b * a^-1 in D8 = b * a = a b c; swapping a^-1 leftward before reducing
+    # it left a^-2, a^-3, ... and ran to the step limit
+    pres = PcPresentation((2, 2, 2), commutators={(1, 0): [(2, 1)]})
+    assert collect(pres, [(1, 1), (0, -1)]) == (1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "gid", ["pos32", "neg32", "mc35a", "mc35b", "group2", "group1p7"]
+)
+def test_collect_matches_realized_products(gid):
+    """Seeded words with exponents in [-2p, 2p), collected, against the same
+    word folded through the realized group's `mul` and `power`."""
+    G = realize_spec(load_spec(gid), name=gid)
+    p, n = G.pres.prime, G.pres.ngens
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        k = int(rng.integers(1, 6))
+        gens, exps = rng.integers(0, n, k).tolist(), rng.integers(-2 * p, 2 * p, k).tolist()
+        x = 0
+        for g, e in zip(gens, exps):
+            x = G.mul(x, G.power(G.generators[g], e))
+        assert G.id_of_digits(collect(G.pres, list(zip(gens, exps)))) == x
+
+
 def test_collect_high_exponents_reduce():
     pres = he3_pres()
     assert collect(pres, [(0, 3)]) == (0, 0, 0)
@@ -243,6 +268,30 @@ def test_public_ops_use_kernels_beyond_table_cap():
     assert np.array_equal(G.mul_pairwise_vec(xs, G.inv_vec(xs)), np.zeros(2000))
 
 
+def test_blocked_kernels_over_all_ids_beyond_table_cap():
+    """The vector kernels run BLOCK ids at a time; on group2's 78125 ids
+    (four full blocks and a part) each returns int64 ids that agree with
+    the scalar `_mul` and `_invert` on a seeded sample, and with each
+    other on every id."""
+    G = realize_spec(load_spec("group2"))
+    assert G.np_table() is None
+    ids = np.arange(G.order, dtype=np.int64)
+    rng = np.random.default_rng(31)
+    y = int(rng.integers(1, G.order))
+    ys = rng.integers(0, G.order, G.order)
+    right, left = G.mul_vec(ids, y), G.lmul_vec(y, ids)
+    pairwise, inv = G.mul_pairwise_vec(ids, ys), G.inv_vec(ids)
+    for got in (right, left, pairwise, inv):
+        assert got.dtype == np.int64 and got.shape == ids.shape
+    for x in rng.integers(0, G.order, 300).tolist():
+        assert right[x] == G._mul(x, y) and left[x] == G._mul(y, x)
+        assert pairwise[x] == G._mul(x, int(ys[x])) and inv[x] == G._invert(x)
+    assert np.array_equal(G.mul_pairwise_vec(ids, inv), np.zeros(G.order))
+    assert np.array_equal(G.mul_pairwise_vec(ids, np.full(G.order, y)), right)
+    assert np.array_equal(G.mul_pairwise_vec(np.full(G.order, y), ids), left)
+    assert G._inverse_table().dtype == np.int32
+
+
 def _branch_pairs(G, rng, per_branch: int = 4):
     """Id pairs (x, y) that take both branches of every digit step.
 
@@ -322,7 +371,7 @@ def test_collect_is_idempotent(data):
         st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=n - 1),
-                st.integers(min_value=0, max_value=4),
+                st.integers(min_value=-4, max_value=4),
             ),
             max_size=6,
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from math import lcm
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,38 @@ def test_centers_without_a_cayley_table():
         assert (x in fund) == want
 
 
+def test_blocked_center_matches_one_shot_filter():
+    """`center` and `centralizer` test their ids BLOCK at a time; beyond the
+    table (group2 has 78125 ids, four full blocks and a part) they must keep
+    what one filter over all the ids at once keeps, in the same order."""
+    G = from_corpus("group2")
+    assert G.np_table() is None
+
+    def one_shot(ids: np.ndarray, gens) -> list[int]:
+        keep = np.ones(ids.size, dtype=bool)
+        for g in gens:
+            keep &= G.mul_vec(ids, g) == G.lmul_vec(g, ids)
+        return ids[keep].tolist()
+
+    everything = np.arange(G.order, dtype=np.int64)
+    assert S.center(G).ids().tolist() == one_shot(everything, G.generators)
+    M = S.pgroup_maximal_subgroups(G)[0]
+    assert S.centralizer(G, M).ids().tolist() == one_shot(everything, M.gens)
+
+
+def test_full_subgroup_shares_one_read_only_range():
+    """Every `full_subgroup(G)` reads the same id range, and a write through
+    it raises instead of changing the other subgroups that read it."""
+    G = from_corpus("group2")
+    ids = full_subgroup(G).ids()
+    assert full_subgroup(G).ids() is ids
+    assert S.lower_central_series(G)[0].ids() is ids
+    assert np.array_equal(ids, np.arange(G.order))
+    assert not ids.flags.writeable
+    with pytest.raises(ValueError):
+        ids[0] = 1
+
+
 # -- frattini, omega, agemo ---------------------------------------------------------
 
 
@@ -318,6 +351,13 @@ def test_exponent():
     by_order = {H.order: H for H in all_subgroups(G) if H.order in (8, 12)}
     assert S.exponent(G, by_order[12]) == 6
     assert S.exponent(G, by_order[8]) == 4
+
+
+def test_exponent_is_lcm_of_orders_on_corpus():
+    """A p-group's exponent is read as its largest element order; on every
+    corpus group it must equal the lcm of the distinct orders."""
+    for G in corpus_groups(10**7):
+        assert S.exponent(G) == lcm(*np.unique(G.element_orders()).tolist()), G.name
 
 
 def test_is_cyclic_and_is_pgroup():
