@@ -22,6 +22,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -609,6 +610,7 @@ def run_census_cmd(args) -> int:
     return 1 if _any_broken(claims) else 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dcgroup",
@@ -638,16 +640,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# the parser, built on the first `main` call and reused by later ones
-_PARSER: argparse.ArgumentParser | None = None
-
-
 def main(argv: list[str] | None = None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     # looked up by name on each call, so rebinding `run_analyze` or

@@ -440,7 +440,7 @@ def central_product(
     za_gens = [left.check_id(int(a)) for a, _ in identify]
     zb_gens = [right.check_id(int(b)) for _, b in identify]
     for G, zs, side in ((left, za_gens, "left"), (right, zb_gens, "right")):
-        ids = np.arange(G.order, dtype=np.int64)
+        ids = G.all_ids()
         for z in zs:
             if not np.array_equal(G.mul_vec(ids, z), G.lmul_vec(z, ids)):
                 raise NotCentral(f"element {z} is not central in the {side} factor")

@@ -48,9 +48,9 @@ __all__ = [
 # groups multiply through their backend representation.
 TABLE_CAP = 4096
 
-# Bulk products (Cayley table rows, the power map, coset blocks) are taken
-# about this many at a time, so a kernel's temporaries stay small beside
-# the array they fill.
+# Bulk products (Cayley table rows, the power map, coset blocks, the vector
+# ops of a group without a table) are taken about this many at a time, so a
+# kernel's temporaries stay small beside the array they fill.
 BLOCK = 1 << 14
 
 # Permutation groups act on at most this many points.
@@ -153,7 +153,6 @@ class FiniteGroup:
         self._orders: np.ndarray | None = None
         self._power_map: np.ndarray | None = None
         self._abelian: bool | None = None
-        # 0..order-1, read-only, kept by `lattice.full_subgroup`
         self._all_ids: np.ndarray | None = None
         # the lower central series as (ids, gens) pairs, kept by `structure`
         self._lcs: list[tuple[np.ndarray, tuple[int, ...]]] | None = None
@@ -177,7 +176,8 @@ class FiniteGroup:
         self._inv_ids = table.argmin(axis=1)
 
     # Vector kernels, called by the vector ops below only when the group has
-    # no Cayley table, and `_mul_pairwise_vec` by `np_table` to build one. A
+    # no Cayley table, BLOCK ids at a time (`_blockwise`), and
+    # `_mul_pairwise_vec` by `np_table` to build one. A
     # backend with a bulk product overrides `_mul_pairwise_vec`, and the
     # right and left products by one element follow from it.
 
@@ -295,13 +295,14 @@ class FiniteGroup:
 
         This op, `lmul_vec`, `mul_pairwise_vec` and `inv_vec` read the
         Cayley table when the group has one (`np_table`, built on first use
-        up to TABLE_CAP) and call the backend's vector kernel otherwise.
+        up to TABLE_CAP) and call the backend's vector kernel otherwise,
+        BLOCK ids at a time.
         """
         self.check_id(y)
         arr = self.np_table()
         if arr is not None:
             return arr[xs, y]
-        return self._mul_vec(np.asarray(xs, dtype=np.int64), y)
+        return _blockwise(lambda b: self._mul_vec(b, y), xs)
 
     def lmul_vec(self, y: int, xs: np.ndarray) -> np.ndarray:
         """Left-multiply an id vector by a fixed element."""
@@ -309,16 +310,14 @@ class FiniteGroup:
         arr = self.np_table()
         if arr is not None:
             return arr[y, xs]
-        return self._lmul_vec(y, np.asarray(xs, dtype=np.int64))
+        return _blockwise(lambda b: self._lmul_vec(y, b), xs)
 
     def mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Elementwise products xs[i]*ys[i]."""
         arr = self.np_table()
         if arr is not None:
             return arr[xs, ys]
-        return self._mul_pairwise_vec(
-            np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
-        )
+        return _blockwise(self._mul_pairwise_vec, xs, ys)
 
     def pow_vec(self, xs: np.ndarray, k: int) -> np.ndarray:
         """Elementwise k-th powers, k >= 0, as a new array.
@@ -348,7 +347,18 @@ class FiniteGroup:
         Cayley table when the group has one."""
         if self.np_table() is not None:
             return self._inv_ids[xs]
-        return self._inv_vec(np.asarray(xs, dtype=np.int64))
+        return _blockwise(self._inv_vec, xs)
+
+    def all_ids(self) -> np.ndarray:
+        """The ids 0..order-1 as one cached, read-only int64 array.
+
+        Shared by every caller (`lattice.full_subgroup` among them), so a
+        write through it raises instead of changing what the others read.
+        """
+        if self._all_ids is None:
+            self._all_ids = np.arange(self.order, dtype=np.int64)
+            self._all_ids.flags.writeable = False
+        return self._all_ids
 
     def power_map(self) -> np.ndarray:
         """P with P[x] = x^p for a group of order p^n, cached.
@@ -554,6 +564,17 @@ class PermGroup(FiniteGroup):
 
     def sign(self, x: int) -> int:
         return perm_sign(self.perms[x])
+
+
+def _blockwise(kernel, *arrays) -> np.ndarray:
+    """kernel(*arrays) as int64 ids of the first array's shape, computed
+    over slices of at most BLOCK ids, one slice at a time, into one result;
+    the kernel's temporaries then stay BLOCK long, whatever the length."""
+    flat = [np.asarray(a).reshape(-1) for a in arrays]
+    out = np.empty(flat[0].size, dtype=np.int64)
+    for lo in range(0, out.size, BLOCK):
+        out[lo : lo + BLOCK] = kernel(*(a[lo : lo + BLOCK].astype(np.int64) for a in flat))
+    return out.reshape(np.shape(arrays[0]))
 
 
 def _dimino(gen_perms: list[tuple[int, ...]], degree: int) -> list[tuple[int, ...]]:

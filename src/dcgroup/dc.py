@@ -833,7 +833,7 @@ def _claim_commutator_image(ctx: GroupContext):
     if rank > 2:
         return SKIP, f"derived subgroup needs {rank} generators"
     want = dp.ids()
-    ids = np.arange(G.order, dtype=np.int64)
+    ids = G.all_ids()
     for x in range(G.order):
         img = np.unique(_commutator_with_all(G, x, ids))
         if img.size == want.size and bool((img == want).all()):

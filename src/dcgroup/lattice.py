@@ -194,16 +194,12 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
 
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
-    """G as a subgroup of itself, on one read-only id range kept on G.
+    """G as a subgroup of itself, on G's shared read-only `all_ids()`.
 
-    Every call shares that range, and a write through its `ids()` raises.
-    G keeps the array, not a Subgroup, for the reason the
+    G keeps that array, not a Subgroup, for the reason the
     `structure.lower_central_series` docstring gives.
     """
-    if G._all_ids is None:
-        G._all_ids = np.arange(G.order, dtype=np.int64)
-        G._all_ids.flags.writeable = False
-    return _subgroup(G, G._all_ids, G.generators)
+    return _subgroup(G, G.all_ids(), G.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +300,7 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
             f"|{G.name}| = {n} exceeds the Cayley table cap {TABLE_CAP}"
         )
     arr = G.np_table()
-    every = np.arange(n)
+    every = G.all_ids()
     inv = G.inv_vec(every)
     order_list = G.element_orders().tolist()
 

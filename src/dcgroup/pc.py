@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BLOCK, ID32, FiniteGroup, prime_power
+from .core import ID32, FiniteGroup, prime_power
 from .errors import (
     BadPresentation,
     CollectionLimitExceeded,
@@ -294,8 +294,9 @@ class PcGroup(FiniteGroup):
 
     Like every backend, a group of order up to TABLE_CAP multiplies through
     its Cayley table, filled from the pairwise digit-step kernel; the
-    digit-step vector kernels serve larger ones, BLOCK ids at a time, so
-    their temporaries stay small beside an id vector of length |G|.
+    digit-step vector kernels serve larger ones, which the vector ops call
+    BLOCK ids at a time, so their temporaries stay small beside an id
+    vector of length |G|.
     """
 
     def __init__(self, pres: PcPresentation, name: str = ""):
@@ -435,26 +436,22 @@ class PcGroup(FiniteGroup):
         return self._digit_fill(0, c, lambda m: partial(self._step, m, d=1))
 
     # -- vector kernels, for groups beyond TABLE_CAP and table blocks ------
-    # They step in int32, BLOCK ids at a time, and return int64 ids.
+    # They step in int32 and return int64 ids.
 
     def _mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
-        return _blockwise(lambda b: self._mul_into_tail(b.astype(ID32), y, 0), xs)
+        return self._mul_into_tail(xs.astype(ID32), y, 0).astype(np.int64)
 
     def _lmul_vec(self, y: int, xs: np.ndarray) -> np.ndarray:
         inv = self._inverse_table()
-        iy = int(inv[y])
-        return _blockwise(lambda b: inv[self._mul_into_tail(inv[b], iy, 0)], xs)
+        return self._inv_vec(self._mul_vec(inv[xs], int(inv[y])))
 
     def _mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        def block(out: np.ndarray, ys: np.ndarray) -> np.ndarray:
-            out, ys = out.astype(ID32), ys.astype(ID32)
-            for i in range(self.pres.ngens):
-                d = ys // self.sizes[i + 1]  # the digit of g_i, as ys < s_i
-                ys -= d * self.sizes[i + 1]
-                out = self._step(i, out, d)
-            return out
-
-        return _blockwise(block, xs, ys)
+        out, ys = xs.astype(ID32), ys.astype(ID32)
+        for i in range(self.pres.ngens):
+            d = ys // self.sizes[i + 1]  # the digit of g_i, as ys < s_i
+            ys -= d * self.sizes[i + 1]
+            out = self._step(i, out, d)
+        return out.astype(np.int64)
 
     def _inv_vec(self, xs: np.ndarray) -> np.ndarray:
         return self._inverse_table()[xs].astype(np.int64)
@@ -478,16 +475,6 @@ class PcGroup(FiniteGroup):
                 raise BadPresentation(f"exponent {e} out of range for g{i}")
             x += e * self.sizes[i + 1]
         return x
-
-
-def _blockwise(kernel, *arrays: np.ndarray) -> np.ndarray:
-    """kernel(*blocks) over slices of at most BLOCK ids of the arrays, one
-    slice at a time, into one int64 array; a kernel's int32 temporaries
-    then stay BLOCK long, whatever the arrays' length."""
-    out = np.empty(len(arrays[0]), dtype=np.int64)
-    for lo in range(0, out.size, BLOCK):
-        out[lo : lo + BLOCK] = kernel(*(a[lo : lo + BLOCK] for a in arrays))
-    return out
 
 
 def realize_pc_group(pres: PcPresentation, name: str = "") -> PcGroup:

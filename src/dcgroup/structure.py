@@ -11,7 +11,7 @@ lattice, takes one already built as an optional argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
@@ -206,7 +206,7 @@ def center(G: FiniteGroup, S: Subgroup | None = None) -> Subgroup:
 def centralizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
     """Elements of G commuting with every generator of S."""
     S = _as_subgroup(G, S)
-    return _commuting(G, full_subgroup(G).ids(), S.gens)
+    return _commuting(G, G.all_ids(), S.gens)
 
 
 def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
@@ -216,11 +216,11 @@ def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
     if arr is None:
         raise OrderCapExceeded(f"normalizer needs a table, order {G.order} too big")
     n = G.order
-    invs = G.inv_vec(np.arange(n, dtype=np.int64))
+    allg = G.all_ids()
+    invs = G.inv_vec(allg)
     member = np.zeros(n, dtype=bool)
     member[S.ids()] = True
     mask = np.ones(n, dtype=bool)
-    allg = np.arange(n, dtype=np.int64)
     for s in S.gens:
         conj = arr[arr[invs, s], allg]
         mask &= member[conj]
@@ -244,17 +244,11 @@ def _require_pgroup(G: FiniteGroup) -> tuple[int, int]:
 
 
 def exponent(G: FiniteGroup, S: Subgroup | None = None) -> int:
-    """Exponent of S (default: of G), from parent element orders.
-
-    In a p-group every order is a power of p, so the exponent is the
-    largest; other groups take the lcm of the distinct orders.
-    """
+    """Exponent of S (default: of G): the lcm of parent element orders."""
     orders = G.element_orders()
     if S is not None:
         orders = orders[_as_subgroup(G, S).ids()]
-    if is_pgroup(G):
-        return int(orders.max())
-    return lcm(*np.unique(orders).tolist())
+    return int(np.lcm.reduce(orders))
 
 
 def is_cyclic(G: FiniteGroup, S: Subgroup | None = None) -> bool:
@@ -304,7 +298,7 @@ def agemo(G: FiniteGroup, s: int = 1) -> Subgroup:
     p, _ = _require_pgroup(G)
     if s < 1:
         raise ParamOutOfRange(f"agemo index {s} must be >= 1")
-    powers = G.p_power_vec(np.arange(G.order, dtype=np.int64), s)
+    powers = G.p_power_vec(G.all_ids(), s)
     return closure(G, _pick_generators(G, powers))
 
 
@@ -628,7 +622,7 @@ def is_p_abelian(G: FiniteGroup) -> bool | None:
         return True
     if G.order > REGULARITY_CAP:
         return None
-    xs = np.arange(G.order, dtype=np.int64)
+    xs = G.all_ids()
     pows = G.power_map()
     for x in range(G.order):
         lhs = pows[G.lmul_vec(x, xs)]
@@ -646,7 +640,7 @@ def fundamental_subgroup(G: FiniteGroup) -> Subgroup:
     if n < 4 or cl != n - 1:
         raise ParamOutOfRange(f"{G.name} is not of maximal class with n >= 4")
     k2, k4 = series[1], series[3]
-    xs = np.arange(G.order, dtype=np.int64)
+    xs = G.all_ids()
     mask = np.ones(G.order, dtype=bool)
     k4_ids = k4.ids()
     for k in k2.gens:

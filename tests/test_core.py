@@ -11,6 +11,7 @@ from conftest import corpus_pgroups, load_spec, order_5_7_pres
 from dcgroup import constructors as C
 from dcgroup.cli import realize_spec
 from dcgroup.core import (
+    BLOCK,
     PERM_DEGREE_CAP,
     TABLE_CAP,
     PermGroup,
@@ -355,6 +356,28 @@ def test_perm_kernels_without_a_table_match_scalar(degree):
         G._mul(int(x), int(y)) for x, y in zip(xs, ys)
     ]
     assert G.inv_vec(xs).tolist() == [G._invert(int(x)) for x in xs]
+
+
+def test_table_less_vector_ops_run_in_blocks():
+    # S8's 40320 ids are two full BLOCKs and a part: the vector ops call the
+    # PermGroup kernels one slice at a time and return int64 ids shaped like
+    # their input, which may also be a scalar or a 2d array
+    G = C.symmetric(8)
+    assert G.np_table() is None and G.order > 2 * BLOCK
+    ids = G.all_ids()
+    rng = np.random.default_rng(8)
+    y = int(rng.integers(1, G.order))
+    ys = rng.integers(0, G.order, G.order)
+    right, left = G.mul_vec(ids, y), G.lmul_vec(y, ids)
+    pairwise, inv = G.mul_pairwise_vec(ids, ys), G.inv_vec(ids)
+    for got in (right, left, pairwise, inv):
+        assert got.dtype == np.int64 and got.shape == ids.shape
+    for x in rng.integers(0, G.order, 200).tolist():
+        assert right[x] == G._mul(x, y) and left[x] == G._mul(y, x)
+        assert pairwise[x] == G._mul(x, int(ys[x])) and inv[x] == G._invert(x)
+    assert G.inv_vec(y).shape == () and int(G.inv_vec(y)) == G._invert(y)
+    square = ids[: 4 * BLOCK // 2].reshape(4, -1)
+    assert np.array_equal(G.mul_vec(square, y), right[: square.size].reshape(4, -1))
 
 
 def test_pow_vec_and_inv_vec_match_scalar():

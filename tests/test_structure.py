@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from math import lcm
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,7 @@ from conftest import corpus_groups, corpus_pgroups, lattice_nonp_groups
 from dcgroup import constructors as C
 from dcgroup import structure as S
 from dcgroup.cli import realize_spec
-from dcgroup.core import QuotientGroup
+from dcgroup.core import QuotientGroup, prime_factors
 from dcgroup.errors import NotAbelian, NotPGroup, ParamOutOfRange, SearchBudgetExceeded
 from dcgroup.lattice import (
     all_subgroups,
@@ -188,11 +187,11 @@ def test_blocked_center_matches_one_shot_filter():
 
 
 def test_full_subgroup_shares_one_read_only_range():
-    """Every `full_subgroup(G)` reads the same id range, and a write through
-    it raises instead of changing the other subgroups that read it."""
+    """Every `full_subgroup(G)` reads G's one `all_ids()` range, and a write
+    through it raises instead of changing the other subgroups that read it."""
     G = from_corpus("group2")
     ids = full_subgroup(G).ids()
-    assert full_subgroup(G).ids() is ids
+    assert full_subgroup(G).ids() is ids and G.all_ids() is ids
     assert S.lower_central_series(G)[0].ids() is ids
     assert np.array_equal(ids, np.arange(G.order))
     assert not ids.flags.writeable
@@ -353,11 +352,14 @@ def test_exponent():
     assert S.exponent(G, by_order[8]) == 4
 
 
-def test_exponent_is_lcm_of_orders_on_corpus():
-    """A p-group's exponent is read as its largest element order; on every
-    corpus group it must equal the lcm of the distinct orders."""
+def test_exponent_is_least_power_killing_every_element_on_corpus():
+    """On every corpus group, e = exponent(G) sends every element to the
+    identity, and e / q does not for any prime q dividing e."""
     for G in corpus_groups(10**7):
-        assert S.exponent(G) == lcm(*np.unique(G.element_orders()).tolist()), G.name
+        e, ids = S.exponent(G), G.all_ids()
+        assert not G.pow_vec(ids, e).any(), G.name
+        for q in prime_factors(e):
+            assert G.pow_vec(ids, e // q).any(), (G.name, q)
 
 
 def test_is_cyclic_and_is_pgroup():
