@@ -134,11 +134,6 @@ class DerivedSet:
         return self.incomparable_witness is None
 
 
-def _key(s: Subgroup):
-    """Hashable member set of a subgroup."""
-    return s.bits if s.bits is not None else s.ids().tobytes()
-
-
 def _derived_set(
     G: FiniteGroup, pairs: Iterable[tuple[Subgroup, Subgroup]]
 ) -> DerivedSet:
@@ -151,7 +146,7 @@ def _derived_set(
     """
     seen: dict = {}
     for H, d in pairs:
-        seen.setdefault(_key(d), (d, H))
+        seen.setdefault(d.bits, (d, H))
     ordered = sorted(seen.values(), key=lambda t: t[0].sort_key())
     members = [d for d, _ in ordered]
     witnesses = [h for _, h in ordered]
@@ -185,16 +180,16 @@ def is_sublattice(ds: DerivedSet, lattice: SubgroupLattice) -> SublatticeVerdict
         raise ParentMismatch("lattice belongs to a different group")
     if ds.is_chain:
         return SublatticeVerdict(True)
-    keys = {_key(m) for m in ds.members}
+    keys = {m.bits for m in ds.members}
     for i, a in enumerate(ds.members):
         for b in ds.members[i + 1 :]:
             if a.issubset(b) or b.issubset(a):
                 continue
             m = meet(a, b)
-            if _key(m) not in keys:
+            if m.bits not in keys:
                 return SublatticeVerdict(False, (a, b), m, "meet")
             j = join(a, b)
-            if _key(j) not in keys:
+            if j.bits not in keys:
                 return SublatticeVerdict(False, (a, b), j, "join")
     return SublatticeVerdict(True)
 
@@ -624,9 +619,7 @@ def _claim_dc_sylow_split(ctx: GroupContext):
 def _claim_dc_hereditary_subgroups(ctx: GroupContext):
     pairs = ctx.derived_pairs
     for H in ctx.lattice.subgroups:
-        # DS(H) = {S' : S <= H}; every S <= H is already in the lattice, and
-        # every member has a bitset, as a lattice needs a Cayley table and
-        # TABLE_CAP < BITSET_CAP.
+        # DS(H) = {S' : S <= H}; every S <= H is already in the lattice
         outside = ~H.bits
         sub = [(S, d) for S, d in pairs if not S.bits & outside]
         bad = _derived_set(ctx.G, sub).incomparable_witness

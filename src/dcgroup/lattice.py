@@ -1,10 +1,10 @@
 """Subgroups and subgroup lattice enumeration.
 
-Every subgroup carries its sorted member ids. Subgroups of parents of at
-most BITSET_CAP = 2^16 elements, and only those, also carry them as a bitset
-(a Python int), which makes dedup, subset tests and meets cheap integer ops;
-subgroups of larger parents support the subset of operations that never
-materialize the full lattice.
+Every subgroup carries its sorted member ids, and the same member set as a
+bitset (a Python int with bit x set for each member x), built from the ids
+on first use unless its builder already has it. The bitset is the one key
+for equality, hashing, the canonical order and subset tests, whatever the
+parent's order.
 
 ``all_subgroups`` computes the full lattice by cyclic extension (Neubüser's
 method): its atoms are the zuppos, the cyclic subgroups of prime-power
@@ -39,7 +39,6 @@ from .errors import (
 )
 
 __all__ = [
-    "BITSET_CAP",
     "LATTICE_CAP",
     "Subgroup",
     "SubgroupLattice",
@@ -56,47 +55,52 @@ __all__ = [
     "full_subgroup",
 ]
 
-# Parents above this order store subgroups as sorted id arrays, not bitsets.
-BITSET_CAP = 1 << 16
-
 # Default order cap for full lattice enumeration.
 LATTICE_CAP = 2000
 
 
 class Subgroup:
-    """A subgroup of a fixed parent group, identified by its member set."""
+    """A subgroup of a fixed parent group, identified by its member set.
 
-    __slots__ = ("parent", "bits", "order", "gens", "_ids")
+    `bits` is the member set as a bitset. A builder that has it already
+    passes it; otherwise it is built from the sorted ids on first use, so a
+    subgroup that is never compared does not pay for it.
+    """
+
+    __slots__ = ("parent", "order", "gens", "_ids", "_bits")
 
     def __init__(
         self,
         parent: FiniteGroup,
-        bits: int | None,
         gens: Sequence[int],
         ids: Sequence[int] | np.ndarray,
+        bits: int | None = None,
     ):
         self.parent = parent
-        self.bits = bits
         self.gens = tuple(gens)
         self._ids = np.asarray(ids, dtype=np.int64)
         self.order = int(self._ids.size)
+        self._bits = bits
 
     # -- members ---------------------------------------------------------
 
     def ids(self) -> np.ndarray:
         return self._ids
 
+    @property
+    def bits(self) -> int:
+        if self._bits is None:
+            member = np.zeros(self.parent.order, dtype=np.bool_)
+            member[self._ids] = True
+            self._bits = _mask_bits(member)
+        return self._bits
+
     def contains(self, x: int) -> bool:
-        if self.bits is not None:
-            return bool((self.bits >> x) & 1)
-        i = int(np.searchsorted(self.ids(), x))
-        return i < self.order and int(self.ids()[i]) == x
+        return bool((self.bits >> self.parent.check_id(int(x))) & 1)
 
     def issubset(self, other: "Subgroup") -> bool:
         _same_parent(self, other)
-        if self.bits is not None and other.bits is not None:
-            return self.bits & ~other.bits == 0
-        return bool(np.isin(self.ids(), other.ids(), assume_unique=True).all())
+        return other.is_full or self.bits & ~other.bits == 0
 
     def __le__(self, other: "Subgroup") -> bool:
         return self.issubset(other)
@@ -108,23 +112,14 @@ class Subgroup:
         if not isinstance(other, Subgroup):
             return NotImplemented
         _same_parent(self, other)
-        if self.bits is not None and other.bits is not None:
-            return self.bits == other.bits
-        return self.order == other.order and bool(
-            (self.ids() == other.ids()).all()
-        )
+        return self.order == other.order and self.bits == other.bits
 
     def __hash__(self) -> int:
-        if self.bits is not None:
-            return hash((id(self.parent), self.bits))
-        return hash((id(self.parent), self.ids().tobytes()))
+        return hash((id(self.parent), self.bits))
 
-    def sort_key(self):
-        """Order first, then the member set: as a bitset when there is one,
-        else as the sorted ids, whose big-endian bytes compare as the ids do."""
-        if self.bits is not None:
-            return (self.order, self.bits)
-        return (self.order, self.ids().astype(">i8").tobytes())
+    def sort_key(self) -> tuple[int, int]:
+        """Order first, then the member set as a bitset."""
+        return (self.order, self.bits)
 
     @property
     def is_trivial(self) -> bool:
@@ -145,23 +140,6 @@ def _same_parent(a: Subgroup, b: Subgroup):
         )
 
 
-def _bits_to_ids(bits: int) -> list[int]:
-    out = []
-    x = bits
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
-
-
-def _ids_to_bits(ids: Iterable[int]) -> int:
-    b = 0
-    for v in ids:
-        b |= 1 << int(v)
-    return b
-
-
 def _mask_bits(member: np.ndarray) -> int:
     """The bitset of a boolean member mask over the parent's ids."""
     return int.from_bytes(np.packbits(member, bitorder="little").tobytes(), "little")
@@ -172,21 +150,15 @@ def _subgroup(
 ) -> Subgroup:
     """The subgroup with these sorted member ids.
 
-    It carries a bitset exactly when G.order <= BITSET_CAP. Callers that
-    built the subgroup from known elements pass those as `gens` (closures,
-    the full group, lattice members, a p-group's maximal subgroups); only
-    without them does `core._pick_generators` pick a greedy set from the
-    members.
+    Callers that built the subgroup from known elements pass those as
+    `gens` (closures, the full group, lattice members, a p-group's maximal
+    subgroups); only without them does `core._pick_generators` pick a
+    greedy set from the members.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if gens is None:
         gens = _pick_generators(G, ids)
-    bits = None
-    if G.order <= BITSET_CAP:
-        member = np.zeros(G.order, dtype=np.bool_)
-        member[ids] = True
-        bits = _mask_bits(member)
-    return Subgroup(G, bits, gens, ids=ids)
+    return Subgroup(G, gens, ids)
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
@@ -270,7 +242,7 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
     `core._grow` from N by G's generators gives, each J^t with J's
     generators conjugated by t. The identity comes first, so J itself
     represents its class on the work list. Member sets are keyed by their
-    bitsets: G needs a Cayley table, so n <= TABLE_CAP < BITSET_CAP.
+    bitsets.
 
     This reaches every class. If K = R^g, then for an atom A,
     (K v A)^(g^-1) = R v A^(g^-1), and for n in N_G(R), R v A^n = (R v A)^n;
@@ -299,14 +271,7 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
         raise OrderCapExceeded(
             f"|{G.name}| = {n} exceeds the Cayley table cap {TABLE_CAP}"
         )
-    arr = G.np_table()
-    every = G.all_ids()
-    inv = G.inv_vec(every)
     order_list = G.element_orders().tolist()
-
-    def conjugates(ids: np.ndarray, by: np.ndarray = every) -> np.ndarray:
-        """Row i holds the ids conjugated by by[i]."""
-        return arr[arr[inv[by, None], ids], by[:, None]]
 
     # zuppos, each with its least generator z and z^p; atom_at[x] = <x>.
     # Smaller atoms come first, as their joins are the likelier prime-index
@@ -334,15 +299,16 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
             elif k == p:
                 power = y
             y = table[y * n + x]
-        atoms.append(Subgroup(G, bits, (x,), sorted(elems)))
+        atoms.append(Subgroup(G, (x,), sorted(elems), bits))
         atom_masks.append(mask)
         atom_pows.append(power)
     atom_gens = [A.gens[0] for A in atoms]
+    atom_bits = [A.bits for A in atoms]
     atom_gen_ids = np.asarray(atom_gens, dtype=np.int64)
     atom_pow_ids = np.asarray(atom_pows, dtype=np.int64)
     atom_ids = np.arange(len(atoms))
     # moved[g, a] = the atom a^g; an orbit's least atom represents it
-    moved = np.asarray(atom_at, dtype=np.int64)[conjugates(atom_gen_ids)]
+    moved = np.asarray(atom_at, dtype=np.int64)[_conjugates(G, atom_gen_ids)]
     g_reps = moved.min(axis=0) == atom_ids
     atom_normal = (moved == atom_ids).all(axis=0).tolist()
     primes = set(prime_factors(n))
@@ -352,7 +318,7 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
 
         residual = derived_series(G)[-1].bits
     atom_in_residual = np.array(
-        [A.bits & ~residual == 0 for A in atoms], dtype=np.bool_
+        [b & ~residual == 0 for b in atom_bits], dtype=np.bool_
     )
 
     subs = [trivial_subgroup(G), *atoms]
@@ -391,15 +357,15 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
         gen_ids = np.asarray(J.gens)
         stays = None
         if not normal:
-            stays = member[conjugates(gen_ids)].all(axis=1)
+            stays = member[_conjugates(G, gen_ids)].all(axis=1)
             if stays.all():
                 stays = None
         members = [J]
         if stays is not None:
             ts = _grow(G, stays, np.flatnonzero(stays), G.generators)[1]
             ts = np.asarray(ts[1:])
-            rows = np.sort(conjugates(J.ids(), ts), axis=1)
-            conj_gens = conjugates(gen_ids, ts).tolist()
+            rows = np.sort(_conjugates(G, J.ids(), ts), axis=1)
+            conj_gens = _conjugates(G, gen_ids, ts).tolist()
             members += [_subgroup(G, row, g) for row, g in zip(rows, conj_gens)]
         subs.extend(members)
         seen.update(K.bits for K in members)
@@ -409,11 +375,11 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
     joined: set[int] = set()
     while work:
         R, r_member, r_normal, todo = work.pop()
-        r_ids = R.ids()
+        r_ids, r_bits = R.ids(), R.bits
         # atoms inside a join of prime index over R: their join is that one
         covered = np.zeros(len(atoms), dtype=np.bool_)
         for a in todo:
-            union = R.bits | atoms[a].bits
+            union = r_bits | atom_bits[a]
             if covered[a] or union in joined:
                 continue
             joined.add(union)
@@ -423,11 +389,22 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
                 covered |= j_member[atom_gen_ids]
             bits = _mask_bits(j_member)
             if bits not in seen:
-                J = Subgroup(G, bits, gens, np.flatnonzero(j_member))
+                J = Subgroup(G, gens, np.flatnonzero(j_member), bits)
                 # a join of two normal subgroups is normal
                 add_class(J, j_member, r_normal and atom_normal[a])
 
     return SubgroupLattice(G, subs)
+
+
+def _conjugates(
+    G: FiniteGroup, ids: np.ndarray, by: np.ndarray | None = None
+) -> np.ndarray:
+    """Row i holds the ids conjugated by by[i] (default: by every id of G),
+    read from G's Cayley table."""
+    arr = G.np_table()
+    if by is None:
+        by = G.all_ids()
+    return arr[arr[G.inv_vec(by)[:, None], ids], by[:, None]]
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +414,6 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
 def meet(a: Subgroup, b: Subgroup) -> Subgroup:
     """Intersection; always a subgroup."""
     _same_parent(a, b)
-    if a.bits is not None and b.bits is not None:
-        return _subgroup(a.parent, _bits_to_ids(a.bits & b.bits))
     return _subgroup(a.parent, np.intersect1d(a.ids(), b.ids(), assume_unique=True))
 
 
@@ -565,7 +540,6 @@ def subgroups_brute(G: FiniteGroup, cap: int = 48) -> list[Subgroup]:
 
     out = []
     for mem in found:
-        bits = _ids_to_bits(mem)
         ids = sorted(mem)
-        out.append(Subgroup(G, bits, tuple(v for v in ids if v), ids=ids))
+        out.append(Subgroup(G, tuple(v for v in ids if v), ids))
     return sorted(out, key=Subgroup.sort_key)

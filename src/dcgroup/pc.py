@@ -409,12 +409,7 @@ class PcGroup(FiniteGroup):
     # -- group interface ----------------------------------------------------
 
     def _mul(self, x: int, y: int) -> int:
-        s = self.sizes
-        for i in range(self.pres.ngens):
-            d = (y // s[i + 1]) % self.pres.prime
-            if d:
-                x = int(self._step(i, x, d))
-        return x
+        return int(self._mul_into_tail(x, y, 0))
 
     def _invert(self, x: int) -> int:
         return int(self._inverse_table()[x])

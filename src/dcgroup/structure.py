@@ -35,6 +35,7 @@ from .errors import (
 from .lattice import (
     Subgroup,
     SubgroupLattice,
+    _conjugates,
     _subgroup,
     all_subgroups,
     closure,
@@ -212,19 +213,12 @@ def centralizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
 def normalizer(G: FiniteGroup, S: Subgroup) -> Subgroup:
     """Elements g with S^g = S; needs the parent's Cayley table."""
     S = _as_subgroup(G, S)
-    arr = G.np_table()
-    if arr is None:
+    if G.np_table() is None:
         raise OrderCapExceeded(f"normalizer needs a table, order {G.order} too big")
-    n = G.order
-    allg = G.all_ids()
-    invs = G.inv_vec(allg)
-    member = np.zeros(n, dtype=bool)
+    member = np.zeros(G.order, dtype=bool)
     member[S.ids()] = True
-    mask = np.ones(n, dtype=bool)
-    for s in S.gens:
-        conj = arr[arr[invs, s], allg]
-        mask &= member[conj]
-    return _subgroup(G, allg[mask])
+    stays = member[_conjugates(G, np.asarray(S.gens, dtype=np.int64))].all(axis=1)
+    return _subgroup(G, np.flatnonzero(stays))
 
 
 # ---------------------------------------------------------------------------
@@ -431,12 +425,11 @@ def pgroup_maximal_subgroups(G: FiniteGroup, S: Subgroup | None = None) -> list[
 
     Each is the preimage of a hyperplane of S/Phi(S), and keeps the
     generators its construction gives (see `_hyperplane_preimages`), so
-    none are picked from its members.
+    none are picked from its members. They come in construction order,
+    unsorted: sorting by `Subgroup.sort_key` would build each one's bitset.
     """
     S = _as_subgroup(G, S)
-    out = [_subgroup(G, ids, gens) for ids, gens in _hyperplane_preimages(G, S)]
-    out.sort(key=Subgroup.sort_key)
-    return out
+    return [_subgroup(G, ids, gens) for ids, gens in _hyperplane_preimages(G, S)]
 
 
 def _hyperplane_preimages(
@@ -542,12 +535,7 @@ def sylow_decomposition(
         return None
     best = None
     for c in lattice.of_order(n):
-        inter = sylow.bits & c.bits if sylow.bits is not None else None
-        if inter is not None:
-            trivial_meet = inter == 1
-        else:
-            trivial_meet = np.intersect1d(sylow.ids(), c.ids()).size == 1
-        if not trivial_meet:
+        if sylow.bits & c.bits != 1:
             continue
         abelian = _subgroup_is_abelian(G, c)
         if abelian:
@@ -583,7 +571,7 @@ def is_regular(G: FiniteGroup) -> bool | None:
         if exponent(G) == p:
             return True
         return None
-    span_cache: dict[object, np.ndarray] = {}
+    span_cache: dict[tuple[int, int], np.ndarray] = {}
     cyc: dict[int, Subgroup] = {}
 
     def atom(x: int) -> Subgroup:
@@ -599,11 +587,7 @@ def is_regular(G: FiniteGroup) -> bool | None:
             base = G.mul(xp, int(pows[y]))
             if lhs == base:
                 continue
-            ax, ay = atom(x), atom(y)
-            key = (ax.bits, ay.bits) if ax.bits is not None else (
-                ax.ids().tobytes(),
-                ay.ids().tobytes(),
-            )
+            key = (atom(x).bits, atom(y).bits)
             if key not in span_cache:
                 two = closure(G, [x, y])
                 dg = derived_subgroup(G, two)

@@ -15,7 +15,7 @@ from dcgroup import lattice as lattice_module
 from dcgroup.cli import realize_spec
 from dcgroup.core import PermGroup, TableGroup, _grow, perm_from_cycles, prime_power
 from dcgroup.dc import GroupContext
-from dcgroup.errors import OrderCapExceeded, ParentMismatch
+from dcgroup.errors import InvalidId, OrderCapExceeded, ParentMismatch
 from dcgroup.pc import realize_pc_group
 from dcgroup.lattice import (
     LATTICE_CAP,
@@ -423,8 +423,9 @@ def test_join_is_generated_union():
 
 
 def test_one_bitset_rule_without_a_table():
-    # S8 has no Cayley table but lies under BITSET_CAP: every subgroup of it
-    # carries a bitset, however it was built.
+    # Neither S8 nor the corpus group2 (order 5^7, above 2^16) has a Cayley
+    # table: every subgroup of either is keyed by its bitset, however it
+    # was built.
     G = C.symmetric(8)
     t = G.id_of((1, 0, 2, 3, 4, 5, 6, 7))
     Z = centralizer(G, closure(G, [t]))
@@ -432,6 +433,40 @@ def test_one_bitset_rule_without_a_table():
     S = closure(G, Z.gens)
     assert S == Z and hash(S) == hash(Z) and len({S, Z}) == 1
     assert 2 ** len(meet(Z, full_subgroup(G)).gens) <= Z.order
+
+    G = C.witness_bundle("group2").group
+    assert G.order == 5**7 and G.np_table() is None
+    Z = centralizer(G, closure(G, [G.generators[0]]))
+    assert 1 < Z.order < G.order
+    S = closure(G, Z.gens)
+    assert isinstance(S.bits, int) and isinstance(Z.bits, int)
+    assert S == Z and hash(S) == hash(Z) and len({S, Z}) == 1
+
+    # subset and membership tests on the bitsets agree with np.isin on the ids
+    rng = np.random.default_rng(24)
+    seeds = rng.choice(Z.ids(), 3).tolist() + rng.integers(1, G.order, 3).tolist()
+    subs = [Z, center(G), full_subgroup(G), *(closure(G, [g]) for g in seeds)]
+    verdicts = set()
+    for A in subs:
+        for B in subs:
+            want = bool(np.isin(A.ids(), B.ids()).all())
+            assert A.issubset(B) == want
+            verdicts.add(want)
+        xs = rng.integers(0, G.order, 300)
+        assert [A.contains(x) for x in xs.tolist()] == np.isin(xs, A.ids()).tolist()
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("gid", ["s4", "group2"])
+def test_contains_rejects_ids_outside_the_parent(gid):
+    """`contains` raises InvalidId for an id outside [0, |G|), as `G.mul`
+    does, whatever the parent's order."""
+    G = C.symmetric(4) if gid == "s4" else C.witness_bundle("group2").group
+    for H in (closure(G, [1]), full_subgroup(G)):
+        assert H.contains(0) and H.contains(1)
+        for x in (-1, G.order):
+            with pytest.raises(InvalidId):
+                H.contains(x)
 
 
 def test_meet_join_reject_mixed_parents():

@@ -111,6 +111,20 @@ def test_normalizer_of_c4_in_s4():
     assert N.order == 8
 
 
+def test_normalizer_matches_scalar_conjugation():
+    """`normalizer` of every lattice member H of S4 and He3 holds exactly
+    the g with H^g = H, checked member by member through `G.conjugate`."""
+    for G in (C.symmetric(4), C.extraspecial_p3(3, "p")):
+        for H in all_subgroups(G):
+            members = set(H.ids().tolist())
+            want = [
+                g
+                for g in range(G.order)
+                if {G.conjugate(h, g) for h in members} == members
+            ]
+            assert S.normalizer(G, H).ids().tolist() == want
+
+
 def test_center_of_subgroup():
     G = C.symmetric(4)
     r = G.id_of((1, 2, 3, 0))
