@@ -6,7 +6,10 @@ bit for bit. The abelian, metacyclic and extraspecial families are
 `FormulaGroup`s, given by their product formula on id vectors, from which
 `FiniteGroup.np_table` fills their Cayley tables; the symmetric and
 alternating families and SL(2,3) are permutation groups; the two large
-reference p-groups are realized from power-commutator presentations.
+reference p-groups are realized from power-commutator presentations. Every
+product of two groups is a `SemidirectGroup` on pair ids: a direct product
+is the one whose action is trivial, and a central product is a quotient of
+a direct product.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .core import (
     FiniteGroup,
     PermGroup,
     QuotientGroup,
-    _closure,
     closure_ids,
     perm_from_cycles,
     prime_power,
@@ -55,7 +57,6 @@ __all__ = [
     "wreath_cyclic",
     "build_family",
     "FAMILY_PARAMS",
-    "DirectProductGroup",
     "direct_product",
     "SemidirectGroup",
     "semidirect_product",
@@ -285,46 +286,6 @@ def sl23() -> PermGroup:
 # -- products ----------------------------------------------------------------
 
 
-class DirectProductGroup(FiniteGroup):
-    """A x B on pair ids a * |B| + b."""
-
-    def __init__(self, left: FiniteGroup, right: FiniteGroup, name: str = ""):
-        self.left = left
-        self.right = right
-        nb = right.order
-        gens = [a * nb for a in left.generators] + list(right.generators)
-        super().__init__(
-            left.order * right.order,
-            gens,
-            name or f"{left.name}x{right.name}",
-        )
-
-    def embed(self, a: int, b: int) -> int:
-        return self.left.check_id(a) * self.right.order + self.right.check_id(b)
-
-    def _mul(self, x: int, y: int) -> int:
-        nb = self.right.order
-        a1, b1 = divmod(x, nb)
-        a2, b2 = divmod(y, nb)
-        return self.left._mul(a1, a2) * nb + self.right._mul(b1, b2)
-
-    def _invert(self, x: int) -> int:
-        nb = self.right.order
-        a, b = divmod(x, nb)
-        return self.left._invert(a) * nb + self.right._invert(b)
-
-    def _mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        nb = self.right.order
-        a1, b1 = divmod(xs, nb)
-        a2, b2 = divmod(ys, nb)
-        a = self.left.mul_pairwise_vec(a1, a2)
-        return a * nb + self.right.mul_pairwise_vec(b1, b2)
-
-
-def direct_product(left: FiniteGroup, right: FiniteGroup, name: str = "") -> DirectProductGroup:
-    return DirectProductGroup(left, right, name=name)
-
-
 class SemidirectGroup(FiniteGroup):
     """N x| H on pair ids n * |H| + h.
 
@@ -333,9 +294,12 @@ class SemidirectGroup(FiniteGroup):
     Each array is checked to be an automorphism on the products g x of a
     generator g of N by every element x, which pins down the whole
     condition since the generators reach every element.
-    The full action map is then filled over H in the order `core._closure`
-    finds its elements; any clash between two words for the same element
-    means the arrays do not define a homomorphism H -> Aut(N).
+    The full action map phi is then filled by a frontier walk over H:
+    phi[h g] = phi[h][arr] for each product of the frontier by a top
+    generator g, set where it is unset and compared everywhere else. Any
+    clash between two words for the same element means the arrays do not
+    define a homomorphism H -> Aut(N). A direct product is the case where
+    every array is the identity.
     """
 
     def __init__(
@@ -354,7 +318,7 @@ class SemidirectGroup(FiniteGroup):
         ids = np.arange(nn, dtype=np.int64)
         arrs: list[np.ndarray] = []
         for k, raw in enumerate(action):
-            arr = np.asarray(list(raw), dtype=np.int64)
+            arr = np.asarray(raw, dtype=np.int64)
             if arr.shape != (nn,) or not np.array_equal(np.sort(arr), ids):
                 raise NotAutomorphism(f"action array {k} is not a permutation of N")
             for g in normal.generators:
@@ -368,18 +332,21 @@ class SemidirectGroup(FiniteGroup):
 
         phi = np.full((top.order, nn), -1, dtype=np.int64)
         phi[0] = ids
-        # each h after the first is an earlier one times a generator, so
-        # phi[h] is set before it is read
-        for h in _closure(top, top.generators)[1]:
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            new = [frontier[:0]]
             for arr, g in zip(arrs, top.generators):
-                h2 = top.mul(int(h), g)
-                cand = phi[h][arr]
-                if phi[h2][0] < 0:
-                    phi[h2] = cand
-                elif not np.array_equal(phi[h2], cand):
+                hs = top.mul_vec(frontier, g)
+                cand = phi[frontier[:, None], arr]
+                fresh = phi[hs, 0] < 0
+                phi[hs[fresh]] = cand[fresh]
+                clash = np.flatnonzero((phi[hs] != cand).any(axis=1))
+                if clash.size:
                     raise ActionNotHomomorphic(
-                        f"action disagrees with a relation of H at element {h2}"
+                        f"action disagrees with a relation of H at element {hs[clash[0]]}"
                     )
+                new.append(hs[fresh])
+            frontier = np.concatenate(new)
         self.normal = normal
         self.top = top
         self.phi = phi
@@ -412,6 +379,14 @@ class SemidirectGroup(FiniteGroup):
         return n * nt + self.top.mul_pairwise_vec(h1, h2)
 
 
+def direct_product(left: FiniteGroup, right: FiniteGroup, name: str = "") -> SemidirectGroup:
+    """A x B on pair ids a * |B| + b: B acting trivially on A."""
+    trivial = np.arange(left.order, dtype=np.int64)
+    return SemidirectGroup(
+        left, right, [trivial] * len(right.generators), name or f"{left.name}x{right.name}"
+    )
+
+
 def semidirect_product(
     normal: FiniteGroup,
     top: FiniteGroup,
@@ -440,9 +415,8 @@ def central_product(
     za_gens = [left.check_id(int(a)) for a, _ in identify]
     zb_gens = [right.check_id(int(b)) for _, b in identify]
     for G, zs, side in ((left, za_gens, "left"), (right, zb_gens, "right")):
-        ids = G.all_ids()
         for z in zs:
-            if not np.array_equal(G.mul_vec(ids, z), G.lmul_vec(z, ids)):
+            if any(G.mul(z, g) != G.mul(g, z) for g in G.generators):
                 raise NotCentral(f"element {z} is not central in the {side} factor")
     prod = direct_product(left, right)
     graph = closure_ids(

@@ -436,8 +436,7 @@ class GroupContext:
 
     @property
     def cl(self) -> int | None:
-        series = self.lcs
-        return len(series) - 1 if series[-1].order == 1 else None
+        return nilpotency_class(self.G)
 
     @cached_property
     def dl(self) -> int | None:

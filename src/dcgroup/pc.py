@@ -348,7 +348,9 @@ class PcGroup(FiniteGroup):
         a += d
         a *= szt
         a += low
-        return xs - low + self._steps[i][a]
+        # a Python int reads a Python int, so a scalar product steps in ints
+        step = self._steps[i].item(a) if isinstance(a, int) else self._steps[i][a]
+        return xs - low + step
 
     def _mul_into_tail(self, xs: np.ndarray, c: int, top: int) -> np.ndarray:
         """Vector right-product xs * c where all ids live in U_top."""

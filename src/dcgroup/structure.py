@@ -112,29 +112,37 @@ def derived_subgroup(G: FiniteGroup, S: Subgroup | None = None) -> Subgroup:
     return normal_closure(G, seed, under=gens)
 
 
+def _series(S: Subgroup, step) -> list[Subgroup]:
+    """S, step(S), step(step(S)), ..., until the order stops falling.
+
+    Ends with the trivial subgroup, or with a term that `step` fixes.
+    """
+    series = [S]
+    while series[-1].order > 1:
+        nxt = step(series[-1])
+        if nxt.order == series[-1].order:
+            break
+        series.append(nxt)
+    return series
+
+
+def _steps_to_one(series: list[Subgroup]) -> int | None:
+    """Steps a `_series` takes to reach 1; None if it stops above 1."""
+    return len(series) - 1 if series[-1].order == 1 else None
+
+
 def derived_series(G: FiniteGroup, S: Subgroup | None = None) -> list[Subgroup]:
     """Derived series of S, stopping when it stabilizes.
 
     Ends with the trivial subgroup exactly when S is solvable; a repeated
     final term signals a perfect tail.
     """
-    cur = _as_subgroup(G, S)
-    series = [cur]
-    while cur.order > 1:
-        nxt = derived_subgroup(G, cur)
-        if nxt.order == cur.order:
-            break
-        series.append(nxt)
-        cur = nxt
-    return series
+    return _series(_as_subgroup(G, S), lambda K: derived_subgroup(G, K))
 
 
 def derived_length(G: FiniteGroup, S: Subgroup | None = None) -> int | None:
     """Number of derived steps to reach 1; None if not solvable."""
-    series = derived_series(G, S)
-    if series[-1].order != 1:
-        return None
-    return len(series) - 1
+    return _steps_to_one(derived_series(G, S))
 
 
 def lower_central_series(G: FiniteGroup, S: Subgroup | None = None) -> list[Subgroup]:
@@ -154,26 +162,17 @@ def lower_central_series(G: FiniteGroup, S: Subgroup | None = None) -> list[Subg
 
 def _central_series(G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
     """The lower central series of S, built term by term."""
-    cur = S
-    series = [cur]
-    while cur.order > 1:
-        seed = {G.commutator(a, s) for a in cur.gens for s in S.gens} - {0}
-        nxt = (
-            normal_closure(G, seed, under=S.gens) if seed else trivial_subgroup(G)
-        )
-        if nxt.order == cur.order:
-            break
-        series.append(nxt)
-        cur = nxt
-    return series
+
+    def step(K: Subgroup) -> Subgroup:
+        seed = {G.commutator(a, s) for a in K.gens for s in S.gens} - {0}
+        return normal_closure(G, seed, under=S.gens) if seed else trivial_subgroup(G)
+
+    return _series(S, step)
 
 
 def nilpotency_class(G: FiniteGroup, S: Subgroup | None = None) -> int | None:
     """Length of the lower central series of S; None if S is not nilpotent."""
-    series = lower_central_series(G, S)
-    if series[-1].order != 1:
-        return None
-    return len(series) - 1
+    return _steps_to_one(lower_central_series(G, S))
 
 
 def _commutator_with_all(G: FiniteGroup, k: int, xs: np.ndarray) -> np.ndarray:
@@ -620,8 +619,7 @@ def fundamental_subgroup(G: FiniteGroup) -> Subgroup:
     """For a maximal class p-group: centralizer of K_2/K_4 in G."""
     p, n = _require_pgroup(G)
     series = lower_central_series(G)
-    cl = len(series) - 1 if series[-1].order == 1 else None
-    if n < 4 or cl != n - 1:
+    if n < 4 or _steps_to_one(series) != n - 1:
         raise ParamOutOfRange(f"{G.name} is not of maximal class with n >= 4")
     k2, k4 = series[1], series[3]
     xs = G.all_ids()

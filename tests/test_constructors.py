@@ -8,8 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import load_spec
 from dcgroup import constructors as C
 from dcgroup import structure as S
+from dcgroup.cli import realize_spec
 from dcgroup.core import closure_ids
 from dcgroup.errors import (
     ActionNotHomomorphic,
@@ -176,6 +178,68 @@ def test_direct_product_factors_commute():
     for x in range(1, A.order):
         for y in range(1, B.order):
             assert G.mul(x * B.order, y) == G.mul(y, x * B.order)
+
+
+def _componentwise(A, B, xs, ys):
+    """Reference A x B kernel: factor by factor on pair ids a * |B| + b."""
+    a1, b1 = np.divmod(xs, B.order)
+    a2, b2 = np.divmod(ys, B.order)
+    return A.mul_pairwise_vec(a1, a2) * B.order + B.mul_pairwise_vec(b1, b2)
+
+
+def _componentwise_inv(A, B, xs):
+    a, b = np.divmod(xs, B.order)
+    return A.inv_vec(a) * B.order + B.inv_vec(b)
+
+
+def _direct_product_layout(A, B):
+    """direct_product(A, B) is a trivial-action SemidirectGroup with the
+    pair ids, generators and name of the componentwise product."""
+    G = C.direct_product(A, B)
+    assert isinstance(G, C.SemidirectGroup)
+    assert G.order == A.order * B.order
+    assert G.generators == tuple(a * B.order for a in A.generators) + B.generators
+    assert G.name == f"{A.name}x{B.name}"
+    assert C.direct_product(A, B, name="AB").name == "AB"
+    return G
+
+
+def test_direct_product_table_is_componentwise():
+    A, B = C.symmetric(3), C.cyclic(4)
+    G = _direct_product_layout(A, B)
+    ids = np.arange(G.order, dtype=np.int64)
+    xs, ys = np.repeat(ids, G.order), np.tile(ids, G.order)
+    want = _componentwise(A, B, xs, ys).reshape(G.order, G.order)
+    assert np.array_equal(G.np_table(), want)
+    assert np.array_equal(G.inv_vec(ids), _componentwise_inv(A, B, ids))
+
+
+def test_direct_product_beyond_table_cap_is_componentwise():
+    A, B = C.dihedral(8), C.cyclic(1024)
+    G = _direct_product_layout(A, B)
+    assert G.order == 8192 and G.np_table() is None
+    rng = np.random.default_rng(25)
+    xs, ys = (rng.integers(0, G.order, 3000) for _ in range(2))
+    want = _componentwise(A, B, xs, ys)
+    assert np.array_equal(G.mul_pairwise_vec(xs, ys), want)
+    assert np.array_equal(G.inv_vec(xs), _componentwise_inv(A, B, xs))
+    for y in ys[:5].tolist():
+        full = np.full(len(xs), y)
+        assert np.array_equal(G.mul_vec(xs, y), _componentwise(A, B, xs, full))
+        assert np.array_equal(G.lmul_vec(y, xs), _componentwise(A, B, full, xs))
+    pairs = zip(xs[:300].tolist(), ys[:300].tolist())
+    assert [G.mul(x, y) for x, y in pairs] == want[:300].tolist()
+    inverses = _componentwise_inv(A, B, xs[:300])
+    assert [G.inv(x) for x in xs[:300].tolist()] == inverses.tolist()
+
+
+def test_direct_product_with_a_pc_factor_is_componentwise():
+    A, B = C.cyclic(2), realize_spec(load_spec("group2"))
+    G = _direct_product_layout(A, B)
+    rng = np.random.default_rng(26)
+    xs, ys = (rng.integers(0, G.order, 2000) for _ in range(2))
+    assert np.array_equal(G.mul_pairwise_vec(xs, ys), _componentwise(A, B, xs, ys))
+    assert np.array_equal(G.inv_vec(xs), _componentwise_inv(A, B, xs))
 
 
 # -- semidirect products ---------------------------------------------------------------

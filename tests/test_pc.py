@@ -268,6 +268,17 @@ def test_public_ops_use_kernels_beyond_table_cap():
     assert np.array_equal(G.mul_pairwise_vec(xs, G.inv_vec(xs)), np.zeros(2000))
 
 
+def test_scalar_mul_returns_python_ints():
+    """The scalar product steps in Python ints and agrees with the
+    pairwise kernel."""
+    G = realize_spec(load_spec("group2"))
+    rng = np.random.default_rng(12)
+    xs, ys = (rng.integers(0, G.order, 2000) for _ in range(2))
+    got = [G.mul(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    assert all(type(z) is int for z in got)
+    assert got == G.mul_pairwise_vec(xs, ys).tolist()
+
+
 def test_blocked_kernels_over_all_ids_beyond_table_cap():
     """The vector kernels run BLOCK ids at a time; on group2's 78125 ids
     (four full blocks and a part) each returns int64 ids that agree with
