@@ -14,6 +14,7 @@ from .errors import DcgroupError
 from .pc import PcGroup, PcPresentation, check_consistency, collect, realize_pc_group
 from .lattice import (
     Subgroup,
+    SubgroupClass,
     SubgroupLattice,
     all_subgroups,
     closure,
@@ -70,6 +71,7 @@ __all__ = [
     "realize_pc_group",
     # lattice
     "Subgroup",
+    "SubgroupClass",
     "SubgroupLattice",
     "all_subgroups",
     "closure",

@@ -389,26 +389,30 @@ class FiniteGroup:
         """Orders of all elements, cached.
 
         In a p-group, order(1) = 1 and order(x) = p * order(x^p), so the
-        orders come from gathers through the power map; other groups
-        multiply round by round.
+        orders come from gathers through the power map, BLOCK ids at a time
+        into the result, so that no temporary is as long as the group; other
+        groups multiply round by round.
         """
         if self._orders is None:
             pn = prime_power(self.order)
             if pn is None:
                 self._orders = self._orders_by_rounds()
             else:
+                p, e = pn
                 P = self.power_map()
                 out = np.ones(self.order, dtype=np.int64)
-                cur = np.arange(self.order, dtype=ID32)
-                alive = cur != 0
-                # an element order divides p^n, so n gathers reach 1 unless
-                # the operation is not associative (a Cayley table input)
-                for _ in range(pn[1]):
-                    out[alive] *= pn[0]
-                    cur = P[cur]
-                    alive = cur != 0
-                if alive.any():
-                    raise InvalidId(f"x^(p^{pn[1]}) != 1 for some x in {self.name}")
+                for lo in range(0, self.order, BLOCK):
+                    cur = np.arange(lo, min(lo + BLOCK, self.order))
+                    block = out[lo : lo + BLOCK]
+                    # an element order divides p^n, so n gathers reach 1
+                    # unless the operation is not associative (a Cayley
+                    # table input)
+                    for _ in range(e):
+                        alive = cur != 0
+                        np.multiply(block, p, out=block, where=alive)
+                        cur = P[cur]
+                    if cur.any():
+                        raise InvalidId(f"x^(p^{e}) != 1 for some x in {self.name}")
                 self._orders = out
         return self._orders
 

@@ -44,10 +44,10 @@ from .errors import (
 from .lattice import (
     LATTICE_CAP,
     Subgroup,
+    SubgroupClass,
     SubgroupLattice,
     all_subgroups,
     closure,
-    is_normal,
     join,
     maximal_subgroups,
     meet,
@@ -121,12 +121,18 @@ ERROR = "error"
 
 @dataclass
 class DerivedSet:
-    """Deduplicated {H' : H <= G} with one witness H per member."""
+    """Deduplicated {H' : H <= G} with one witness H per member.
+
+    `rep_members` are the distinct J' of the lattice's class
+    representatives J. Every member is (J^t)' = (J')^t for some J and t,
+    so every member is conjugate to one of them.
+    """
 
     parent: FiniteGroup
     members: list[Subgroup]
     witnesses: list[Subgroup]
     incomparable_witness: tuple[Subgroup, Subgroup] | None
+    rep_members: list[Subgroup]
 
     @property
     def is_chain(self) -> bool:
@@ -135,14 +141,15 @@ class DerivedSet:
 
 
 def _derived_set(
-    G: FiniteGroup, pairs: Iterable[tuple[Subgroup, Subgroup]]
+    G: FiniteGroup,
+    pairs: Iterable[tuple[Subgroup, Subgroup]],
+    rep_derived: Iterable[Subgroup],
 ) -> DerivedSet:
-    """DS from (H, H') pairs: deduplicate, sort, and test for a chain.
+    """DS from (H, H') pairs and the J' of the class representatives J:
+    deduplicate, sort, and test for a chain.
 
     Members come out sorted by (order, membership); the first incomparable
-    pair is found eagerly. Sorting by order makes the chain test local:
-    distinct same-order members are incomparable, and for ascending orders
-    comparability is exactly inclusion in the next member.
+    pair is found eagerly.
     """
     seen: dict = {}
     for H, d in pairs:
@@ -150,10 +157,22 @@ def _derived_set(
     ordered = sorted(seen.values(), key=lambda t: t[0].sort_key())
     members = [d for d, _ in ordered]
     witnesses = [h for _, h in ordered]
-    bad = next(
+    reps = {d.bits for d in rep_derived}
+    rep_members = [d for d in members if d.bits in reps]
+    return DerivedSet(G, members, witnesses, _chain_break(members), rep_members)
+
+
+def _chain_break(members: list[Subgroup]) -> tuple[Subgroup, Subgroup] | None:
+    """The first incomparable pair of distinct subgroups sorted by (order,
+    membership), or None for a chain.
+
+    Sorting by order makes the test local: distinct same-order members are
+    incomparable, and for ascending orders comparability is exactly
+    inclusion in the next member.
+    """
+    return next(
         ((a, b) for a, b in zip(members, members[1:]) if not a.issubset(b)), None
     )
-    return DerivedSet(G, members, witnesses, bad)
 
 
 @dataclass
@@ -173,21 +192,26 @@ def is_sublattice(ds: DerivedSet, lattice: SubgroupLattice) -> SublatticeVerdict
     """Decide whether DS(G) is closed under meet and join.
 
     A chain is closed trivially (meet and join of comparable members are the
-    members themselves). Otherwise every pair is checked; the first missing
-    meet or join is reported.
+    members themselves). Otherwise only the pairs (a, b) with a in
+    `ds.rep_members` are checked: every member is conjugate to some a, DS(G)
+    is closed under conjugation and conjugation carries meets and joins
+    along, so every pair of members is conjugate to a pair checked, and
+    its meet and join lie in DS(G) exactly when theirs do. The first
+    missing meet or join is reported.
     """
     if lattice.parent is not ds.parent:
         raise ParentMismatch("lattice belongs to a different group")
     if ds.is_chain:
         return SublatticeVerdict(True)
     keys = {m.bits for m in ds.members}
-    for i, a in enumerate(ds.members):
-        for b in ds.members[i + 1 :]:
-            if a.issubset(b) or b.issubset(a):
+    done: set[int] = set()
+    for a in ds.rep_members:
+        done.add(a.bits)
+        for b in ds.members:
+            if b.bits in done or a.issubset(b) or b.issubset(a):
                 continue
-            m = meet(a, b)
-            if m.bits not in keys:
-                return SublatticeVerdict(False, (a, b), m, "meet")
+            if (a.bits & b.bits) not in keys:
+                return SublatticeVerdict(False, (a, b), meet(a, b), "meet")
             j = join(a, b)
             if j.bits not in keys:
                 return SublatticeVerdict(False, (a, b), j, "join")
@@ -367,10 +391,34 @@ class GroupContext:
             return None
 
     @cached_property
-    def derived_pairs(self) -> list[tuple[Subgroup, Subgroup]] | None:
+    def class_pairs(self) -> list[tuple[SubgroupClass, list[Subgroup]]] | None:
+        """Each lattice class with H' for each of its members.
+
+        `derived_subgroup` runs once per class, on its representative J;
+        since (J^t)' = (J')^t, the class's conjugators carry J' to the other
+        members.
+        """
         if self.lattice is None:
             return None
-        return [(H, derived_subgroup(self.G, H)) for H in self.lattice.subgroups]
+        return [
+            (c, c.conjugates_of(derived_subgroup(self.G, c.rep)))
+            for c in self.lattice.classes
+        ]
+
+    @property
+    def rep_pairs(self) -> list[tuple[Subgroup, Subgroup]]:
+        """(J, J') for the representative J of each lattice class."""
+        return [(c.rep, ds[0]) for c, ds in self.class_pairs]
+
+    @cached_property
+    def derived_pairs(self) -> list[tuple[Subgroup, Subgroup]] | None:
+        """(H, H') for every subgroup H, in lattice order."""
+        if self.class_pairs is None:
+            return None
+        derived = {
+            id(H): d for c, ds in self.class_pairs for H, d in zip(c.members, ds)
+        }
+        return [(H, derived[id(H)]) for H in self.lattice.subgroups]
 
     # A plain property over the cached `_ds`: perfbench/spans.py times DS(G)
     # by wrapping this property's fget.
@@ -382,7 +430,9 @@ class GroupContext:
     def _ds(self) -> DerivedSet | None:
         if self.derived_pairs is None:
             return None
-        return _derived_set(self.G, self.derived_pairs)
+        return _derived_set(
+            self.G, self.derived_pairs, (d for _, d in self.rep_pairs)
+        )
 
     @cached_property
     def oracle(self) -> DcVerdict | None:
@@ -616,12 +666,14 @@ def _claim_dc_sylow_split(ctx: GroupContext):
 
 @_claim("dc-hereditary-subgroups", _HAS_ORACLE, _IS_DC, _HAS_LATTICE)
 def _claim_dc_hereditary_subgroups(ctx: GroupContext):
+    """DS(H^g) = DS(H)^g is a chain exactly when DS(H) is, so one H per
+    class, its representative, is checked."""
     pairs = ctx.derived_pairs
-    for H in ctx.lattice.subgroups:
+    for H, _ in ctx.rep_pairs:
         # DS(H) = {S' : S <= H}; every S <= H is already in the lattice
         outside = ~H.bits
-        sub = [(S, d) for S, d in pairs if not S.bits & outside]
-        bad = _derived_set(ctx.G, sub).incomparable_witness
+        sub = {d.bits: d for S, d in pairs if not S.bits & outside}
+        bad = _chain_break(sorted(sub.values(), key=Subgroup.sort_key))
         if bad is not None:
             return FAIL, (
                 f"subgroup of order {H.order} has incomparable derived "
@@ -632,8 +684,10 @@ def _claim_dc_hereditary_subgroups(ctx: GroupContext):
 
 @_claim("dc-hereditary-quotients", _HAS_ORACLE, _IS_DC, _HAS_LATTICE)
 def _claim_dc_hereditary_quotients(ctx: GroupContext):
-    for N in ctx.lattice.subgroups:
-        if N.order in (1, ctx.G.order) or not is_normal(ctx.G, N):
+    """The normal subgroups are the classes of one member."""
+    normal = [c.rep for c in ctx.lattice.classes if len(c) == 1]
+    for N in sorted(normal, key=Subgroup.sort_key):
+        if N.order in (1, ctx.G.order):
             continue
         Q = QuotientGroup(ctx.G, [int(v) for v in N.ids()])
         if not GroupContext(Q, ctx.cap).is_dc:
@@ -669,8 +723,10 @@ def _claim_dc_lcs_factors_cyclic(ctx: GroupContext):
     _HAS_LATTICE,
 )
 def _claim_dc_lcs_inside_derived(ctx: GroupContext):
+    """The lower central terms K are normal, so K <= H' exactly when
+    K <= (H^g)' = (H')^g: one H per class, its representative, is checked."""
     terms = [K for K in ctx.lcs[1:] if K.order > 1]
-    for H, Hp in ctx.derived_pairs:
+    for H, Hp in ctx.rep_pairs:
         for K in terms:
             if K.order <= Hp.order and not K.issubset(Hp):
                 return FAIL, (
@@ -938,10 +994,14 @@ def _claim_regular_power_bracket(ctx: GroupContext):
     _HAS_LATTICE,
 )
 def _claim_lcs_match_when_derived_factors(ctx: GroupContext):
+    """K3 and the lower central terms of G are normal, so both the
+    hypothesis H'K3 = G' and each comparison of a term of H with G's hold
+    for H^g exactly when they hold for H: one H per class, its
+    representative, is checked."""
     series = ctx.lcs
     K3 = series[2] if len(series) > 2 else trivial_subgroup(ctx.G)
     target = ctx.derived
-    for H, Hp in ctx.derived_pairs:
+    for H, Hp in ctx.rep_pairs:
         merged = join(Hp, K3) if K3.order > 1 else Hp
         if merged != target:
             continue

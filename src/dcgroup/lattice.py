@@ -14,7 +14,9 @@ subgroup can appear: an atom that normalizes the representative and
 extends it by a prime index, or, inside the solvable residual, an atom
 that does not normalize it. A new join keeps the generators it was built
 from, and brings in its class as one conjugate per right coset of its
-normalizer, which those generators give.
+normalizer, which those generators give. The lattice keeps these classes
+(`SubgroupClass`), so readers that conjugation cannot change read one
+member per class.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import (
 __all__ = [
     "LATTICE_CAP",
     "Subgroup",
+    "SubgroupClass",
     "SubgroupLattice",
     "closure",
     "all_subgroups",
@@ -57,6 +60,10 @@ __all__ = [
 
 # Default order cap for full lattice enumeration.
 LATTICE_CAP = 2000
+
+# The conjugators of a class of one member: the identity alone.
+_IDENTITY = np.zeros(1, dtype=np.int64)
+_IDENTITY.flags.writeable = False
 
 
 class Subgroup:
@@ -188,12 +195,52 @@ def closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
 # full lattice enumeration
 
 
-class SubgroupLattice:
-    """All subgroups of a group, canonically ordered by (order, bitset)."""
+class SubgroupClass:
+    """One conjugacy class of subgroups: members[i] = J^conjugators[i].
 
-    def __init__(self, parent: FiniteGroup, subgroups: list[Subgroup]):
+    J = members[0] is the representative, with conjugator 0, the identity.
+    The conjugators are one per right coset of N_G(J), so the class has
+    |G : N_G(J)| members, and it has one exactly when J is normal.
+    """
+
+    __slots__ = ("members", "conjugators")
+
+    def __init__(self, members: list[Subgroup], conjugators: np.ndarray):
+        self.members = members
+        self.conjugators = conjugators
+
+    @property
+    def rep(self) -> Subgroup:
+        return self.members[0]
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def conjugates_of(self, S: Subgroup) -> list[Subgroup]:
+        """S^t for each conjugator t, S itself first.
+
+        With S = f(J) for a map f that commutes with conjugation (J' say),
+        entry i is f(members[i]). A trivial S, or the S of a class of one
+        member, is returned as it is.
+        """
+        if S.is_trivial or len(self.members) == 1:
+            return [S] * len(self.members)
+        return [S, *_conjugate_subgroups(S, self.conjugators[1:])]
+
+
+class SubgroupLattice:
+    """All subgroups of a group, kept as their conjugacy classes.
+
+    `classes` is the one record, in the order `all_subgroups` found them;
+    `subgroups` is their members, canonically ordered by (order, bitset).
+    """
+
+    def __init__(self, parent: FiniteGroup, classes: list[SubgroupClass]):
         self.parent = parent
-        self.subgroups = sorted(subgroups, key=Subgroup.sort_key)
+        self.classes = classes
+        self.subgroups = sorted(
+            [S for c in classes for S in c.members], key=Subgroup.sort_key
+        )
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -242,7 +289,14 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
     `core._grow` from N by G's generators gives, each J^t with J's
     generators conjugated by t. The identity comes first, so J itself
     represents its class on the work list. Member sets are keyed by their
-    bitsets.
+    bitsets, and a class's conjugates get theirs from one gather and one
+    `np.packbits`.
+
+    The lattice keeps each class as a `SubgroupClass`: its representative,
+    its conjugators and its members. The trivial class comes first, then
+    the atoms' classes, each the orbit of its least atom with the first
+    g in the `moved` table that carries it to each member, then the joins'
+    classes in the order they were found.
 
     This reaches every class. If K = R^g, then for an atom A,
     (K v A)^(g^-1) = R v A^(g^-1), and for n in N_G(R), R v A^n = (R v A)^n;
@@ -309,8 +363,15 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
     atom_ids = np.arange(len(atoms))
     # moved[g, a] = the atom a^g; an orbit's least atom represents it
     moved = np.asarray(atom_at, dtype=np.int64)[_conjugates(G, atom_gen_ids)]
-    g_reps = moved.min(axis=0) == atom_ids
+    orbit_rep = moved.min(axis=0)
+    g_reps = orbit_rep == atom_ids
     atom_normal = (moved == atom_ids).all(axis=0).tolist()
+    orbits: dict[int, list[int]] = {}
+    if not all(atom_normal):
+        # carries[b] is the first g that takes b's orbit representative to b
+        carries = (moved[:, orbit_rep] == atom_ids).argmax(axis=0)
+        for b, a in enumerate(orbit_rep.tolist()):
+            orbits.setdefault(a, []).append(b)
     primes = set(prime_factors(n))
     residual = 1  # D as a bitset
     if len(primes) > 1:
@@ -321,8 +382,8 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
         [b & ~residual == 0 for b in atom_bits], dtype=np.bool_
     )
 
-    subs = [trivial_subgroup(G), *atoms]
-    seen = {S.bits for S in subs}
+    classes = [SubgroupClass([trivial_subgroup(G)], _IDENTITY)]
+    seen = {1, *atom_bits}
     # work items (R, R's member mask, whether R is normal, the atoms to join)
     work: list[tuple[Subgroup, np.ndarray, bool, list[int]]] = []
 
@@ -345,7 +406,12 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
         work.append((R, member, stays is None, np.flatnonzero(todo).tolist()))
 
     for a in np.flatnonzero(g_reps).tolist():  # g normalizes <z> when it fixes it
-        stays = None if atom_normal[a] else moved[:, a] == a
+        if atom_normal[a]:
+            stays, c = None, SubgroupClass([atoms[a]], _IDENTITY)
+        else:
+            stays, orbit = moved[:, a] == a, orbits[a]
+            c = SubgroupClass([atoms[b] for b in orbit], carries[orbit])
+        classes.append(c)
         enqueue(atoms[a], np.frombuffer(atom_masks[a], dtype=np.bool_), stays)
 
     def add_class(J: Subgroup, member: np.ndarray, normal: bool) -> None:
@@ -360,15 +426,14 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
             stays = member[_conjugates(G, gen_ids)].all(axis=1)
             if stays.all():
                 stays = None
-        members = [J]
-        if stays is not None:
+        if stays is None:
+            c = SubgroupClass([J], _IDENTITY)
+        else:
             ts = _grow(G, stays, np.flatnonzero(stays), G.generators)[1]
-            ts = np.asarray(ts[1:])
-            rows = np.sort(_conjugates(G, J.ids(), ts), axis=1)
-            conj_gens = _conjugates(G, gen_ids, ts).tolist()
-            members += [_subgroup(G, row, g) for row, g in zip(rows, conj_gens)]
-        subs.extend(members)
-        seen.update(K.bits for K in members)
+            ts = np.asarray(ts, dtype=np.int64)
+            c = SubgroupClass([J, *_conjugate_subgroups(J, ts[1:])], ts)
+        classes.append(c)
+        seen.update(K.bits for K in c.members)
         if J.order < n:
             enqueue(J, member, stays)
 
@@ -393,7 +458,25 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
                 # a join of two normal subgroups is normal
                 add_class(J, j_member, r_normal and atom_normal[a])
 
-    return SubgroupLattice(G, subs)
+    return SubgroupLattice(G, classes)
+
+
+def _conjugate_subgroups(S: Subgroup, by: np.ndarray) -> list[Subgroup]:
+    """S^t for each t in `by`, with S's generators conjugated by t: one
+    conjugation gather for every member set and one `np.packbits` for
+    every bitset."""
+    G, k, m = S.parent, by.size, S.order
+    gens = np.array(S.gens, dtype=np.int64)
+    moved = _conjugates(G, np.append(S.ids(), gens), by)
+    rows = np.sort(moved[:, :m], axis=1)
+    member = np.zeros((k, G.order), dtype=np.bool_)
+    member[np.arange(k)[:, None], rows] = True
+    packed = np.packbits(member, axis=1, bitorder="little")
+    w, packed = packed.shape[1], packed.tobytes()
+    return [
+        Subgroup(G, g, row, int.from_bytes(packed[i * w : i * w + w], "little"))
+        for i, (row, g) in enumerate(zip(rows, moved[:, m:].tolist()))
+    ]
 
 
 def _conjugates(
@@ -429,18 +512,21 @@ def maximal_subgroups(
 ) -> list[Subgroup]:
     """Proper subgroups not contained in any other proper subgroup.
 
-    The proper subgroups are scanned by decreasing order. Every proper
-    subgroup lies in a maximal one of larger order unless it is maximal
-    itself, so a subgroup is maximal exactly when none of the maximal
-    subgroups found before it contains it. Returned in lattice order.
+    The classes of proper subgroups are scanned by decreasing order. Every
+    proper subgroup lies in a maximal one of larger order unless it is
+    maximal itself, so a subgroup is maximal exactly when none of the
+    maximal subgroups found before it contains it. Conjugates are maximal
+    together, so only each class's representative is tested. Returned in
+    lattice order.
     """
     if lattice is None:
         lattice = all_subgroups(G)
     found: list[Subgroup] = []
-    for s in reversed(lattice):
+    for c in sorted(lattice.classes, key=lambda c: -c.rep.order):
+        s = c.rep
         if not s.is_full and not any(s.bits & ~t.bits == 0 for t in found):
-            found.append(s)
-    return found[::-1]
+            found.extend(c.members)
+    return sorted(found, key=Subgroup.sort_key)
 
 
 def normal_closure(

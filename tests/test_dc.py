@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corpus_groups, lattice_nonp_groups, load_spec
 from dcgroup import constructors as C
 from dcgroup.cli import analyze_group, realize_spec
 from dcgroup.dc import (
@@ -24,7 +25,7 @@ from dcgroup.dc import (
     witness_property_check,
 )
 from dcgroup.errors import NotPGroup, NotTwoGroup
-from dcgroup.lattice import subgroup_as_group
+from dcgroup.lattice import LATTICE_CAP, join, meet, subgroup_as_group
 from dcgroup.structure import derived_subgroup
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -114,6 +115,56 @@ def test_s4_derived_set_is_a_sublattice_without_being_a_chain():
     ctx = GroupContext(C.symmetric(4))
     assert not ctx.ds.is_chain
     assert is_sublattice(ctx.ds, ctx.lattice).ok
+
+
+def test_class_derived_pairs_match_per_member_derived_subgroups():
+    """`derived_pairs`, one `derived_subgroup` per class conjugated to its
+    members, against `derived_subgroup` of every member: the same bitsets in
+    the same order, on S4, D8 x C2, He3, SL(2,3), A5, the corpus pos32 and
+    the lattice-nonp groups."""
+    groups = [
+        C.symmetric(4),
+        C.direct_product(C.dihedral(8), C.cyclic(2)),
+        C.extraspecial_p3(3, "p"),
+        C.sl23(),
+        C.alternating(5),
+        realize_spec(load_spec("pos32"), name="pos32"),
+        *lattice_nonp_groups().values(),
+    ]
+    for G in groups:
+        ctx = GroupContext(G)
+        got = [(H.bits, d.bits) for H, d in ctx.derived_pairs]
+        want = [(H.bits, derived_subgroup(G, H).bits) for H in ctx.lattice]
+        assert got == want, G.name
+
+
+def _all_pairs_sublattice(ds) -> bool:
+    """Every pair of incomparable DS members has its meet and join in DS."""
+    keys = {m.bits for m in ds.members}
+    for i, a in enumerate(ds.members):
+        for b in ds.members[i + 1 :]:
+            if a.issubset(b) or b.issubset(a):
+                continue
+            if meet(a, b).bits not in keys or join(a, b).bits not in keys:
+                return False
+    return True
+
+
+def test_sublattice_over_representative_pairs_matches_all_pairs():
+    """`is_sublattice`, which pairs only the J' of class representatives J
+    with every member, against the all-pairs scan: the same bool on every
+    corpus group up to LATTICE_CAP and the lattice-nonp groups. s4xs3's
+    DS(G) is not a chain but is a sublattice."""
+    groups = corpus_groups(LATTICE_CAP) + list(lattice_nonp_groups().values())
+    verdicts = {}
+    for G in groups:
+        ctx = GroupContext(G)
+        got = is_sublattice(ctx.ds, ctx.lattice).ok
+        assert got == _all_pairs_sublattice(ctx.ds), G.name
+        if not ctx.ds.is_chain:
+            verdicts[G.name] = got
+    assert verdicts["s4xs3"] is True
+    assert set(verdicts.values()) == {True, False}
 
 
 # -- oracle and fast verdicts -----------------------------------------------------------

@@ -397,6 +397,51 @@ def test_maximal_subgroups_match_all_pairs_definition():
     assert found >= 500
 
 
+def _class_check_groups() -> list:
+    """S4, D8 x C2, He3, SL(2,3), A5, the corpus pos32 and the lattice-nonp
+    groups."""
+    six = [BUILDERS[name]() for name in ("s4", "d8xc2", "he3", "sl23")]
+    six += [C.alternating(5), realize_spec(load_spec("pos32"), name="pos32")]
+    return six + list(lattice_nonp_groups().values())
+
+
+def test_lattice_classes_are_the_conjugacy_classes():
+    """Each class is J^t for its conjugators t, by scalar conjugation; it is
+    closed under conjugation by G's generators and has |G : N_G(J)| members,
+    so it is J's whole class; and the class sizes sum to |lattice|."""
+    from dcgroup.structure import normalizer
+
+    for G in _class_check_groups():
+        L = all_subgroups(G)
+        assert sum(len(c) for c in L.classes) == len(L), G.name
+        assert {S.bits for c in L.classes for S in c.members} == {S.bits for S in L}
+        for c in L.classes:
+            J = c.rep
+            assert c.conjugators[0] == 0 and len(c.conjugators) == len(c)
+            assert len(c) == G.order // normalizer(G, J).order, G.name
+            keys = {S.bits for S in c.members}
+            assert len(keys) == len(c)
+            for S, t in zip(c.members, c.conjugators.tolist()):
+                ids = J.ids().tolist()
+                assert sorted(G.conjugate(x, t) for x in ids) == S.ids().tolist()
+                for g in G.generators:
+                    moved = sorted(G.conjugate(x, g) for x in S.ids().tolist())
+                    assert sum(1 << x for x in moved) in keys
+
+
+def test_classes_of_one_member_are_the_normal_subgroups():
+    """A class has one member exactly when `is_normal` holds for it, on the
+    corpus groups up to LATTICE_CAP and the lattice-nonp groups."""
+    groups = corpus_groups(LATTICE_CAP) + list(lattice_nonp_groups().values())
+    normal = 0
+    for G in groups:
+        for c in all_subgroups(G).classes:
+            for S in c.members:
+                assert is_normal(G, S) == (len(c) == 1), (G.name, S.order)
+            normal += len(c) == 1
+    assert normal >= 500
+
+
 def test_brute_enumerator_cap():
     with pytest.raises(OrderCapExceeded):
         subgroups_brute(C.symmetric(4), cap=10)
