@@ -149,7 +149,9 @@ def _derived_set(
     deduplicate, sort, and test for a chain.
 
     Members come out sorted by (order, membership); the first incomparable
-    pair is found eagerly.
+    pair is found eagerly. Sorting by order makes the chain test local:
+    distinct same-order members are incomparable, and for ascending orders
+    comparability is exactly inclusion in the next member.
     """
     seen: dict = {}
     for H, d in pairs:
@@ -159,20 +161,10 @@ def _derived_set(
     witnesses = [h for _, h in ordered]
     reps = {d.bits for d in rep_derived}
     rep_members = [d for d in members if d.bits in reps]
-    return DerivedSet(G, members, witnesses, _chain_break(members), rep_members)
-
-
-def _chain_break(members: list[Subgroup]) -> tuple[Subgroup, Subgroup] | None:
-    """The first incomparable pair of distinct subgroups sorted by (order,
-    membership), or None for a chain.
-
-    Sorting by order makes the test local: distinct same-order members are
-    incomparable, and for ascending orders comparability is exactly
-    inclusion in the next member.
-    """
-    return next(
+    bad = next(
         ((a, b) for a, b in zip(members, members[1:]) if not a.issubset(b)), None
     )
+    return DerivedSet(G, members, witnesses, bad, rep_members)
 
 
 @dataclass
@@ -672,8 +664,8 @@ def _claim_dc_hereditary_subgroups(ctx: GroupContext):
     for H, _ in ctx.rep_pairs:
         # DS(H) = {S' : S <= H}; every S <= H is already in the lattice
         outside = ~H.bits
-        sub = {d.bits: d for S, d in pairs if not S.bits & outside}
-        bad = _chain_break(sorted(sub.values(), key=Subgroup.sort_key))
+        sub = [(S, d) for S, d in pairs if not S.bits & outside]
+        bad = _derived_set(ctx.G, sub, ()).incomparable_witness
         if bad is not None:
             return FAIL, (
                 f"subgroup of order {H.order} has incomparable derived "

@@ -61,11 +61,6 @@ __all__ = [
 # Default order cap for full lattice enumeration.
 LATTICE_CAP = 2000
 
-# The conjugators of a class of one member: the identity alone.
-_IDENTITY = np.zeros(1, dtype=np.int64)
-_IDENTITY.flags.writeable = False
-
-
 class Subgroup:
     """A subgroup of a fixed parent group, identified by its member set.
 
@@ -205,7 +200,7 @@ class SubgroupClass:
 
     __slots__ = ("members", "conjugators")
 
-    def __init__(self, members: list[Subgroup], conjugators: np.ndarray):
+    def __init__(self, members: list[Subgroup], conjugators: tuple[int, ...]):
         self.members = members
         self.conjugators = conjugators
 
@@ -369,7 +364,7 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
     orbits: dict[int, list[int]] = {}
     if not all(atom_normal):
         # carries[b] is the first g that takes b's orbit representative to b
-        carries = (moved[:, orbit_rep] == atom_ids).argmax(axis=0)
+        carries = (moved[:, orbit_rep] == atom_ids).argmax(axis=0).tolist()
         for b, a in enumerate(orbit_rep.tolist()):
             orbits.setdefault(a, []).append(b)
     primes = set(prime_factors(n))
@@ -382,7 +377,7 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
         [b & ~residual == 0 for b in atom_bits], dtype=np.bool_
     )
 
-    classes = [SubgroupClass([trivial_subgroup(G)], _IDENTITY)]
+    classes = [SubgroupClass([trivial_subgroup(G)], (0,))]
     seen = {1, *atom_bits}
     # work items (R, R's member mask, whether R is normal, the atoms to join)
     work: list[tuple[Subgroup, np.ndarray, bool, list[int]]] = []
@@ -407,10 +402,12 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
 
     for a in np.flatnonzero(g_reps).tolist():  # g normalizes <z> when it fixes it
         if atom_normal[a]:
-            stays, c = None, SubgroupClass([atoms[a]], _IDENTITY)
+            stays, c = None, SubgroupClass([atoms[a]], (0,))
         else:
             stays, orbit = moved[:, a] == a, orbits[a]
-            c = SubgroupClass([atoms[b] for b in orbit], carries[orbit])
+            c = SubgroupClass(
+                [atoms[b] for b in orbit], tuple(carries[b] for b in orbit)
+            )
         classes.append(c)
         enqueue(atoms[a], np.frombuffer(atom_masks[a], dtype=np.bool_), stays)
 
@@ -427,11 +424,10 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
             if stays.all():
                 stays = None
         if stays is None:
-            c = SubgroupClass([J], _IDENTITY)
+            c = SubgroupClass([J], (0,))
         else:
             ts = _grow(G, stays, np.flatnonzero(stays), G.generators)[1]
-            ts = np.asarray(ts, dtype=np.int64)
-            c = SubgroupClass([J, *_conjugate_subgroups(J, ts[1:])], ts)
+            c = SubgroupClass([J, *_conjugate_subgroups(J, ts[1:])], tuple(ts))
         classes.append(c)
         seen.update(K.bits for K in c.members)
         if J.order < n:
@@ -461,11 +457,12 @@ def all_subgroups(G: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
     return SubgroupLattice(G, classes)
 
 
-def _conjugate_subgroups(S: Subgroup, by: np.ndarray) -> list[Subgroup]:
+def _conjugate_subgroups(S: Subgroup, by: Sequence[int]) -> list[Subgroup]:
     """S^t for each t in `by`, with S's generators conjugated by t: one
     conjugation gather for every member set and one `np.packbits` for
     every bitset."""
-    G, k, m = S.parent, by.size, S.order
+    G, k, m = S.parent, len(by), S.order
+    by = np.asarray(by, dtype=np.int64)
     gens = np.array(S.gens, dtype=np.int64)
     moved = _conjugates(G, np.append(S.ids(), gens), by)
     rows = np.sort(moved[:, :m], axis=1)

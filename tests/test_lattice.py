@@ -421,7 +421,7 @@ def test_lattice_classes_are_the_conjugacy_classes():
             assert len(c) == G.order // normalizer(G, J).order, G.name
             keys = {S.bits for S in c.members}
             assert len(keys) == len(c)
-            for S, t in zip(c.members, c.conjugators.tolist()):
+            for S, t in zip(c.members, c.conjugators):
                 ids = J.ids().tolist()
                 assert sorted(G.conjugate(x, t) for x in ids) == S.ids().tolist()
                 for g in G.generators:
