@@ -6,20 +6,21 @@ sides: the committed files of `--base`, exported with `git archive` into a
 temporary directory that is removed on exit, and this checkout's working
 tree. Each side runs its own `perfbench/run.py`. Each pair runs both sides
 once per workload, and the side that goes first alternates from pair to
-pair. It writes `BENCH_<sha>.json`, <sha> being this checkout's HEAD, with
-per workload and end-to-end metric (as BENCHMARK.json declares them) both
-sides' values, medians and quartiles, and the pairs the working tree won;
-beside them the base sha, the seed, the machine, and each run's `failed`
-count.
+pair. Every run uses `--seed 1`. It writes `BENCH_<sha>.json`, <sha> being
+this checkout's HEAD, with per workload and end-to-end metric (as
+BENCHMARK.json declares them) both sides' values, medians and quartiles,
+and the pairs the working tree won; beside them the base sha, the seed,
+the machine, and each run's `failed` count.
 
     python3 scripts/bench_pairs.py --base HEAD~1
-    python3 scripts/bench_pairs.py --base HEAD~1 --pairs 5 --pairs lattice-nonp=10
+    python3 scripts/bench_pairs.py --base HEAD~1 --workload lattice-nonp --pairs 10
     python3 scripts/bench_pairs.py --base HEAD --workload smoke --pairs 1 --seconds 1 --out /tmp
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -32,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+SEED = 1
 
 
 def git(*args: str) -> str:
@@ -46,17 +48,14 @@ def export(ref: str, dest: Path) -> None:
         ["git", "-C", str(REPO), "archive", "--format=tar", ref],
         check=True, capture_output=True,
     ).stdout
-    archive = dest.with_suffix(".tar")
-    archive.write_bytes(blob)
-    with tarfile.open(archive) as tar:
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
         tar.extractall(dest)
-    archive.unlink()
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float | None) -> dict:
+def run_once(root: Path, workload: str, seconds: float | None) -> dict:
     """One `perfbench/run.py` run in root; the JSON of its last line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed)]
+           "--seed", str(SEED)]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
     out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True)
@@ -90,35 +89,21 @@ def summarize(runs: dict, declared: list[dict]) -> dict:
     return metrics
 
 
-def parse_pairs(items: list[str], workloads: list[str]) -> dict[str, int]:
-    """`N` sets every workload's pair count, `W=N` one workload's."""
-    counts = {w: 10 for w in workloads}
-    for item in items:
-        name, _, n = item.rpartition("=")
-        for w in [name] if name else workloads:
-            if w not in counts:
-                sys.exit(f"bench_pairs: --pairs names unknown workload {w!r}")
-            counts[w] = int(n)
-    return counts
-
-
 def main(argv=None) -> int:
     decl = json.loads((REPO / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git ref of the base side")
     ap.add_argument("--workload", action="append",
                     help="a workload to run (repeatable; default: BENCHMARK.json's)")
-    ap.add_argument("--pairs", action="append", default=[],
-                    help="pairs per workload, N or WORKLOAD=N (repeatable; default 10)")
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="pairs per workload (default 10)")
     ap.add_argument("--seconds", type=float, default=None,
                     help="passed to run.py; default: run.py's own")
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--out", type=Path, default=REPO,
                     help="directory for BENCH_<sha>.json (default: the repo root)")
     args = ap.parse_args(argv)
 
     workloads = args.workload or [w["name"] for w in decl["workloads"]]
-    counts = parse_pairs(args.pairs, workloads)
     base_sha = git("rev-parse", args.base)
     sha = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
@@ -132,7 +117,7 @@ def main(argv=None) -> int:
             "sha": sha,
             "dirty": dirty,
             "base": base_sha,
-            "seed": args.seed,
+            "seed": SEED,
             "seconds": args.seconds,
             "machine": {
                 "platform": platform.platform(),
@@ -144,14 +129,14 @@ def main(argv=None) -> int:
         }
         for w in workloads:
             runs = {"base": [], "change": []}
-            for i in range(counts[w]):
+            for i in range(args.pairs):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
-                    runs[side].append(run_once(sides[side], w, args.seed, args.seconds))
-                print(f"{w}: pair {i + 1} of {counts[w]} done", file=sys.stderr)
+                    runs[side].append(run_once(sides[side], w, args.seconds))
+                print(f"{w}: pair {i + 1} of {args.pairs} done", file=sys.stderr)
             report["workloads"][w] = {
-                "pairs": counts[w],
-                "first": ["base" if i % 2 == 0 else "change" for i in range(counts[w])],
+                "pairs": args.pairs,
+                "first": ["base" if i % 2 == 0 else "change" for i in range(args.pairs)],
                 "failed": {s: [r["failed"] for r in runs[s]] for s in runs},
                 "metrics": summarize(runs, decl["end_to_end"]),
             }

@@ -123,9 +123,11 @@ ERROR = "error"
 class DerivedSet:
     """Deduplicated {H' : H <= G} with one witness H per member.
 
-    `rep_members` are the distinct J' of the lattice's class
-    representatives J. Every member is (J^t)' = (J')^t for some J and t,
-    so every member is conjugate to one of them.
+    `rep_members` are the members `is_sublattice` pairs with every member.
+    Built from a lattice's class representatives J they are the distinct
+    J': every member is (J^t)' = (J')^t for some J and t, so every member
+    is conjugate to one of them. Built without representatives they are
+    all the members.
     """
 
     parent: FiniteGroup
@@ -143,10 +145,11 @@ class DerivedSet:
 def _derived_set(
     G: FiniteGroup,
     pairs: Iterable[tuple[Subgroup, Subgroup]],
-    rep_derived: Iterable[Subgroup],
+    rep_derived: Iterable[Subgroup] | None = None,
 ) -> DerivedSet:
     """DS from (H, H') pairs and the J' of the class representatives J:
-    deduplicate, sort, and test for a chain.
+    deduplicate, sort, and test for a chain. Without `rep_derived` every
+    member counts as a representative, so `is_sublattice` checks all pairs.
 
     Members come out sorted by (order, membership); the first incomparable
     pair is found eagerly. Sorting by order makes the chain test local:
@@ -159,8 +162,11 @@ def _derived_set(
     ordered = sorted(seen.values(), key=lambda t: t[0].sort_key())
     members = [d for d, _ in ordered]
     witnesses = [h for _, h in ordered]
-    reps = {d.bits for d in rep_derived}
-    rep_members = [d for d in members if d.bits in reps]
+    if rep_derived is None:
+        rep_members = members
+    else:
+        reps = {d.bits for d in rep_derived}
+        rep_members = [d for d in members if d.bits in reps]
     bad = next(
         ((a, b) for a, b in zip(members, members[1:]) if not a.issubset(b)), None
     )
@@ -665,7 +671,7 @@ def _claim_dc_hereditary_subgroups(ctx: GroupContext):
         # DS(H) = {S' : S <= H}; every S <= H is already in the lattice
         outside = ~H.bits
         sub = [(S, d) for S, d in pairs if not S.bits & outside]
-        bad = _derived_set(ctx.G, sub, ()).incomparable_witness
+        bad = _derived_set(ctx.G, sub).incomparable_witness
         if bad is not None:
             return FAIL, (
                 f"subgroup of order {H.order} has incomparable derived "

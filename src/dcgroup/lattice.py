@@ -61,6 +61,7 @@ __all__ = [
 # Default order cap for full lattice enumeration.
 LATTICE_CAP = 2000
 
+
 class Subgroup:
     """A subgroup of a fixed parent group, identified by its member set.
 

@@ -15,6 +15,7 @@ from dcgroup.cli import analyze_group, realize_spec
 from dcgroup.dc import (
     CLAIMS,
     GroupContext,
+    _derived_set,
     auto_pairs,
     census_claims,
     dc_2group_predicate,
@@ -154,13 +155,16 @@ def test_sublattice_over_representative_pairs_matches_all_pairs():
     """`is_sublattice`, which pairs only the J' of class representatives J
     with every member, against the all-pairs scan: the same bool on every
     corpus group up to LATTICE_CAP and the lattice-nonp groups. s4xs3's
-    DS(G) is not a chain but is a sublattice."""
+    DS(G) is not a chain but is a sublattice. A DerivedSet built without
+    representatives pairs every member, so it gets the same verdict."""
     groups = corpus_groups(LATTICE_CAP) + list(lattice_nonp_groups().values())
     verdicts = {}
     for G in groups:
         ctx = GroupContext(G)
         got = is_sublattice(ctx.ds, ctx.lattice).ok
         assert got == _all_pairs_sublattice(ctx.ds), G.name
+        bare = _derived_set(G, ctx.derived_pairs)
+        assert is_sublattice(bare, ctx.lattice).ok == got, G.name
         if not ctx.ds.is_chain:
             verdicts[G.name] = got
     assert verdicts["s4xs3"] is True
