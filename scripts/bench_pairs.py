@@ -6,7 +6,12 @@ sides: the committed files of `--base`, exported with `git archive` into a
 temporary directory that is removed on exit, and this checkout's working
 tree. Each side runs its own `perfbench/run.py`. Each pair runs both sides
 once per workload, and the side that goes first alternates from pair to
-pair. Every run uses `--seed 1`. It writes `BENCH_<sha>.json`, <sha> being
+pair. Every run uses `--seed 1`. Each side reads its bytecode from its own
+`PYTHONPYCACHEPREFIX` under the temporary directory, filled before the
+first pair by one pass of each workload with bytecode writing on. So
+neither side compiles what it imports during a timed run, whether or not
+the environment sets PYTHONDONTWRITEBYTECODE, and an export, which has no
+`__pycache__`, starts from the same state as the working tree. It writes `BENCH_<sha>.json`, <sha> being
 this checkout's HEAD, with per workload and end-to-end metric (as
 BENCHMARK.json declares them) both sides' values, medians and quartiles,
 and the pairs the working tree won; beside them the base sha, the seed,
@@ -52,14 +57,25 @@ def export(ref: str, dest: Path) -> None:
         tar.extractall(dest)
 
 
-def run_once(root: Path, workload: str, seconds: float | None) -> dict:
+def run_once(root: Path, workload: str, seconds: float | None, env: dict) -> dict:
     """One `perfbench/run.py` run in root; the JSON of its last line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(SEED)]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
-    out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True)
+    out = subprocess.run(cmd, cwd=root, env=env, check=True, capture_output=True,
+                         text=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def compile_into(prefix: Path, root: Path, workloads: list[str]) -> dict:
+    """The environment of root's runs, its bytecode under prefix: one pass
+    of each workload, bytecode writing on, compiles all that they import."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(prefix)
+    for w in workloads:
+        run_once(root, w, 0, env)
+    return {**os.environ, "PYTHONPYCACHEPREFIX": str(prefix)}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -113,6 +129,10 @@ def main(argv=None) -> int:
         base_root = tmp / "base"
         export(base_sha, base_root)
         sides = {"base": base_root, "change": REPO}
+        envs = {
+            side: compile_into(tmp / "pycache" / side, root, workloads)
+            for side, root in sides.items()
+        }
         report = {
             "sha": sha,
             "dirty": dirty,
@@ -132,7 +152,7 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
-                    runs[side].append(run_once(sides[side], w, args.seconds))
+                    runs[side].append(run_once(sides[side], w, args.seconds, envs[side]))
                 print(f"{w}: pair {i + 1} of {args.pairs} done", file=sys.stderr)
             report["workloads"][w] = {
                 "pairs": args.pairs,

@@ -8,6 +8,11 @@ Sections:
           commutator relations and the property bundle
   group2  fixed order-5^7 witness with two generators of order 25
 
+Both p^7 witnesses are also decided by the maximal-subgroup descent
+(`pgroup_descent`), which must find DS(G) a chain of 6 members. It keeps
+member arrays and bitsets of |G| ids, so above order 7^7 it is skipped
+with that reason.
+
 Each line prints ok/FAIL; the exit code is the number of failed checks.
 Every section runs in full, the lattice-wide s6 sublattice refutation and
 both maximal-subgroup property bundles included.
@@ -26,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dcgroup import constructors as C
 from dcgroup.core import perm_from_cycles
-from dcgroup.dc import GroupContext, is_sublattice, witness_property_check
+from dcgroup.dc import GroupContext, is_sublattice, pgroup_descent, witness_property_check
 from dcgroup.lattice import closure, meet
 from dcgroup.pc import check_consistency
 from dcgroup.structure import (
@@ -38,6 +43,9 @@ from dcgroup.structure import (
 )
 
 FAILURES = 0
+# Largest witness the descent decides here: it holds member arrays and
+# bitsets of |G| ids, 310 MB peak at 7^7.
+DESCENT_MAX_ORDER = 7**7
 
 
 def check(label: str, ok: bool, note: str = "") -> None:
@@ -51,6 +59,19 @@ def check(label: str, ok: bool, note: str = "") -> None:
 
 def section(title: str) -> None:
     print(f"\n== {title} ==")
+
+
+def verify_descent(G) -> None:
+    """The descent's verdict: DC, with |DS(G)| = 6, or a skip above the cap."""
+    if G.order > DESCENT_MAX_ORDER:
+        print(f"  [skip] descent: |G| = {G.order} exceeds {DESCENT_MAX_ORDER}; "
+              "it would hold member arrays and bitsets of |G| ids")
+        return
+    t0 = time.monotonic()
+    v = pgroup_descent(G)
+    check("the maximal-subgroup descent finds DS(G) a chain of 6 members",
+          v.is_dc and v.ds_size == 6, f"is_dc {v.is_dc}, {v.ds_size} members")
+    print(f"  (descent took {time.monotonic() - t0:.1f}s)")
 
 
 def verify_s6() -> None:
@@ -122,6 +143,7 @@ def verify_group1(p: int) -> None:
     for name, ok in props.items():
         check(name, ok)
     print(f"  (property bundle took {time.monotonic() - t0:.1f}s)")
+    verify_descent(G)
 
 
 def verify_group2() -> None:
@@ -143,6 +165,7 @@ def verify_group2() -> None:
     for name, ok in props.items():
         check(name, ok)
     print(f"  (property bundle took {time.monotonic() - t0:.1f}s)")
+    verify_descent(G)
 
 
 def main() -> int:

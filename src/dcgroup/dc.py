@@ -21,18 +21,31 @@ Verdict methods, from strongest to weakest evidence:
   properties-verified        order-p^7 reference shape: the properties the
                              source argument relies on were all confirmed,
                              but no oracle ran
+
+`pgroup_descent` decides a p-group without a lattice (method `descent`),
+exactly, by walking its maximal subgroups. The claims that need only a
+constructed group's verdict (the quotients of `dc-hereditary-quotients` and
+the products of `pair_claims`) read it through `_is_dc`, which keeps the
+oracle's answer and cap everywhere else; the oracle is its cross-check.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 from math import comb
 
 import numpy as np
 
-from .core import FiniteGroup, QuotientGroup, _pick_generators, prime_factors, prime_power
+from .core import (
+    TABLE_CAP,
+    FiniteGroup,
+    QuotientGroup,
+    _pick_generators,
+    prime_factors,
+    prime_power,
+)
 from .errors import (
     DcgroupError,
     NotPGroup,
@@ -48,6 +61,7 @@ from .lattice import (
     SubgroupLattice,
     all_subgroups,
     closure,
+    full_subgroup,
     join,
     maximal_subgroups,
     meet,
@@ -86,6 +100,7 @@ __all__ = [
     "is_sublattice",
     "DcVerdict",
     "is_dc_fast",
+    "pgroup_descent",
     "dc_2group_predicate",
     "dc_sufficient_conditions",
     "witness_property_check",
@@ -341,6 +356,59 @@ def is_dc_fast(ctx: GroupContext) -> DcVerdict | None:
         if name in conds:
             return DcVerdict(True, _CONDITION_METHOD[name])
     return None
+
+
+def pgroup_descent(G: FiniteGroup) -> DcVerdict:
+    """Exact verdict for a p-group by the maximal-subgroup descent, no lattice.
+
+    DS(H) = {H'} with the DS(M) of H's maximal subgroups M, since every
+    proper subgroup of H lies in one. So H walks down from G through
+    `pgroup_maximal_subgroups`, each subgroup visited once, and each H' is
+    keyed by its bitset. The first H' incomparable with an earlier member
+    is the witness that G is not DC. Below an H whose H' is cyclic, with
+    all log_p|H'| + 1 of its subgroups already members, nothing new can
+    appear: every S <= H has S' <= H'. So on a DC group the members found
+    are all of DS(G), and `ds_size` is their count.
+    """
+    p, _ = _require_pgroup(G)
+    members: list[Subgroup] = []
+    seen: set[int] = set()
+    todo = [full_subgroup(G)]
+    while todo:
+        H = todo.pop()
+        d = derived_subgroup(G, H)
+        inside, new = 0, True
+        for m in members:
+            if m.issubset(d):
+                inside += 1
+                new = new and m.order < d.order
+            elif not d.issubset(m):
+                return DcVerdict(False, "descent", witness=(m, d))
+        if new:
+            members.append(d)
+            inside += 1
+        if p**(inside - 1) == d.order and is_cyclic(G, d):
+            continue
+        # reversed, so that the walk goes on from H's first maximal subgroup
+        for M in reversed(pgroup_maximal_subgroups(G, H)):
+            if M.bits not in seen:
+                seen.add(M.bits)
+                todo.append(M)
+    return DcVerdict(True, "descent", ds_size=len(members))
+
+
+def _is_dc(G: FiniteGroup, cap: int) -> bool | None:
+    """What `GroupContext(G, cap).is_dc` answers, without the lattice where
+    the descent decides: True for an abelian G at any order, None where the
+    lattice is beyond the cap, the descent's verdict on a non-abelian
+    p-group and the oracle's on any other group."""
+    if G.is_abelian:
+        return True
+    if G.order > min(cap, TABLE_CAP):
+        return None
+    if is_pgroup(G) is not None:
+        return pgroup_descent(G).is_dc
+    return GroupContext(G, cap).is_dc
 
 
 # -- census machinery ----------------------------------------------------------
@@ -682,13 +750,14 @@ def _claim_dc_hereditary_subgroups(ctx: GroupContext):
 
 @_claim("dc-hereditary-quotients", _HAS_ORACLE, _IS_DC, _HAS_LATTICE)
 def _claim_dc_hereditary_quotients(ctx: GroupContext):
-    """The normal subgroups are the classes of one member."""
+    """The normal subgroups are the classes of one member. G/N is abelian,
+    so DC, when N contains G'; only the other quotients are built."""
     normal = [c.rep for c in ctx.lattice.classes if len(c) == 1]
     for N in sorted(normal, key=Subgroup.sort_key):
-        if N.order in (1, ctx.G.order):
+        if N.order in (1, ctx.G.order) or not ctx.derived.bits & ~N.bits:
             continue
         Q = QuotientGroup(ctx.G, [int(v) for v in N.ids()])
-        if not GroupContext(Q, ctx.cap).is_dc:
+        if not _is_dc(Q, ctx.cap):
             return FAIL, f"quotient by normal subgroup of order {N.order}"
     return PASS, ""
 
@@ -1101,9 +1170,9 @@ def auto_pairs(
     Entries are (id, order, abelian, p) rows; G ranges over non-abelian
     p-groups of order at most PAIR_LEFT_CAP, A over p-groups for the same
     prime with |G||A| <= PAIR_PRODUCT_CAP. Pairs come out ordered by id and
-    truncated to PAIR_LIMIT. The product bound stays small because
-    the claims run the subgroup-lattice oracle on G x A, whose cost grows
-    with the subgroup count, not the order.
+    truncated to PAIR_LIMIT. The claims decide G x A by the descent
+    (`_is_dc`), whose cost grows with the subgroups it visits, not the
+    order.
     """
     info = {gid: (order, ab, p) for gid, order, ab, p in entries}
     lefts = sorted(
@@ -1133,36 +1202,39 @@ def pair_claims(
     Direct: G x A is DC iff G is DC and A is abelian.
     Central (abelian A sharing a prime-order central element): the glued
     product is DC iff G is.
-    Each claim is recorded as `_guarded` says, so a raising one is an
+    Every verdict is `_is_dc`'s, so the cap skips a product as the lattice
+    oracle would. Each claim is recorded as `_guarded` says, so a raising one is an
     `error` for that claim alone.
     """
     from .constructors import central_product, direct_product
 
-    left = GroupContext(G, lattice_cap)
+    @cache
+    def left() -> bool | None:
+        return _is_dc(G, lattice_cap)
 
     def direct():
-        if left.is_dc is None:
+        if left() is None:
             return SKIP, "left factor lattice beyond cap"
-        want = left.is_dc and A.is_abelian
-        got = GroupContext(direct_product(G, A), lattice_cap).is_dc
+        want = left() and A.is_abelian
+        got = _is_dc(direct_product(G, A), lattice_cap)
         if got is None:
             return SKIP, "product lattice beyond cap"
         return _verdict(got == want, f"product verdict {got}, factors say {want}")
 
     def central():
-        if left.is_dc is None:
+        if left() is None:
             return SKIP, "left factor lattice beyond cap"
         if not A.is_abelian:
             return SKIP, "right factor is not abelian"
-        p = left.pn[0]
+        p = prime_power(G.order)[0]
         za = _central_element_of_order(G, p)
         zb = _central_element_of_order(A, p)
         if za is None or zb is None:
             return SKIP, f"no central element of order {p} on both sides"
-        got = GroupContext(central_product(G, A, [(za, zb)]), lattice_cap).is_dc
+        got = _is_dc(central_product(G, A, [(za, zb)]), lattice_cap)
         if got is None:
             return SKIP, "product lattice beyond cap"
-        return _verdict(got == left.is_dc, f"glued verdict {got}, left factor {left.is_dc}")
+        return _verdict(got == left(), f"glued verdict {got}, left factor {left()}")
 
     return [
         _guarded("direct-product-dc-iff", direct),

@@ -9,12 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_groups, lattice_nonp_groups, load_spec
+import dcgroup.dc as dc_module
+from conftest import (
+    corpus_groups,
+    corpus_ids,
+    corpus_pgroups,
+    lattice_nonp_groups,
+    load_script,
+    load_spec,
+)
 from dcgroup import constructors as C
-from dcgroup.cli import analyze_group, realize_spec
+from dcgroup.cli import _pair_entry, analyze_group, realize_spec
+from dcgroup.core import QuotientGroup, prime_power
 from dcgroup.dc import (
     CLAIMS,
+    DcVerdict,
     GroupContext,
+    _central_element_of_order,
     _derived_set,
     auto_pairs,
     census_claims,
@@ -23,10 +34,12 @@ from dcgroup.dc import (
     is_dc_fast,
     is_sublattice,
     pair_claims,
+    pgroup_descent,
     witness_property_check,
 )
 from dcgroup.errors import NotPGroup, NotTwoGroup
 from dcgroup.lattice import LATTICE_CAP, join, meet, subgroup_as_group
+from dcgroup.pc import realize_pc_group
 from dcgroup.structure import derived_subgroup
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -256,8 +269,6 @@ def test_witness_property_check_group2():
 
 
 def test_group2_analysis_builds_maximals_and_bundle_once(monkeypatch):
-    import dcgroup.dc as dc_module
-
     calls = {"pgroup_maximal_subgroups": 0, "witness_property_check": 0}
 
     def counted(name):
@@ -297,6 +308,123 @@ def test_group2_analysis_builds_its_lower_central_series_once(monkeypatch):
     assert builds.count(G.order) == 1
     assert row["invariants"]["cl"] == 6
     assert structure.nilpotency_class(G) == 6 and builds.count(G.order) == 1
+
+
+# -- the maximal-subgroup descent against the oracle ------------------------------
+
+
+def _descent_matches_oracle(G) -> bool:
+    """`pgroup_descent` against the lattice oracle on one p-group: the same
+    `is_dc`, the same `ds_size` on a DC group, and otherwise a witness pair
+    of incomparable subgroups. Returns the verdict."""
+    got, want = pgroup_descent(G), GroupContext(G).oracle
+    assert got.is_dc == want.is_dc, G.name
+    if want.is_dc:
+        assert got.ds_size == want.ds_size, G.name
+    else:
+        a, b = got.witness
+        assert not a.issubset(b) and not b.issubset(a), G.name
+    return want.is_dc
+
+
+def _grid_groups() -> list:
+    """The consistent points of the order-32 and order-243 rule grids."""
+    search = load_script("search_presentations")
+    out = []
+    for rel_orders, grid in (((2,) * 5, search.grid_32), ((3,) * 5, search.grid_243)):
+        for powers, comms in grid():
+            pres = search.consistent(rel_orders, powers, comms)
+            if pres is not None:
+                out.append(realize_pc_group(pres))
+    return out
+
+
+def _proper_quotients(G) -> list:
+    """G/N for each normal N with 1 < N < G."""
+    return [
+        QuotientGroup(G, [int(v) for v in c.rep.ids()])
+        for c in GroupContext(G).lattice.classes
+        if len(c) == 1 and c.rep.order not in (1, G.order)
+    ]
+
+
+def test_descent_matches_oracle_on_pgroups_and_their_quotients():
+    """On the 161 non-abelian p-groups (the corpus p-groups up to
+    LATTICE_CAP and the consistent grid points) and on every G/N of the DC
+    ones among them and of the abelian corpus p-groups."""
+    pgroups = corpus_pgroups(LATTICE_CAP) + _grid_groups()
+    nonabelian = [G for G in pgroups if not G.is_abelian]
+    assert len(nonabelian) == 161
+    verdicts = {G.name: _descent_matches_oracle(G) for G in nonabelian}
+    assert set(verdicts.values()) == {True, False}
+    quotients = [
+        Q
+        for G in pgroups
+        if G.is_abelian or verdicts[G.name]
+        for Q in _proper_quotients(G)
+    ]
+    assert sum(not Q.is_abelian for Q in quotients) > 400
+    # DC passes to quotients, so the descent must find every one DC
+    assert all(_descent_matches_oracle(Q) for Q in quotients)
+
+
+def _census_pair_products() -> list:
+    """G x A and, where both sides have a central element of order p, the
+    glued G * A, for each pair `auto_pairs` picks from the corpus."""
+    specs = {gid: load_spec(gid) for gid in corpus_ids()}
+    entries = [_pair_entry(gid, spec) for gid, spec in specs.items()]
+    out = []
+    for gid, aid in auto_pairs(entries):
+        G = realize_spec(specs[gid], name=gid)
+        A = realize_spec(specs[aid], name=aid)
+        out.append(C.direct_product(G, A))
+        p = prime_power(G.order)[0]
+        za, zb = _central_element_of_order(G, p), _central_element_of_order(A, p)
+        if A.is_abelian and za is not None and zb is not None:
+            out.append(C.central_product(G, A, [(za, zb)]))
+    return out
+
+
+def test_descent_matches_oracle_on_census_pair_products():
+    products = _census_pair_products()
+    assert len(products) == 22
+    verdicts = [_descent_matches_oracle(P) for P in products]
+    assert verdicts.count(False) == 4
+
+
+def _descent_wrong_above(monkeypatch, order: int) -> None:
+    """Make the descent give the opposite verdict on groups above order."""
+    real = dc_module.pgroup_descent
+
+    def flipped(G):
+        v = real(G)
+        return v if G.order <= order else DcVerdict(not v.is_dc, v.method)
+
+    monkeypatch.setattr(dc_module, "pgroup_descent", flipped)
+
+
+def test_hereditary_quotients_claim_reads_the_descent(monkeypatch):
+    # D16's one quotient that is not abelian is D16/Z = D8
+    _descent_wrong_above(monkeypatch, 0)
+    results = {r.claim: r for r in census_claims(GroupContext(C.dihedral(16)))}
+    r = results["dc-hereditary-quotients"]
+    assert (r.status, r.detail) == ("fail", "quotient by normal subgroup of order 2")
+
+
+def test_direct_product_claim_reads_the_descent(monkeypatch):
+    _descent_wrong_above(monkeypatch, 8)
+    r = pair_claims(C.dihedral(8), C.cyclic(2))[0]
+    assert (r.claim, r.status, r.detail) == (
+        "direct-product-dc-iff", "fail", "product verdict False, factors say True"
+    )
+
+
+def test_central_product_claim_reads_the_descent(monkeypatch):
+    _descent_wrong_above(monkeypatch, 8)
+    r = pair_claims(C.dihedral(8), C.cyclic(4))[1]
+    assert (r.claim, r.status, r.detail) == (
+        "central-product-dc-iff", "fail", "glued verdict False, left factor True"
+    )
 
 
 # -- claims ------------------------------------------------------------------------
