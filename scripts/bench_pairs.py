@@ -11,11 +11,11 @@ pair. Every run uses `--seed 1`. Each side reads its bytecode from its own
 first pair by one pass of each workload with bytecode writing on. So
 neither side compiles what it imports during a timed run, whether or not
 the environment sets PYTHONDONTWRITEBYTECODE, and an export, which has no
-`__pycache__`, starts from the same state as the working tree. It writes `BENCH_<sha>.json`, <sha> being
-this checkout's HEAD, with per workload and end-to-end metric (as
-BENCHMARK.json declares them) both sides' values, medians and quartiles,
-and the pairs the working tree won; beside them the base sha, the seed,
-the machine, and each run's `failed` count.
+`__pycache__`, starts from the same state as the working tree. It writes
+`BENCH_<sha>.json`, <sha> being this checkout's HEAD, with per workload
+and end-to-end metric (as BENCHMARK.json declares them) both sides'
+values, medians and quartiles, and the pairs the working tree won; beside
+them the base sha, the seed, the machine, and each run's `failed` count.
 
     python3 scripts/bench_pairs.py --base HEAD~1
     python3 scripts/bench_pairs.py --base HEAD~1 --workload lattice-nonp --pairs 10
@@ -152,7 +152,9 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
-                    runs[side].append(run_once(sides[side], w, args.seconds, envs[side]))
+                    runs[side].append(
+                        run_once(sides[side], w, args.seconds, envs[side])
+                    )
                 print(f"{w}: pair {i + 1} of {args.pairs} done", file=sys.stderr)
             report["workloads"][w] = {
                 "pairs": args.pairs,

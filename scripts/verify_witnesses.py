@@ -31,7 +31,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dcgroup import constructors as C
 from dcgroup.core import perm_from_cycles
-from dcgroup.dc import GroupContext, is_sublattice, pgroup_descent, witness_property_check
+from dcgroup.dc import (
+    GroupContext,
+    is_sublattice,
+    pgroup_descent,
+    witness_property_check,
+)
 from dcgroup.lattice import closure, meet
 from dcgroup.pc import check_consistency
 from dcgroup.structure import (

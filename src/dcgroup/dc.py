@@ -389,7 +389,8 @@ def pgroup_descent(G: FiniteGroup) -> DcVerdict:
             inside += 1
         if p**(inside - 1) == d.order and is_cyclic(G, d):
             continue
-        # reversed, so that the walk goes on from H's first maximal subgroup
+        # H's first maximal subgroup is walked first: on group1 at p = 7
+        # that takes 2813 visits, and the last one first 6406
         for M in reversed(pgroup_maximal_subgroups(G, H)):
             if M.bits not in seen:
                 seen.add(M.bits)
@@ -1203,8 +1204,8 @@ def pair_claims(
     Central (abelian A sharing a prime-order central element): the glued
     product is DC iff G is.
     Every verdict is `_is_dc`'s, so the cap skips a product as the lattice
-    oracle would. Each claim is recorded as `_guarded` says, so a raising one is an
-    `error` for that claim alone.
+    oracle would. Each claim is recorded as `_guarded` says, so a raising
+    one is an `error` for that claim alone.
     """
     from .constructors import central_product, direct_product
 
