@@ -13,6 +13,11 @@ Both p^7 witnesses are also decided by the maximal-subgroup descent
 member arrays and bitsets of |G| ids, so above order 7^7 it is skipped
 with that reason.
 
+group1 also runs first as a census row (`cli.analyze_group`) in a child
+process, which must find it DC with no claim failed or errored. The row's
+seconds and peak resident set are printed against a target of 2 s and
+400 MB, which is reported, not checked.
+
 Each line prints ok/FAIL; the exit code is the number of failed checks.
 Every section runs in full, the lattice-wide s6 sublattice refutation and
 both maximal-subgroup property bundles included.
@@ -23,6 +28,9 @@ Usage:
 """
 
 import argparse
+import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -51,6 +59,25 @@ FAILURES = 0
 # Largest witness the descent decides here: it holds member arrays and
 # bitsets of |G| ids, 310 MB peak at 7^7.
 DESCENT_MAX_ORDER = 7**7
+# What the census row of group1 should take at p = 11, wall and peak.
+ROW_TARGET_S, ROW_TARGET_MB = 2.0, 400
+
+# Child process: realize the spec in argv[1] and analyze it as the census
+# does; print the verdict, the failed claims, the seconds and ru_maxrss.
+ROW_CHILD = """
+import json, resource, sys, time
+from dcgroup import cli
+spec = json.loads(sys.argv[1])
+t0 = time.perf_counter()
+report = cli.analyze_group(cli.realize_spec(spec, name="group1"), spec)
+print(json.dumps({
+    "s": time.perf_counter() - t0,
+    "mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "dc": report["dc"],
+    "failed": [c["claim"] for c in report["claims"]
+               if c["status"] in ("fail", "error")],
+}))
+"""
 
 
 def check(label: str, ok: bool, note: str = "") -> None:
@@ -77,6 +104,35 @@ def verify_descent(G) -> None:
     check("the maximal-subgroup descent finds DS(G) a chain of 6 members",
           v.is_dc and v.ds_size == 6, f"is_dc {v.is_dc}, {v.ds_size} members")
     print(f"  (descent took {time.monotonic() - t0:.1f}s)")
+
+
+def verify_census_row(pres) -> None:
+    """group1's census row in a fresh interpreter, against the row target."""
+    def word(w):
+        return [[g + 1, e] for g, e in w]
+
+    spec = {
+        "kind": "pc",
+        "orders": list(pres.rel_orders),
+        "powers": {str(i + 1): word(w) for i, w in pres.powers.items()},
+        "commutators": {
+            f"({j + 1},{i + 1})": word(w) for (j, i), w in pres.commutators.items()
+        },
+    }
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", ROW_CHILD, json.dumps(spec)],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    if out.returncode:
+        check("the census row runs", False,
+              f"exit {out.returncode}: {out.stderr.strip()[-300:]}")
+        return
+    row = json.loads(out.stdout)
+    check("the census row finds G DC, and no claim fails or errs",
+          row["dc"]["is_dc"] is True and not row["failed"],
+          f"{row['dc']}, failed {row['failed']}")
+    print(f"  (census row took {row['s']:.1f}s and {row['mb']:.0f} MB ru_maxrss; "
+          f"target {ROW_TARGET_S:.0f}s and {ROW_TARGET_MB} MB)")
 
 
 def verify_s6() -> None:
@@ -125,6 +181,9 @@ def verify_group1(p: int) -> None:
     section(f"group1: two-generated order {p}^7 witness")
     b = C.witness_bundle("group1", p=p)
     G = b.group
+    # before this process builds G's larger tables, so the two peaks do not
+    # add up
+    verify_census_row(G.pres)
     check(f"presentation is consistent and |G| = {p}**7 = {p ** 7}",
           check_consistency(G.pres) is None and G.order == p ** 7)
 

@@ -487,9 +487,10 @@ def run_census(
 
     Spec files that fail to parse or realize are recorded under "skipped"
     and do not abort the run. Each other spec is realized once up front to
-    choose the product pairs; the groups and then the pairs run as tasks of
-    one worker pool. The report is independent of the job count. A worker
-    that dies takes the pool down, and raises DcgroupError with no report.
+    choose the product pairs; the groups, largest order first, and then the
+    pairs run as tasks of one worker pool. The report is independent of the
+    job count and of the task order. A worker that dies takes the pool
+    down, and raises DcgroupError with no report.
     """
     corpus = Path(corpus_dir)
     if not corpus.is_dir():
@@ -511,7 +512,9 @@ def run_census(
         else:
             specs[gid] = spec
 
-    group_work = [(gid, spec, lattice_cap, seed) for gid, spec in specs.items()]
+    # largest groups first, so no large row starts last and runs alone
+    by_size = sorted(entries, key=lambda e: (-e[1], e[0]))
+    group_work = [(gid, specs[gid], lattice_cap, seed) for gid, *_ in by_size]
     pair_work = [
         (gid, specs[gid], aid, specs[aid], lattice_cap)
         for gid, aid in auto_pairs(entries)

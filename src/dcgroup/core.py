@@ -360,20 +360,32 @@ class FiniteGroup:
             self._all_ids.flags.writeable = False
         return self._all_ids
 
+    def _power_block(self) -> int:
+        """Ids per block of consecutive ids on which x -> x^p is constant.
+
+        A backend whose ids come in blocks that are the cosets x C of a
+        central subgroup C of exponent p returns |C|, as (xc)^p = x^p c^p =
+        x^p there; the default is 1.
+        """
+        return 1
+
     def power_map(self) -> np.ndarray:
         """P with P[x] = x^p for a group of order p^n, cached.
 
-        Filled BLOCK ids at a time and stored as `ID32`. Raises NotPGroup
-        for other orders.
+        Only the first id of each `_power_block` is raised to the p-th
+        power, BLOCK of them at a time, and its power fills its block of P
+        in place. P is stored as `ID32`. Raises NotPGroup for other orders.
         """
         if self._power_map is None:
             pn = prime_power(self.order)
             if pn is None:
                 raise NotPGroup(f"{self.name} has order {self.order}, not a prime power")
-            n = self.order
-            P = np.empty(n, dtype=ID32)
-            for lo in range(0, n, BLOCK):
-                P[lo : lo + BLOCK] = self.pow_vec(np.arange(lo, min(lo + BLOCK, n)), pn[0])
+            size = self._power_block()
+            P = np.empty(self.order, dtype=ID32)
+            rows = P.reshape(-1, size)
+            for lo in range(0, len(rows), BLOCK):
+                starts = np.arange(lo, min(lo + BLOCK, len(rows))) * size
+                rows[lo : lo + BLOCK] = self.pow_vec(starts, pn[0])[:, None]
             self._power_map = P
         return self._power_map
 

@@ -290,7 +290,12 @@ class PcGroup(FiniteGroup):
 
     Tables are built deepest generator first; phi_j is filled by dynamic
     programming over ids ordered by their deepest nonzero digit, from the
-    tables of the deeper generators.
+    tables of the deeper generators. The inverse table is filled by top
+    digit instead: x = g_m^e r with r in U_{m+1} has x^-1 = r^-1 g_m^-e, so
+    each block e of U_m is one vector product of the U_{m+1} block by
+    g_m^-e. The p-th power map is constant on the cosets of the deepest
+    tail U_k that is central of exponent p, which are blocks of s_k
+    consecutive ids (`_power_block`).
 
     Like every backend, a group of order up to TABLE_CAP multiplies through
     its Cayley table, filled from the pairwise digit-step kernel; the
@@ -417,16 +422,38 @@ class PcGroup(FiniteGroup):
         return int(self._inverse_table()[x])
 
     def _inverse_table(self) -> np.ndarray:
-        """Array I with I[x] = x^-1: I[y * g_m] = g_m^-1 * I[y], as int32."""
+        """Array I with I[x] = x^-1, as int32, filled by top digit.
+
+        An id of U_m is x = g_m^e r with r in U_{m+1}, and x^-1 = r^-1 g_m^-e,
+        so for m = n-1 down to 0 block e of U_m is I[:s_{m+1}] times g_m^-e.
+        g_m^-1 is g_m^(p-1) u_m^-1, for u_m = g_m^p in U_{m+1}, whose part of
+        I is already filled; the fill calls no `inv` or negative `power`, which
+        would read this table.
+        """
         if self._inv_arr is None:
-
-            def by_inverse(m: int):
-                gm = self.sizes[m + 1]
-                gm_inv = self.power(gm, self.element_order(gm) - 1)
-                return self.left_mul_table(gm_inv).__getitem__
-
-            self._inv_arr = self._digit_fill(0, 0, by_inverse)
+            p, s = self.pres.prime, self.sizes
+            out = np.zeros(self.order, dtype=ID32)
+            for m in range(self.pres.ngens - 1, -1, -1):
+                t = s[m + 1]
+                um = self._word_element(self.pres.powers.get(m, ()))
+                gm_inv = (p - 1) * t + int(out[um])
+                c = 0
+                for e in range(1, p):
+                    c = self._mul(c, gm_inv)  # g_m^-e
+                    out[e * t : (e + 1) * t] = self._mul_into_tail(out[:t], c, m)
+            self._inv_arr = out
         return self._inv_arr
+
+    def _power_block(self) -> int:
+        """s_k for the smallest k with U_k central of exponent p.
+
+        U_k qualifies when no generator j >= k has a power rule or a
+        commutator rule (j, i): its generators then have order p and commute
+        with every generator. g_{n-1} always qualifies, as its rules could
+        only mention deeper generators.
+        """
+        rules = set(self.pres.powers) | {j for j, _ in self.pres.commutators}
+        return self.sizes[max(rules, default=-1) + 1]
 
     def left_mul_table(self, c: int) -> np.ndarray:
         """Array L with L[x] = c * x: L[y * g_m] = L[y] * g_m, as int32."""

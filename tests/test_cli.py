@@ -513,6 +513,25 @@ def _dies_on_q8(args):
     return _census_one(args)
 
 
+def test_census_runs_the_largest_groups_first(tmp_path, monkeypatch):
+    """Group rows start by descending order, ties by id; the report still
+    lists them by id."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for gid in ("c2", "c12", "d8", "q8"):
+        shutil.copy(CORPUS / f"{gid}.json", corpus / f"{gid}.json")
+    started = []
+
+    def recorded(args):
+        started.append(args[0])
+        return _census_one(args)
+
+    monkeypatch.setattr(cli_module, "_census_one", recorded)
+    rep = run_census(corpus, jobs=1)
+    assert started == ["c12", "d8", "q8", "c2"]
+    assert list(rep["groups"]) == ["c12", "c2", "d8", "q8"]
+
+
 def test_census_worker_death_is_an_error_not_a_claim_failure(
     tmp_path, monkeypatch, capsys
 ):

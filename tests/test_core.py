@@ -29,7 +29,7 @@ from dcgroup.core import (
     prime_power,
 )
 from dcgroup.errors import DegreeMismatch, InvalidId, NotNormal, NotPGroup
-from dcgroup.pc import realize_pc_group
+from dcgroup.pc import PcPresentation, realize_pc_group
 from dcgroup.structure import center, derived_subgroup
 
 # Frozen Cayley table of S3 on ids 0..5 (0 = identity).
@@ -402,10 +402,17 @@ def test_pow_vec_zero_and_one():
 
 
 def test_power_map_orders_match_multiplication_rounds():
-    """Power-map orders and p-th powers against the round-by-round products."""
+    """Power-map orders and p-th powers against the round-by-round products,
+    on every corpus p-group (group2 and group1p7 beyond the table among
+    them). A pc group raises one id per coset of its central exponent-p
+    tail: as g0^5 = g1 in C_25, its tail is g1 alone, and C_3^3 is all
+    tail."""
     big = realize_pc_group(order_5_7_pres())
     assert big.np_table() is None
-    for G in corpus_pgroups(2000) + [big]:
+    c25 = realize_pc_group(PcPresentation((5, 5), powers={0: [(1, 1)]}), name="c25")
+    c3_3 = realize_pc_group(PcPresentation((3, 3, 3)), name="c3^3")
+    assert (c25._power_block(), c3_3._power_block()) == (5, 27)
+    for G in corpus_pgroups(7**7) + [big, c25, c3_3]:
         p, _ = prime_power(G.order)
         ids = np.arange(G.order, dtype=np.int64)
         assert np.array_equal(G.power_map(), G.pow_vec(ids, p)), G.name

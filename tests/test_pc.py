@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_spec, order_5_7_pres
+from conftest import corpus_groups, load_spec, order_5_7_pres
 from dcgroup.cli import realize_spec
 from dcgroup.errors import BadPresentation, InconsistentPresentation
 from dcgroup.pc import (
     PC_GEN_CAP,
+    PcGroup,
     PcPresentation,
     check_consistency,
     collect,
@@ -368,6 +369,21 @@ def test_table_rows_are_left_tables(which):
         G = realize_pc_group(d8_pres() if which == "d8" else he3_pres())
     rows = np.stack([G.left_mul_table(x) for x in range(G.order)])
     assert np.array_equal(G.np_table(), rows)
+
+
+def test_inverse_table_inverts_every_id():
+    """x * I[x] = 1 through the pairwise digit-step kernel, on every id of
+    the corpus pc groups (group2 and group1p7 among them) and of
+    presentations with power rules on several generators, where g_m^-1
+    reads the inverse of u_m = g_m^p: Q8, C_32 and an order-5^7 group."""
+    c32 = PcPresentation((2,) * 5, powers={i: [(i + 1, 1)] for i in range(4)})
+    groups = [G for G in corpus_groups(7**7) if isinstance(G, PcGroup)]
+    groups += [realize_pc_group(pres) for pres in (q8_pres(), c32, order_5_7_pres())]
+    for G in groups:
+        inv = G._inverse_table()
+        assert inv.dtype == np.int32
+        ids = np.arange(G.order, dtype=np.int64)
+        assert not G._mul_pairwise_vec(ids, inv.astype(np.int64)).any(), G.name
 
 
 PRES_POOL = [d8_pres(), q8_pres(), he3_pres()]
