@@ -7,6 +7,9 @@ remaining power and commutator word drawn from single deeper letters:
   order 32   five generators of order 2, skeleton [g1, g0] = g2
   order 243  five generators of order 3, skeleton [gj, g0] = g(j+1)
 
+The grids are `grid_32` and `grid_243` of perfbench/workloads.py, the
+source of the benchmark's pc-stream groups; this script reads them there.
+
 Every grid point is run through the consistency oracle; the consistent
 ones are realized and profiled (generator need, nilpotency class, derived
 type, chain verdict or fundamental-subgroup type). The script then locates
@@ -24,11 +27,11 @@ import json
 import sys
 import time
 from collections import Counter
-from itertools import product
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "perfbench"))
 
 from dcgroup.cli import realize_spec
 from dcgroup.dc import GroupContext, dc_2group_predicate
@@ -41,6 +44,7 @@ from dcgroup.structure import (
     min_generators,
     nilpotency_class,
 )
+from workloads import grid_243, grid_32
 
 Word = tuple[tuple[int, int], ...]
 
@@ -69,46 +73,6 @@ def derived_label(G) -> str:
     except NotAbelian:
         return f"order {dp.order} nonabelian"
     return "trivial" if typ == [] else "x".join(map(str, typ))
-
-
-def assemble(skeleton: dict[tuple[int, int], Word],
-             comm_slots: dict[tuple[int, int], Word],
-             power_slots: dict[int, Word]) -> tuple[dict, dict]:
-    comms = dict(skeleton)
-    comms.update({k: w for k, w in comm_slots.items() if w})
-    powers = {i: w for i, w in power_slots.items() if w}
-    return powers, comms
-
-
-def grid_32():
-    """All grid points for the order-32 shape."""
-    deep3: list[Word] = [(), ((3, 1),), ((4, 1),)]
-    deep4: list[Word] = [(), ((4, 1),)]
-    skeleton: dict[tuple[int, int], Word] = {(1, 0): ((2, 1),)}
-    for c20, c21, p0, p1, p2 in product(deep3, repeat=5):
-        for c30, c31, c32, p3 in product(deep4, repeat=4):
-            yield assemble(
-                skeleton,
-                {(2, 0): c20, (2, 1): c21, (3, 0): c30, (3, 1): c31,
-                 (3, 2): c32},
-                {0: p0, 1: p1, 2: p2, 3: p3},
-            )
-
-
-def grid_243():
-    """All grid points for the order-243 maximal-class shape."""
-    g3_or_g4: list[Word] = [(), ((3, 1),), ((3, 2),), ((4, 1),), ((4, 2),)]
-    g4_only: list[Word] = [(), ((4, 1),), ((4, 2),)]
-    skeleton: dict[tuple[int, int], Word] = {
-        (1, 0): ((2, 1),), (2, 0): ((3, 1),), (3, 0): ((4, 1),),
-    }
-    for c21 in g3_or_g4:
-        for c31, c32, p0, p1, p2, p3 in product(g4_only, repeat=6):
-            yield assemble(
-                skeleton,
-                {(2, 1): c21, (3, 1): c31, (3, 2): c32},
-                {0: p0, 1: p1, 2: p2, 3: p3},
-            )
 
 
 def rules_repr(pres: PcPresentation) -> str:

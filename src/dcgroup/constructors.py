@@ -59,7 +59,6 @@ __all__ = [
     "FAMILY_PARAMS",
     "direct_product",
     "SemidirectGroup",
-    "semidirect_product",
     "central_product",
     "S6Bundle",
     "PcBundle",
@@ -385,15 +384,6 @@ def direct_product(left: FiniteGroup, right: FiniteGroup, name: str = "") -> Sem
     return SemidirectGroup(
         left, right, [trivial] * len(right.generators), name or f"{left.name}x{right.name}"
     )
-
-
-def semidirect_product(
-    normal: FiniteGroup,
-    top: FiniteGroup,
-    action: Sequence[Sequence[int]],
-    name: str = "",
-) -> SemidirectGroup:
-    return SemidirectGroup(normal, top, action, name=name)
 
 
 def central_product(

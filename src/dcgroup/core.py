@@ -177,8 +177,8 @@ class FiniteGroup:
 
     # Vector kernels, called by the vector ops below only when the group has
     # no Cayley table, BLOCK ids at a time (`_blockwise`), and
-    # `_mul_pairwise_vec` by `np_table` to build one. A
-    # backend with a bulk product overrides `_mul_pairwise_vec`, and the
+    # `_mul_pairwise_vec` by `np_table` to build one. Every backend that
+    # can lack a table defines `_mul_pairwise_vec`, its bulk product; the
     # right and left products by one element follow from it.
 
     def _mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
@@ -186,11 +186,6 @@ class FiniteGroup:
 
     def _lmul_vec(self, y: int, xs: np.ndarray) -> np.ndarray:
         return self._mul_pairwise_vec(np.full(len(xs), y, dtype=np.int64), xs)
-
-    def _mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self._mul(int(x), int(y)) for x, y in zip(xs, ys)], dtype=np.int64
-        )
 
     def _inv_vec(self, xs: np.ndarray) -> np.ndarray:
         return np.array([self._invert(int(x)) for x in xs], dtype=np.int64)
@@ -257,7 +252,9 @@ class FiniteGroup:
         if self._abelian is None:
             gens = self.generators
             self._abelian = all(
-                self.mul(a, b) == self.mul(b, a) for a in gens for b in gens
+                self.mul(a, b) == self.mul(b, a)
+                for i, a in enumerate(gens)
+                for b in gens[i + 1 :]
             )
         return self._abelian
 
@@ -539,35 +536,14 @@ class PermGroup(FiniteGroup):
             self._keys = (perms, weights, keys[by_key], by_key)
         return self._keys
 
-    def _ids_of(self, shape: tuple[int, ...], images) -> np.ndarray:
-        """Ids of the permutations whose i-th image is images[i], i < degree-1.
-
-        `images` yields id arrays of the given shape, one per point; those
-        past the first degree-1 are not read.
-        """
-        _, weights, sorted_keys, by_key = self._key_index()
-        keys = np.zeros(shape, dtype=np.int64)
-        for w, col in zip(weights, images):
-            keys += w * col
-        return by_key[np.searchsorted(sorted_keys, keys)]
-
-    # The product x*y sends point i to P[y][P[x][i]].
-
-    def _mul_vec(self, xs: np.ndarray, y: int) -> np.ndarray:
-        P = self._key_index()[0]
-        return self._ids_of(xs.shape, (P[y][P[xs, i]] for i in range(self.degree)))
-
-    def _lmul_vec(self, y: int, xs: np.ndarray) -> np.ndarray:
-        P = self._key_index()[0]
-        return self._ids_of(xs.shape, (P[xs, i] for i in P[y].tolist()))
-
     def _mul_pairwise_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        P = self._key_index()[0]
-        return self._ids_of(xs.shape, (P[ys, P[xs, i]] for i in range(self.degree)))
-
-    def _inv_vec(self, xs: np.ndarray) -> np.ndarray:
-        inverses = np.argsort(self._key_index()[0][xs], axis=-1)
-        return self._ids_of(xs.shape, np.moveaxis(inverses, -1, 0))
+        """The product x*y sends point i to P[y][P[x][i]]; its id is found
+        by the key of those images."""
+        P, weights, sorted_keys, by_key = self._key_index()
+        keys = np.zeros(xs.shape, dtype=np.int64)
+        for i, w in enumerate(weights):
+            keys += w * P[ys, P[xs, i]]
+        return by_key[np.searchsorted(sorted_keys, keys)]
 
     def perm(self, x: int) -> tuple[int, ...]:
         return self.perms[self.check_id(x)]

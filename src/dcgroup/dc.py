@@ -812,7 +812,16 @@ def _claim_dc_gprime_center_cyclic(ctx: GroupContext):
     return _verdict(is_cyclic(ctx.G, I), f"intersection of order {I.order}")
 
 
-@_claim(
+def _derived_center_is_last_term(ctx: GroupContext):
+    """G' ∩ Z(G) is the last nontrivial lower central term, of order p; the
+    body of two claims, on a non-abelian p-group."""
+    I = meet(ctx.derived, ctx.center)
+    K_last = ctx.lcs[ctx.cl - 1]
+    ok = I.order == ctx.pn[0] and I == K_last
+    return _verdict(ok, f"intersection order {I.order}, last term order {K_last.order}")
+
+
+_claim(
     "dc-derived-center-is-last-term",
     _NONABELIAN_P,
     _HAS_ORACLE,
@@ -821,13 +830,7 @@ def _claim_dc_gprime_center_cyclic(ctx: GroupContext):
         lambda c: exponent(c.G, c.derived) == c.pn[0],
         "derived subgroup exponent exceeds p",
     ),
-)
-def _claim_dc_gprime_center_last_term(ctx: GroupContext):
-    p = ctx.pn[0]
-    I = meet(ctx.derived, ctx.center)
-    K_last = ctx.lcs[ctx.cl - 1] if ctx.cl else trivial_subgroup(ctx.G)
-    ok = I.order == p and I == K_last
-    return _verdict(ok, f"intersection order {I.order}, last term order {K_last.order}")
+)(_derived_center_is_last_term)
 
 
 @_claim(
@@ -1085,20 +1088,14 @@ def _claim_lcs_match_when_derived_factors(ctx: GroupContext):
     return PASS, ""
 
 
-@_claim(
+_claim(
     "twogen-abelian-maximal-center-intersection",
     _NONABELIAN_P,
     (
         lambda c: c.d == 2 and c.has_abelian_maximal is True,
         "needs d=2 and an abelian maximal subgroup",
     ),
-)
-def _claim_twogen_abelian_maximal_center(ctx: GroupContext):
-    p = ctx.pn[0]
-    I = meet(ctx.derived, ctx.center)
-    K_last = ctx.lcs[ctx.cl - 1]
-    ok = I == K_last and I.order == p
-    return _verdict(ok, f"intersection order {I.order}, last term order {K_last.order}")
+)(_derived_center_is_last_term)
 
 
 @_claim(

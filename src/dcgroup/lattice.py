@@ -29,9 +29,9 @@ from .core import (
     TABLE_CAP,
     FiniteGroup,
     TableGroup,
+    _closure,
     _grow,
     _pick_generators,
-    closure_ids,
     prime_factors,
 )
 from .errors import (
@@ -183,8 +183,8 @@ def full_subgroup(G: FiniteGroup) -> Subgroup:
 
 def closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """Subgroup generated by the seed ids, with the seed as its generators."""
-    gens = sorted({int(s) for s in seed} - {0})
-    return _subgroup(G, closure_ids(G, gens), gens)
+    gens = sorted({G.check_id(int(s)) for s in seed} - {0})
+    return _subgroup(G, np.flatnonzero(_closure(G, gens)[0]), gens)
 
 
 # ---------------------------------------------------------------------------

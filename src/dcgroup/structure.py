@@ -556,11 +556,28 @@ def _subgroup_is_abelian(G: FiniteGroup, S: Subgroup) -> bool:
 # regularity, p-abelian, maximal class
 
 
+def _power_defects(G: FiniteGroup):
+    """For each x with a y where (xy)^p != x^p y^p: x, those ys, and
+    (x^p y^p)^-1 (xy)^p for each of them.
+
+    One `lmul_vec` row of x's products with every y at a time, x ascending.
+    """
+    xs = G.all_ids()
+    pows = G.power_map()
+    for x in range(G.order):
+        lhs = pows[G.lmul_vec(x, xs)]
+        rhs = G.lmul_vec(int(pows[x]), pows)
+        bad = lhs != rhs
+        if bad.any():
+            yield x, xs[bad], G.mul_pairwise_vec(G.inv_vec(rhs[bad]), lhs[bad])
+
+
 def is_regular(G: FiniteGroup) -> bool | None:
     """Hall regularity: (xy)^p in x^p y^p U1(<x,y>') for all x, y.
 
-    Definitional all-pairs test up to REGULARITY_CAP; above it, class < p
-    or exponent p still decides regularity, and otherwise None is returned.
+    Definitional all-pairs test up to REGULARITY_CAP, on the pairs
+    `_power_defects` yields; above it, class < p or exponent p still
+    decides regularity, and otherwise None is returned.
     """
     p, _ = _require_pgroup(G)
     if G.order > REGULARITY_CAP:
@@ -570,7 +587,8 @@ def is_regular(G: FiniteGroup) -> bool | None:
         if exponent(G) == p:
             return True
         return None
-    span_cache: dict[tuple[int, int], np.ndarray] = {}
+    # U1(<x,y>') depends only on the cyclic subgroups <x> and <y>
+    span_cache: dict[tuple[int, int], Subgroup] = {}
     cyc: dict[int, Subgroup] = {}
 
     def atom(x: int) -> Subgroup:
@@ -578,22 +596,13 @@ def is_regular(G: FiniteGroup) -> bool | None:
             cyc[x] = closure(G, [x])
         return cyc[x]
 
-    pows = G.power_map()
-    for x in range(G.order):
-        xp = int(pows[x])
-        for y in range(G.order):
-            lhs = int(pows[G.mul(x, y)])
-            base = G.mul(xp, int(pows[y]))
-            if lhs == base:
-                continue
+    for x, ys, targets in _power_defects(G):
+        for y, target in zip(ys.tolist(), targets.tolist()):
             key = (atom(x).bits, atom(y).bits)
             if key not in span_cache:
-                two = closure(G, [x, y])
-                dg = derived_subgroup(G, two)
-                u1 = closure(G, _pick_generators(G, G.p_power_vec(dg.ids())))
-                span_cache[key] = u1.ids()
-            target = G.mul(G.inv(base), lhs)
-            if not bool(np.isin(target, span_cache[key]).item()):
+                dg = derived_subgroup(G, closure(G, [x, y]))
+                span_cache[key] = closure(G, _pick_generators(G, G.p_power_vec(dg.ids())))
+            if not span_cache[key].contains(target):
                 return False
     return True
 
@@ -605,14 +614,7 @@ def is_p_abelian(G: FiniteGroup) -> bool | None:
         return True
     if G.order > REGULARITY_CAP:
         return None
-    xs = G.all_ids()
-    pows = G.power_map()
-    for x in range(G.order):
-        lhs = pows[G.lmul_vec(x, xs)]
-        rhs = G.lmul_vec(int(pows[x]), pows)
-        if not (lhs == rhs).all():
-            return False
-    return True
+    return next(_power_defects(G), None) is None
 
 
 def fundamental_subgroup(G: FiniteGroup) -> Subgroup:

@@ -11,19 +11,22 @@ import pytest
 
 from dcgroup.cli import realize_spec
 from dcgroup.core import prime_power
-from dcgroup.pc import PcPresentation
+from dcgroup.pc import PcPresentation, realize_pc_group
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
 
 
-def load_script(name: str):
-    """Import scripts/<name>.py as a module."""
-    path = REPO / "scripts" / f"{name}.py"
+def _load(path: Path, name: str):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_script(name: str):
+    """Import scripts/<name>.py as a module."""
+    return _load(REPO / "scripts" / f"{name}.py", name)
 
 
 def load_spec(gid: str) -> dict:
@@ -46,25 +49,22 @@ def corpus_pgroups(max_order: int) -> list:
     return [G for G in corpus_groups(max_order) if prime_power(G.order)]
 
 
-def _family(name: str, **params) -> dict:
-    return {"kind": "family", "name": name, **params}
-
-
-def _direct(left: dict, right: dict) -> dict:
-    return {"kind": "direct", "left": left, "right": right}
-
-
 # The seven non-p groups of the benchmark's lattice-nonp workload, orders 72
 # to 360, in its order.
-LATTICE_NONP = {
-    "a6": _family("alternating", degree=6),
-    "s5xc2": _direct(_family("symmetric", degree=5), _family("cyclic", order=2)),
-    "d8xs4": _direct(_family("dihedral", order=8), _family("symmetric", degree=4)),
-    "s4xs3": _direct(_family("symmetric", degree=4), _family("symmetric", degree=3)),
-    "a5xc3": _direct(_family("alternating", degree=5), _family("cyclic", order=3)),
-    "s5": _family("symmetric", degree=5),
-    "sl23xc3": _direct(_family("sl23"), _family("cyclic", order=3)),
-}
+LATTICE_NONP = _load(REPO / "perfbench" / "workloads.py", "workloads").LATTICE_NONP
+
+
+def grid_groups() -> list:
+    """The consistent points of the order-32 and order-243 rule grids, as pc
+    groups, order 32 first, in grid order."""
+    search = load_script("search_presentations")
+    out = []
+    for rel_orders, grid in (((2,) * 5, search.grid_32), ((3,) * 5, search.grid_243)):
+        for powers, comms in grid():
+            pres = search.consistent(rel_orders, powers, comms)
+            if pres is not None:
+                out.append(realize_pc_group(pres))
+    return out
 
 
 def lattice_nonp_groups() -> dict:

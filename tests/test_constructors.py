@@ -246,35 +246,35 @@ def test_direct_product_with_a_pc_factor_is_componentwise():
 
 
 def test_semidirect_inversion_action_gives_dihedral():
-    G = C.semidirect_product(C.cyclic(3), C.cyclic(2), [[0, 2, 1]])
+    G = C.SemidirectGroup(C.cyclic(3), C.cyclic(2), [[0, 2, 1]])
     assert G.order == 6 and not G.is_abelian
     assert sorted(G.element_orders().tolist()) == [1, 2, 2, 2, 3, 3]
 
 
 def test_semidirect_trivial_action_is_direct():
-    G = C.semidirect_product(C.cyclic(3), C.cyclic(2), [[0, 1, 2]])
+    G = C.SemidirectGroup(C.cyclic(3), C.cyclic(2), [[0, 1, 2]])
     assert G.order == 6 and G.is_abelian
 
 
 def test_semidirect_action_must_be_automorphism():
     with pytest.raises(NotAutomorphism):
-        C.semidirect_product(C.cyclic(3), C.cyclic(2), [[0, 0, 1]])
+        C.SemidirectGroup(C.cyclic(3), C.cyclic(2), [[0, 0, 1]])
     # x -> x + 1 is a bijection but not an automorphism
     with pytest.raises(NotAutomorphism):
-        C.semidirect_product(C.cyclic(5), C.cyclic(2), [[1, 2, 3, 4, 0]])
+        C.SemidirectGroup(C.cyclic(5), C.cyclic(2), [[1, 2, 3, 4, 0]])
 
 
 def test_semidirect_action_must_respect_top_relations():
     # x -> 2x has order 4 in Aut(C5); a C2 top cannot carry it
     with pytest.raises(ActionNotHomomorphic):
-        C.semidirect_product(C.cyclic(5), C.cyclic(2), [[0, 2, 4, 1, 3]])
+        C.SemidirectGroup(C.cyclic(5), C.cyclic(2), [[0, 2, 4, 1, 3]])
     # the same array under a C4 top is fine
-    G = C.semidirect_product(C.cyclic(5), C.cyclic(4), [[0, 2, 4, 1, 3]])
+    G = C.SemidirectGroup(C.cyclic(5), C.cyclic(4), [[0, 2, 4, 1, 3]])
     assert G.order == 20 and S.center(G).is_trivial
 
 
 def test_semidirect_normal_factor_is_normal():
-    G = C.semidirect_product(C.cyclic(7), C.cyclic(3), [[0, 2, 4, 6, 1, 3, 5]])
+    G = C.SemidirectGroup(C.cyclic(7), C.cyclic(3), [[0, 2, 4, 6, 1, 3, 5]])
     assert G.order == 21
     from dcgroup.lattice import closure
 

@@ -344,8 +344,10 @@ def test_mul_vec_matches_scalar():
 
 @pytest.mark.parametrize("degree", [7, 8])
 def test_perm_kernels_without_a_table_match_scalar(degree):
-    # S7 (order 5040) and S8 lie above TABLE_CAP, so the vector ops run the
-    # PermGroup kernels; each must agree with the scalar _mul and _invert.
+    # S7 (order 5040) and S8 lie above TABLE_CAP, so the vector ops run
+    # FiniteGroup's generic kernels on PermGroup's pairwise product, and
+    # inv_vec the loop over _invert; each must agree with the scalar _mul
+    # and _invert.
     G = C.symmetric(degree)
     assert G.np_table() is None
     rng = np.random.default_rng(degree)
@@ -361,9 +363,10 @@ def test_perm_kernels_without_a_table_match_scalar(degree):
 
 
 def test_table_less_vector_ops_run_in_blocks():
-    # S8's 40320 ids are two full BLOCKs and a part: the vector ops call the
-    # PermGroup kernels one slice at a time and return int64 ids shaped like
-    # their input, which may also be a scalar or a 2d array
+    # S8's 40320 ids are two full BLOCKs and a part: the vector ops call
+    # FiniteGroup's generic kernels, on PermGroup's pairwise product, one
+    # slice at a time and return int64 ids shaped like their input, which
+    # may also be a scalar or a 2d array
     G = C.symmetric(8)
     assert G.np_table() is None and G.order > 2 * BLOCK
     ids = G.all_ids()

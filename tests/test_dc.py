@@ -14,8 +14,8 @@ from conftest import (
     corpus_groups,
     corpus_ids,
     corpus_pgroups,
+    grid_groups,
     lattice_nonp_groups,
-    load_script,
     load_spec,
 )
 from dcgroup import constructors as C
@@ -39,7 +39,6 @@ from dcgroup.dc import (
 )
 from dcgroup.errors import NotPGroup, NotTwoGroup
 from dcgroup.lattice import LATTICE_CAP, join, meet, subgroup_as_group
-from dcgroup.pc import realize_pc_group
 from dcgroup.structure import derived_subgroup
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -327,18 +326,6 @@ def _descent_matches_oracle(G) -> bool:
     return want.is_dc
 
 
-def _grid_groups() -> list:
-    """The consistent points of the order-32 and order-243 rule grids."""
-    search = load_script("search_presentations")
-    out = []
-    for rel_orders, grid in (((2,) * 5, search.grid_32), ((3,) * 5, search.grid_243)):
-        for powers, comms in grid():
-            pres = search.consistent(rel_orders, powers, comms)
-            if pres is not None:
-                out.append(realize_pc_group(pres))
-    return out
-
-
 def _proper_quotients(G) -> list:
     """G/N for each normal N with 1 < N < G."""
     return [
@@ -352,7 +339,7 @@ def test_descent_matches_oracle_on_pgroups_and_their_quotients():
     """On the 161 non-abelian p-groups (the corpus p-groups up to
     LATTICE_CAP and the consistent grid points) and on every G/N of the DC
     ones among them and of the abelian corpus p-groups."""
-    pgroups = corpus_pgroups(LATTICE_CAP) + _grid_groups()
+    pgroups = corpus_pgroups(LATTICE_CAP) + grid_groups()
     nonabelian = [G for G in pgroups if not G.is_abelian]
     assert len(nonabelian) == 161
     verdicts = [_descent_matches_oracle(G) for G in nonabelian]

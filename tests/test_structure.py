@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_groups, corpus_pgroups, lattice_nonp_groups
+from conftest import corpus_groups, corpus_pgroups, grid_groups, lattice_nonp_groups
 from dcgroup import constructors as C
 from dcgroup import structure as S
 from dcgroup.cli import realize_spec
@@ -502,6 +503,50 @@ def test_is_regular_and_p_abelian():
     assert S.is_regular(C.semidihedral(16)) is False
     assert S.is_p_abelian(C.extraspecial_p3(3, "p")) is True
     assert S.is_p_abelian(C.generalized_quaternion(8)) is False
+
+
+def _regular_and_p_abelian_by_pairs(G) -> tuple[bool, bool]:
+    """(regular, p-abelian) by the all-pairs scalar scan, one G.mul at a
+    time: a pair with (xy)^p != x^p y^p makes G not p-abelian, and G is
+    regular when each such (x^p y^p)^-1 (xy)^p lies in U1(<x,y>')."""
+    p = S.is_pgroup(G)[0]
+    pows = [G.power(x, p) for x in range(G.order)]
+    u1s: dict[tuple[int, int], np.ndarray] = {}
+    p_abelian = True
+    for x in range(G.order):
+        for y in range(G.order):
+            lhs = pows[G.mul(x, y)]
+            base = G.mul(pows[x], pows[y])
+            if lhs == base:
+                continue
+            p_abelian = False
+            key = (closure(G, [x]).bits, closure(G, [y]).bits)
+            if key not in u1s:
+                dg = S.derived_subgroup(G, closure(G, [x, y]))
+                u1s[key] = closure(G, [G.power(int(d), p) for d in dg.ids()]).ids()
+            if G.mul(G.inv(base), lhs) not in u1s[key]:
+                return False, False
+    return True, p_abelian
+
+
+def test_is_regular_and_p_abelian_match_the_all_pairs_scan():
+    # Every corpus p-group up to the cap, a seeded sample of 30 grid points
+    # and C27 x| C9 (a^b = a^4): G' = <a^3> is cyclic of order 9, so G is
+    # regular (p odd) but not p-abelian, the one kind the others lack, on
+    # which only the U1(<x,y>') test tells regular from p-abelian.
+    a4 = [4 * i % 27 for i in range(27)]
+    groups = (
+        corpus_pgroups(S.REGULARITY_CAP)
+        + random.Random(31).sample(grid_groups(), 30)
+        + [C.SemidirectGroup(C.cyclic(27), C.cyclic(9), [a4], name="c27sdc9")]
+    )
+    assert {G.order for G in groups} >= {32, 243}
+    kinds = set()
+    for G in groups:
+        want = _regular_and_p_abelian_by_pairs(G)
+        assert (S.is_regular(G), S.is_p_abelian(G)) == want, G.name
+        kinds.add(want)
+    assert kinds == {(True, True), (False, False), (True, False)}
 
 
 # -- sampled structural invariants ----------------------------------------------------
